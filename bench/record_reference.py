@@ -1,8 +1,8 @@
-"""Record the full-size answers of every workload for a range of seeds into
+"""Record the full-size answers of every workload for seeds 0-19 into
 bench/reference.json, after checking each seed's twin against the oracle
 and the full-size answers against the independent references.
 
-    python3 bench/record_reference.py [FIRST LAST]   # default: seeds 0..19
+    python3 bench/record_reference.py
 
 The recorded answers are a regression reference: a later change must
 reproduce them exactly on these seeds.
@@ -16,6 +16,8 @@ import tempfile
 
 import run
 import workloads
+
+SEEDS = range(20)
 
 
 def record(seed: int, tmp: str) -> dict:
@@ -40,7 +42,6 @@ def record(seed: int, tmp: str) -> dict:
 
 
 def main() -> int:
-    first, last = (int(a) for a in sys.argv[1:3]) if len(sys.argv) > 2 else (0, 19)
     sys.path.insert(0, run.SRC)
     path = os.path.join(run.BENCH_DIR, "reference.json")
     try:
@@ -51,7 +52,7 @@ def main() -> int:
     os.makedirs(run.RUNS_DIR, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix="reference-", dir=run.RUNS_DIR)
     try:
-        for seed in range(first, last + 1):
+        for seed in SEEDS:
             for name, answers in record(seed, tmp).items():
                 data.setdefault(name, {})[str(seed)] = answers
             with open(path, "w", encoding="utf-8") as fh:

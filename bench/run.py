@@ -38,48 +38,16 @@ SRC = os.path.join(ROOT, "src")
 RUNS_DIR = os.path.join(ROOT, ".bench_runs")
 DEADLINE_S = 170.0  # a run must exit within 180 s
 
-END_TO_END = {"query_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
-
-# per-layer metric -> unit; the values come from _layer_metrics
-PER_LAYER = {
-    "homcount.count_hom_mm.s": "s",
-    "homcount.count_hom_mm.calls": "count",
-    "homcount.count_hom_dp.s": "s",
-    "homcount.count_hom_dp.calls": "count",
-    "homcount.count_colored_hom.s": "s",
-    "homcount.count_colored_hom.total_s": "s",
-    "homcount.predicted_ops": "count",
-    "homcount.predicted_ops_per_s": "1/s",
-    "graphs.canonical_form.calls": "count",
-    "graphs.canonical_form.misses": "count",
-    "graphs.canonical_form.s": "s",
-    "graphs.automorphism_count.s": "s",
-    "graphs.parse_graph6.s": "s",
-    "graphs.parse_edge_list.s": "s",
-    "partitions.spasm.calls": "count",
-    "partitions.spasm.s": "s",
-    "partitions.coefficient.calls": "count",
-    "partitions.coefficient.s": "s",
-    "motif.change_basis.s": "s",
-    "motif.change_basis.total_s": "s",
-    "motif.hom_terms": "count",
-    "decomp.exact_treewidth.calls": "count",
-    "decomp.exact_treewidth.distinct": "count",
-    "decomp.exact_treewidth.s": "s",
-    "decomp.to_nice.s": "s",
-    "decomp.normalize_width2.s": "s",
-    "colored.build_guarded_decomposition.s": "s",
-    "colored.count_ordered_embeddings.s": "s",
-    "colored.count_ordered_embeddings.calls": "count",
-    "cli.main.s": "s",
-    "trace.query_s": "s",
-    "trace.overhead_frac": "ratio",
-}
-
 
 def fail(msg: str) -> None:
     print(f"bench: {msg}", file=sys.stderr)
     sys.exit(2)
+
+
+def metric_units(kind: str) -> dict:
+    """Metric name -> unit for "end_to_end" or "per_layer", from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["unit"] for m in json.load(fh)[kind]}
 
 
 def environment(thread_cap: int) -> dict:
@@ -153,7 +121,7 @@ def expected_answers(workload: str, seed: int, independent: list, recorded) -> l
     return out
 
 
-def _layer_metrics(traced: list, untraced: list) -> dict:
+def _layer_metrics(names, traced: list, untraced: list) -> dict:
     def median_of(fn):  # median_low: a value one traced process measured
         return statistics.median_low(fn(r) for r in traced)
 
@@ -164,7 +132,7 @@ def _layer_metrics(traced: list, untraced: list) -> dict:
         return lambda r: r["counters"].get(name, 0)
 
     values = {}
-    for metric in PER_LAYER:
+    for metric in names:
         func, _, what = metric.rpartition(".")
         if metric == "homcount.predicted_ops_per_s":
             values[metric] = median_of(
@@ -272,13 +240,14 @@ def main(argv=None) -> int:
         traced = [r for r in ok if r["traced"]]
         if not traced or not untraced:
             fail("traced run needs one traced and one untraced process")
-        metrics = {m: {"value": v, "unit": PER_LAYER[m]}
-                   for m, v in _layer_metrics(traced, untraced).items()}
+        units = metric_units("per_layer")
+        metrics = {m: {"value": v, "unit": units[m]}
+                   for m, v in _layer_metrics(units, traced, untraced).items()}
     else:
         if not untraced:
             fail("no query process finished")
         metrics = {m: {"value": statistics.median(r[m] for r in untraced), "unit": u}
-                   for m, u in END_TO_END.items()}
+                   for m, u in metric_units("end_to_end").items()}
     result = {"correct": failed == 0 and twin_ok, "attempted": attempted,
               "failed": failed, "metrics": metrics}
 

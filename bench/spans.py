@@ -53,9 +53,9 @@ class Recorder:
         self._stack: list = []
         self.query_id = None
         self.counters: dict = defaultdict(int)
-        self.treewidth_args: set = set()  # labelled (n, edges) per call
+        self.treewidth_args: set = set()  # the Graph of each call
+        self.kernel_calls: list = []  # (pattern, host order) per outermost kernel call
         self.originals: dict = {}
-        self._tw_cache: dict = {}
 
     # -- recording -------------------------------------------------------
 
@@ -87,9 +87,9 @@ class Recorder:
 
     def _before_hook(self, name: str):
         if name in KERNELS:
-            return self._count_predicted_ops
+            return self._note_kernel_call
         if name == "decomp.exact_treewidth":
-            return lambda args, kwargs: self.treewidth_args.add(_labelled(args[0]))
+            return lambda args, kwargs: self.treewidth_args.add(args[0])
         return None
 
     def _after_hook(self, name: str):
@@ -101,19 +101,24 @@ class Recorder:
             return hom_terms
         return None
 
-    def _count_predicted_ops(self, args, kwargs):
-        """n^(tw+1) for an outermost kernel call, computed before its span
-        opens so that the extra treewidth work is not charged to it."""
+    def _note_kernel_call(self, args, kwargs):
+        """Keep the pattern and host order of an outermost kernel call; its
+        treewidth is computed after the queries, outside every span."""
         if any(self.spans[i][0] in KERNELS for i in self._stack):
             return
         h, g = args[0], args[1]
-        h = getattr(h, "graph", h)
-        key = _labelled(h)
-        tw = self._tw_cache.get(key)
-        if tw is None:
-            tw = self.originals["decomp.exact_treewidth"](h)[0]
-            self._tw_cache[key] = tw
-        self.counters["homcount.predicted_ops"] += g.n ** (tw + 1)
+        self.kernel_calls.append((getattr(h, "graph", h), g.n))
+
+    def predicted_ops(self) -> int:
+        """Sum of n^(tw+1) over the outermost kernel calls."""
+        treewidth = functools.lru_cache(maxsize=None)(
+            lambda h: self.originals["decomp.exact_treewidth"](h)[0])
+        return sum(n ** (treewidth(h) + 1) for h, n in self.kernel_calls)
+
+    def distinct_treewidth_patterns(self) -> int:
+        """Isomorphism classes among the graphs exact_treewidth was called on.
+        Calls canonical_form, so read its cache counters first."""
+        return len({self.originals["graphs.canonical_form"](g) for g in self.treewidth_args})
 
     # -- installation ----------------------------------------------------
 
@@ -141,10 +146,6 @@ class Recorder:
                 setattr(mod, attr, fn)
 
         return restore
-
-
-def _labelled(g):
-    return (g.n, tuple(sorted(g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,46 +201,3 @@ def kernel_seconds(spans) -> float:
         if p < 0:
             total += end - start
     return total
-
-
-def isomorphism_classes(graphs) -> int:
-    """Number of isomorphism classes among labelled (n, edges) graphs, by
-    pairwise backtracking within groups of equal degree sequence."""
-    groups: dict = defaultdict(list)
-    for n, edges in graphs:
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        groups[(n, len(edges), tuple(sorted(len(a) for a in adj)))].append(adj)
-    classes = 0
-    for members in groups.values():
-        reps: list = []
-        for adj in members:
-            if not any(_isomorphic(adj, r) for r in reps):
-                reps.append(adj)
-        classes += len(reps)
-    return classes
-
-
-def _isomorphic(a: list, b: list) -> bool:
-    n = len(a)
-    order = sorted(range(n), key=lambda v: -len(a[v]))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for x in range(n):
-            if used[x] or len(b[x]) != len(a[v]):
-                continue
-            if all((image[u] in b[x]) == (u in a[v]) for u in order[:i]):
-                image[v], used[x] = x, True
-                if extend(i + 1):
-                    return True
-                image[v], used[x] = -1, False
-        return False
-
-    return extend(0)

@@ -155,7 +155,6 @@ def run_cli(args: list) -> str:
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     full: dict   # size parameters of the timed host
     twin: dict   # size parameters of the oracle-checked twin
 
@@ -170,29 +169,21 @@ WORKLOADS = {
     for w in (
         Workload(
             "dense-tw2",
-            "count_hom_mm in both regimes: int64 for Sub(P7)'s 30 hom terms, "
-            "dtype=object for Hom(C9) since n^8 >= 2^61; via cli.main",
             full={"n": 200, "m": 1500, "cycle": 9},
             twin={"n": 9, "m": 18, "cycle": 9},
         ),
         Workload(
             "indsub-sparse",
-            "eval of IndSub(P6): the cold basis change and the dict DP on 45 tw-3 "
-            "and 9 tw-4 hom terms share the time; the matrix engine is nearly idle",
             full={"n": 40, "m": 156},
             twin={"n": 9, "m": 18},
         ),
         Workload(
             "many-hosts",
-            "library evaluate of all 6-vertex trees on many small hosts: warm "
-            "caches, small queries, planning (treewidth, spasm) dominates",
             full={"n": 40, "m": 117, "hosts": 60},
             twin={"n": 8, "m": 16, "hosts": 2},
         ),
         Workload(
             "colored",
-            "colored-count sub of P6 and C6 and hom of C6 on a 3-coloured host; "
-            "the only workload that reaches the colored pipeline",
             full={"n": 170, "m": 765},
             twin={"n": 8, "m": 18},
         ),
