@@ -25,14 +25,18 @@ def record(seed: int, tmp: str) -> dict:
     for name in workloads.WORKLOADS:
         full = workloads.make_inputs(name, seed, os.path.join(tmp, name, "full"), twin=False)
         twin = workloads.make_inputs(name, seed, os.path.join(tmp, name, "twin"), twin=True)
-        spec = {"workload": name, "inputs": os.path.join(tmp, name, "full"), "trace": False,
-                "twin": os.path.join(tmp, name, "twin"), "spans_out": os.path.join(tmp, "spans.json")}
-        report = run.run_process(spec, os.path.join(tmp, "spec.json"),
-                                 run.child_env(len(os.sched_getaffinity(0))), timeout=600)
-        if "error" in report or any(report["errors"]):
-            run.fail(f"{name} seed {seed}: {report.get('error') or report['errors']}")
-        if report["twin_answers"] != workloads.oracle_answers(name, twin):
+        env = run.child_env(len(os.sched_getaffinity(0)))
+        reports = {}
+        for kind in ("twin", "full"):
+            spec = {"workload": name, "inputs": os.path.join(tmp, name, kind), "trace": False,
+                    "spans_out": os.path.join(tmp, "spans.json")}
+            report = run.run_process(spec, os.path.join(tmp, "spec.json"), env, timeout=600)
+            if "error" in report or any(report["errors"]):
+                run.fail(f"{name} seed {seed} {kind}: {report.get('error') or report['errors']}")
+            reports[kind] = report
+        if reports["twin"]["answers"] != workloads.oracle_answers(name, twin):
             run.fail(f"{name} seed {seed}: twin answers disagree with the oracle")
+        report = reports["full"]
         for got, ref in zip(report["answers"], workloads.independent_references(name, full)):
             if ref is not None and got != ref:
                 run.fail(f"{name} seed {seed}: {got} != independent reference {ref}")

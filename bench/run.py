@@ -5,11 +5,15 @@
 Run from the root of a checkout.  The inputs are generated from the seed
 into a temporary directory under .bench_runs/.  Each query process is a
 fresh interpreter (cold caches, as on a CLI call) that issues the
-workload's queries one after another: a closed loop with one client.  Query
-processes run back to back until the next one would end after S seconds;
-the metrics are medians over them.
+workload's queries one after another: a closed loop with one client.  A
+first, untimed process runs the queries on the small twin inputs, which the
+oracle checks, and warms the file cache.  Timed query processes then run
+back to back until the next one would end more than S seconds after the
+run began; the metrics are medians over them.
 
---trace 0 reports the end-to-end metrics (query_s, setup_s, peak_rss_mb).
+--trace 0 reports the end-to-end metrics (query_s, setup_s, peak_rss_mb);
+query_s is scaled by a machine-speed probe each process times (see
+METRICS.md, "Machine probe").
 --trace 1 alternates untraced and traced query processes and reports the
 per-layer metrics from the traced ones plus the tracing overhead.  The last
 stdout line is one JSON object: {"correct", "attempted", "failed",
@@ -37,6 +41,9 @@ ROOT = os.path.dirname(BENCH_DIR)
 SRC = os.path.join(ROOT, "src")
 RUNS_DIR = os.path.join(ROOT, ".bench_runs")
 DEADLINE_S = 170.0  # a run must exit within 180 s
+# Median of query.machine_probe() on the machine the bounds were set on (see
+# METRICS.md, "Noise"): query_s is reported in seconds of that machine.
+REFERENCE_PROBE_S = 0.0105
 
 
 def fail(msg: str) -> None:
@@ -121,6 +128,16 @@ def expected_answers(workload: str, seed: int, independent: list, recorded) -> l
     return out
 
 
+def end_to_end(metric: str, report: dict) -> float:
+    """One process's value of an end-to-end metric.  query_s is scaled by
+    the speed the machine probe measured in the same process, so that host
+    contention that comes and goes over minutes does not show as a change
+    of the program."""
+    if metric == "query_s":
+        return report["query_s"] * REFERENCE_PROBE_S / report["probe_s"]
+    return report[metric]
+
+
 def _layer_metrics(names, traced: list, untraced: list) -> dict:
     def median_of(fn):  # median_low: a value one traced process measured
         return statistics.median_low(fn(r) for r in traced)
@@ -138,6 +155,8 @@ def _layer_metrics(names, traced: list, untraced: list) -> dict:
             values[metric] = median_of(
                 lambda r: r["counters"].get("homcount.predicted_ops", 0) / r["kernel_s"]
                 if r["kernel_s"] > 0 else 0.0)
+        elif metric == "machine.probe_s":
+            values[metric] = median_of(lambda r: r["probe_s"])
         elif metric == "trace.query_s":
             values[metric] = median_of(lambda r: r["query_s"])
         elif metric == "trace.overhead_frac":
@@ -154,7 +173,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="motifcount benchmark")
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -180,31 +199,28 @@ def main(argv=None) -> int:
 
         env = child_env(thread_cap)
         tag = f"{args.workload}-seed{args.seed}"
+        spec = {"workload": args.workload, "inputs": os.path.join(tmp, "twin"), "trace": False,
+                "spans_out": os.path.join(RUNS_DIR, f"spans-{tag}.json")}
+        spec_path = os.path.join(tmp, "spec.json")
+        twin_report = run_process(spec, spec_path, env, DEADLINE_S)
+        spec["inputs"] = os.path.join(tmp, "full")
         reports = []
-        measure_start = time.monotonic()
         while True:
-            traced = bool(args.trace) and len(reports) % 2 == 1
-            spec = {
-                "workload": args.workload,
-                "inputs": os.path.join(tmp, "full"),
-                "trace": traced,
-                "twin": os.path.join(tmp, "twin") if not reports else None,
-                "spans_out": os.path.join(RUNS_DIR, f"spans-{tag}.json"),
-            }
-            report = run_process(spec, os.path.join(tmp, "spec.json"), env,
-                                 DEADLINE_S - (time.monotonic() - began))
-            report["traced"] = traced
+            spec["trace"] = bool(args.trace) and len(reports) % 2 == 1
+            report = run_process(spec, spec_path, env, DEADLINE_S - (time.monotonic() - began))
+            report["traced"] = spec["trace"]
             reports.append(report)
             print("process " + json.dumps({k: report.get(k) for k in
-                  ("traced", "setup_s", "query_s", "peak_rss_mb", "wall_s", "error")}), flush=True)
+                  ("traced", "setup_s", "query_s", "probe_s", "peak_rss_mb", "wall_s", "error")}),
+                  flush=True)
             if "error" in report:
                 break
-            elapsed = time.monotonic() - measure_start
+            elapsed = time.monotonic() - began
             typical = statistics.median(r["wall_s"] for r in reports)
             done = len(reports) >= (2 if args.trace else 1)
             if done and elapsed + typical > args.seconds:
                 break
-            if time.monotonic() - began + 1.5 * typical > DEADLINE_S:
+            if elapsed + 1.5 * typical > DEADLINE_S:
                 break
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -226,10 +242,10 @@ def main(argv=None) -> int:
             if err is not None or got != expected[q]:
                 failed += 1
                 problems.append(f"process {i} query {q}: {err or f'{got} != {expected[q]}'}")
-    first = reports[0]
-    twin_ok = "error" not in first and first.get("twin_answers") == twin_expected
+    twin_ok = "error" not in twin_report and twin_report["answers"] == twin_expected
     if not twin_ok:
-        problems.append(f"twin: got {first.get('twin_answers')} {first.get('twin_errors')}, "
+        problems.append(f"twin: got {twin_report.get('answers')} "
+                        f"{twin_report.get('errors') or twin_report.get('error')}, "
                         f"oracle {twin_expected}")
     for p in problems[:20]:
         print("problem " + p, file=sys.stderr)
@@ -246,7 +262,7 @@ def main(argv=None) -> int:
     else:
         if not untraced:
             fail("no query process finished")
-        metrics = {m: {"value": statistics.median(r[m] for r in untraced), "unit": u}
+        metrics = {m: {"value": statistics.median(end_to_end(m, r) for r in untraced), "unit": u}
                    for m, u in metric_units("end_to_end").items()}
     result = {"correct": failed == 0 and twin_ok, "attempted": attempted,
               "failed": failed, "metrics": metrics}

@@ -72,6 +72,12 @@ def test_recorder_wraps_import_sites_and_restores():
     assert 1 <= rec.distinct_treewidth_patterns() <= len(rec.treewidth_args)
 
 
+def test_query_s_is_scaled_by_the_probe():
+    report = {"query_s": 2.0, "probe_s": run.REFERENCE_PROBE_S / 2, "setup_s": 0.3}
+    assert run.end_to_end("query_s", report) == 4.0
+    assert run.end_to_end("setup_s", report) == 0.3
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_closed_walks_match_brute_hom_of_cycles(k):
     from motifcount import Graph
@@ -115,7 +121,7 @@ def test_trees6_are_the_six_trees():
 def test_quick_twin(name, tmp_path):
     twin = workloads.make_inputs(name, 0, str(tmp_path / "twin"), twin=True)
     spec = {"workload": name, "inputs": str(tmp_path / "twin"), "trace": False,
-            "twin": None, "spans_out": str(tmp_path / "spans.json")}
+            "spans_out": str(tmp_path / "spans.json")}
     report = run.run_process(spec, str(tmp_path / "spec.json"),
                              run.child_env(1), timeout=120)
     assert "error" not in report, report.get("error")

@@ -160,6 +160,7 @@ class Workload:
 
 
 P7 = path(7)
+P5, C5 = path(5), cycle(5)
 P6, C6 = path(6), cycle(6)
 P6_COLORS = (0, 1, 2, 0, 1, 2)
 C6_COLORS = (0, 1, 0, 1, 0, 1)
@@ -169,22 +170,22 @@ WORKLOADS = {
     for w in (
         Workload(
             "dense-tw2",
-            full={"n": 200, "m": 1500, "cycle": 9},
-            twin={"n": 9, "m": 18, "cycle": 9},
+            full={"n": 120, "m": 900, "cycle": 10},
+            twin={"n": 9, "m": 18, "cycle": 10},
         ),
         Workload(
             "indsub-sparse",
-            full={"n": 40, "m": 156},
+            full={"n": 50, "m": 245},
             twin={"n": 9, "m": 18},
         ),
         Workload(
             "many-hosts",
-            full={"n": 40, "m": 117, "hosts": 60},
+            full={"n": 40, "m": 117, "hosts": 20},
             twin={"n": 8, "m": 16, "hosts": 2},
         ),
         Workload(
             "colored",
-            full={"n": 170, "m": 765},
+            full={"n": 100, "m": 450},
             twin={"n": 8, "m": 18},
         ),
     )
@@ -220,7 +221,7 @@ def make_inputs(name: str, seed: int, directory: str, twin: bool) -> dict:
         write("p7.g6", graph6(P7) + "\n")
         write("cycle.g6", graph6(cycle(size["cycle"])) + "\n")
         return {"host": host, "cycle": size["cycle"]}
-    write("param.motif", f"basis indsub\n1 {graph6(P6)}\n")
+    write("param.motif", f"basis indsub\n1 {graph6(P5)}\n1 {graph6(C5)}\n")
     return {"host": host}
 
 
@@ -281,7 +282,7 @@ def oracle_answers(name: str, inputs: dict) -> list:
                 str(closed_walks(adjacency_matrix(host), inputs["cycle"]))]
     if name == "indsub-sparse":
         host = g(inputs["host"])
-        return [str(brute_count("indsub", g(P6), host))]
+        return [str(brute_count("indsub", g(P5), host) + brute_count("indsub", g(C5), host))]
     if name == "many-hosts":
         return [str(sum(brute_count("sub", Graph(6, t), g(h)) for t in TREES6))
                 for h in inputs["hosts"]]
