@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     canonical_form,
+    colored_automorphism_count,
     parse_edge_list,
     parse_graph6,
 )
@@ -95,8 +96,6 @@ def _cmd_count(args) -> int:
             if args.engine == "brute":
                 value = brute_count("colored-emb", h, g)
                 if args.kind == "sub":
-                    from .graphs import colored_automorphism_count
-
                     value //= colored_automorphism_count(h)
             elif args.kind == "emb":
                 value = count_colored_embeddings(h, g)
@@ -288,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pattern", required=True, metavar="G6|@FILE")
         p.add_argument("--host", required=True, metavar="G6|@FILE")
         p.add_argument("--engine", default="auto", choices=("auto", "dp", "mm", "brute"))
-        p.add_argument("--threads", type=int, default=1)
         if colored_default:
             p.set_defaults(colored=True)
         else:
@@ -334,9 +332,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return USAGE_EXIT
     try:
         return args.func(args)
     except UsageError as exc:

@@ -355,9 +355,6 @@ def to_nice(d: TreeDecomposition, g: Optional[Graph] = None) -> NiceTreeDecompos
 
     top = build(d.root)
     root = chain_up(top, d.bags[d.root], frozenset())
-    if root == top:
-        # root bag already empty; nothing forgotten
-        pass
     return NiceTreeDecomposition(parents, bags, root, kinds)
 
 

@@ -9,20 +9,12 @@ because S is spasm-closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import CanonicalForm, Graph, canonical_form, graph_order_key, tensor_product
 from .homcount import count_hom_dp
 from .motif import MotifParameter
 from .partitions import spasm
-
-
-@dataclass
-class LinearSystem:
-    index: list  # spasm-closed list of CanonicalForms, global graph order
-    matrix: list  # Hom_S as exact integer rows
-    rhs: list  # exact rationals
 
 
 def hom_closure(support) -> list:
@@ -78,8 +70,7 @@ def extract_hom_via_oracle(alpha: MotifParameter, f, g: Graph, oracle) -> int:
         [count_hom_dp(hc.graph, xc.graph) for hc in index] for xc in index
     ]
     rhs = [Fraction(oracle(tensor_product(g, xc.graph))) for xc in index]
-    system = LinearSystem(index, matrix, rhs)
-    x = _solve_exact(system.matrix, system.rhs)
+    x = _solve_exact(matrix, rhs)
     pos = index.index(fc)
     value = x[pos] / coeffs[fc]
     if value.denominator != 1:

@@ -1,6 +1,9 @@
 """Loop-free simple graphs, colored graphs, canonical labeling, graph6 and
 edge-list I/O.
 
+One backtracking search yields canonical forms, automorphism counts and
+colored isomorphism; plain graphs are searched with the all-zero coloring.
+
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
 as dictionary keys.
@@ -8,7 +11,6 @@ as dictionary keys.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -160,85 +162,74 @@ def _upper_triangle_bits(g: Graph) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _canonical_perm(g: Graph) -> tuple:
-    """Permutation position -> original vertex minimizing the bit string.
+def _canonical_search(g: Graph, colors: tuple) -> tuple:
+    """(perm, aut): perm maps canonical position -> original vertex, aut
+    counts the color-preserving automorphisms of g.
 
-    Backtracking over partial labelings: canonical positions are filled one
-    at a time, and a branch is abandoned as soon as its bit prefix exceeds
-    the best complete string found so far.
+    Canonical positions are filled one at a time; position k contributes
+    (colors[v], adjacency of v to positions 0..k-1), packed into one integer
+    as the color followed by k bits, and a labeling's key is the sequence of
+    these.  perm is a labeling with the least key.  A branch is abandoned
+    only when its key prefix exceeds the best complete key found so far, so
+    no labeling reaching the final minimum is ever cut off.  Those labelings
+    form one coset of the automorphism group; aut is their number.
     """
     n = g.n
     adj = adjacency(g)
-    best_bits: Optional[tuple] = None
-    best_perm: Optional[tuple] = None
+    best_key: Optional[tuple] = None
+    best_perm: tuple = ()
+    ties = 0
 
-    def extend(assigned, used, bits):
-        nonlocal best_bits, best_perm
+    def extend(assigned, used, key):
+        nonlocal best_key, best_perm, ties
         k = len(assigned)
         if k == n:
-            if best_bits is None or bits < best_bits:
-                best_bits, best_perm = bits, tuple(assigned)
+            # pruning below guarantees key <= best_key here
+            if best_key is None or key < best_key:
+                best_key, best_perm, ties = key, tuple(assigned), 1
+            else:
+                ties += 1
             return
         candidates = []
         for v in range(n):
             if v in used:
                 continue
-            col = tuple(1 if assigned[j] in adj[v] else 0 for j in range(k))
-            candidates.append((col, v))
+            part = colors[v]
+            for u in assigned:
+                part = part << 1 | (u in adj[v])
+            candidates.append((part, v))
         candidates.sort()
-        for col, v in candidates:
-            new_bits = bits + col
-            if best_bits is not None and new_bits > best_bits[: len(new_bits)]:
+        for part, v in candidates:
+            new_key = key + (part,)
+            if best_key is not None and new_key > best_key[: k + 1]:
                 continue
             assigned.append(v)
             used.add(v)
-            extend(assigned, used, new_bits)
+            extend(assigned, used, new_key)
             assigned.pop()
             used.remove(v)
 
     extend([], set(), ())
-    return best_perm if best_perm is not None else ()
+    return best_perm, ties
+
+
+def _relabel_canonical(g: Graph, perm: tuple) -> Graph:
+    """g with vertex perm[pos] renamed pos."""
+    return g.relabel({v: pos for pos, v in enumerate(perm)})
 
 
 @lru_cache(maxsize=None)
 def canonical_form(g: Graph) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
     string as key."""
-    perm = _canonical_perm(g)
-    inverse = [0] * g.n
-    for pos, v in enumerate(perm):
-        inverse[v] = pos
-    cg = g.relabel(inverse)
+    perm, _ = _canonical_search(g, (0,) * g.n)
+    cg = _relabel_canonical(g, perm)
     return CanonicalForm(cg, encode_graph6(cg))
 
 
-@lru_cache(maxsize=None)
 def automorphism_count(g: Graph) -> int:
     """Number of vertex permutations preserving the edge set."""
-    n = g.n
-    adj = adjacency(g)
-    degs = [len(adj[v]) for v in range(n)]
-    count = 0
-
-    def extend(mapping, used):
-        nonlocal count
-        k = len(mapping)
-        if k == n:
-            count += 1
-            return
-        for v in range(n):
-            if v in used or degs[v] != degs[k]:
-                continue
-            ok = all((mapping[j] in adj[v]) == (j in adj[k]) for j in range(k))
-            if ok:
-                mapping.append(v)
-                used.add(v)
-                extend(mapping, used)
-                mapping.pop()
-                used.remove(v)
-
-    extend([], set())
-    return count
+    return _canonical_search(g, (0,) * g.n)[1]
 
 
 def tensor_product(g: Graph, x: Graph) -> Graph:
@@ -311,93 +302,21 @@ def is_connected(g: Graph) -> bool:
 # colored isomorphism
 
 
-def _colored_iso_maps(h: ColoredGraph, g: ColoredGraph, count_all: bool):
-    """Backtracking search for color-preserving isomorphisms h -> g.
-
-    Returns the number found (all of them when count_all, else stops at 1).
-    """
-    if h.n != g.n or sorted(h.colors) != sorted(g.colors):
-        return 0
-    if len(h.graph.edges) != len(g.graph.edges):
-        return 0
-    n = h.n
-    adj_h = adjacency(h.graph)
-    adj_g = adjacency(g.graph)
-    found = 0
-
-    def extend(mapping, used):
-        nonlocal found
-        k = len(mapping)
-        if k == n:
-            found += 1
-            return not count_all
-        for v in range(n):
-            if v in used or g.colors[v] != h.colors[k]:
-                continue
-            if len(adj_g[v]) != len(adj_h[k]):
-                continue
-            if all((mapping[j] in adj_g[v]) == (j in adj_h[k]) for j in range(k)):
-                mapping.append(v)
-                used.add(v)
-                if extend(mapping, used):
-                    return True
-                mapping.pop()
-                used.remove(v)
-        return False
-
-    extend([], set())
-    return found
+def colored_canonical_key(h: ColoredGraph):
+    """Hashable key equal for two colored graphs iff they are
+    color-preserving isomorphic: the colors in canonical order and the graph6
+    string of the canonically relabeled graph."""
+    perm, _ = _canonical_search(h.graph, h.colors)
+    cols = tuple(h.colors[v] for v in perm)
+    return cols, encode_graph6(_relabel_canonical(h.graph, perm))
 
 
 def color_preserving_isomorphic(h: ColoredGraph, g: ColoredGraph) -> bool:
-    return _colored_iso_maps(h, g, count_all=False) > 0
+    return colored_canonical_key(h) == colored_canonical_key(g)
 
 
 def colored_automorphism_count(h: ColoredGraph) -> int:
-    return _colored_iso_maps(h, h, count_all=True)
-
-
-def colored_canonical_key(h: ColoredGraph):
-    """Hashable key equal for two colored graphs iff they are
-    color-preserving isomorphic.  Minimizes (color sequence, edge bits) over
-    all relabelings."""
-    n = h.n
-    adj = adjacency(h.graph)
-    best = None
-
-    def extend(assigned, used, cols, bits):
-        nonlocal best
-        k = len(assigned)
-        if k == n:
-            key = (cols, bits)
-            if best is None or key < best:
-                best = key
-            return
-        candidates = []
-        for v in range(n):
-            if v in used:
-                continue
-            col = tuple(1 if assigned[j] in adj[v] else 0 for j in range(k))
-            candidates.append((h.colors[v], col, v))
-        candidates.sort()
-        for c, col, v in candidates:
-            new_cols = cols + (c,)
-            new_bits = bits + col
-            if best is not None and (new_cols, new_bits) > (
-                best[0][: len(new_cols)],
-                best[1][: len(new_bits)],
-            ):
-                continue
-            assigned.append(v)
-            used.add(v)
-            extend(assigned, used, new_cols, new_bits)
-            assigned.pop()
-            used.remove(v)
-
-    extend([], set(), (), ())
-    if best is None:
-        return (n, (), ())
-    return (n,) + best
+    return _canonical_search(h.graph, h.colors)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,6 @@ from .decomp import (
 from .graphs import ColoredGraph, Graph, adjacency, connected_components
 
 
-class HomTable:
-    """DP table at one decomposition node: partial assignments of the bag
-    (ordered by vertex index) to host vertices, mapped to counts."""
-
-    def __init__(self, node: int, bag_order: tuple, entries: dict):
-        self.node = node
-        self.bag_order = bag_order
-        self.entries = entries
-
-
 def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
                  pattern_colors: Optional[tuple] = None) -> int:
     """Number of homomorphisms from h to g (color-preserving when colorings
@@ -117,12 +107,6 @@ def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
 # treewidth-2 matrix-multiplication variant
 
 
-def _matmul(a, b):
-    """The one matrix product of the algorithm, isolated so the kernel can
-    be swapped."""
-    return a @ b
-
-
 def count_hom_mm(h: Graph, g: Graph) -> int:
     """Homomorphism count for a treewidth-<=2 pattern, one matrix product
     per decomposition node.  Disconnected patterns multiply per component."""
@@ -188,7 +172,7 @@ def _mm_component(h: Graph, g: Graph) -> int:
             a13 = a13 * m
         for m in groups[(u2, u3)]:
             a23 = a23 * m
-        h_tables[t] = a12 * _matmul(a13, a23.T)
+        h_tables[t] = a12 * (a13 @ a23.T)
 
     (child,) = w2.children[w2.root]
     # final sum in Python ints: it can exceed the per-entry bound

@@ -148,6 +148,13 @@ class TestErrors:
         code, _, _ = run(["count", "--kind", "bogus", "--pattern", "A_", "--host", "A_"], capsys)
         assert code == 2
 
+    def test_threads_is_not_an_option(self, capsys):
+        code, _, err = run(
+            ["count", "--kind", "hom", "--pattern", "A_", "--host", "A_", "--threads", "2"],
+            capsys,
+        )
+        assert code == 2 and "--threads" in err
+
     def test_domain_exit_1(self, capsys):
         code, _, err = run(
             ["count", "--kind", "hom", "--pattern", "A", "--host", "A_"], capsys

@@ -4,7 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import clique, cycle, path, random_graph, star
+from conftest import (
+    all_graphs_up_to,
+    clique,
+    cycle,
+    path,
+    random_colored,
+    random_graph,
+    star,
+)
 from motifcount.graphs import (
     ColoredGraph,
     Graph,
@@ -69,6 +77,17 @@ class TestCanonicalForm:
     def test_distinguishes_classes(self):
         assert canonical_form(path(3)).key != canonical_form(star(3)).key
 
+    def test_key_is_least_graph6_over_relabelings(self):
+        # pins the keys that the CLI prints and graph_order_key sorts by
+        rng = random.Random(3)
+        for g in all_graphs_up_to(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            least = min(
+                encode_graph6(g.relabel(p)) for p in itertools.permutations(range(g.n))
+            )
+            assert canonical_form(g.relabel(perm)).key == least
+
 
 class TestAutomorphisms:
     def test_known_groups(self):
@@ -129,6 +148,48 @@ class TestColored:
         colorful = ColoredGraph(clique(3), (0, 1, 2))
         assert colored_automorphism_count(mono) == 6
         assert colored_automorphism_count(colorful) == 1
+
+    def test_colored_automorphisms_match_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            h = random_colored(rng, rng.randint(0, 6), rng.randint(1, 3))
+            brute = sum(
+                1
+                for p in itertools.permutations(range(h.n))
+                if _maps_colored_iso(h, h, p)
+            )
+            assert colored_automorphism_count(h) == brute
+
+    def test_isomorphism_matches_brute_force(self):
+        rng = random.Random(11)
+        for i in range(90):
+            n = rng.randint(1, 6)
+            a = random_colored(rng, n, rng.randint(1, 3))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            colors = [0] * n
+            for v in range(n):
+                colors[perm[v]] = a.colors[v]
+            if i % 3 == 1:  # one vertex recolored
+                colors[rng.randrange(n)] += 1
+            if i % 3 == 2:  # unrelated graph on as many vertices
+                b = random_colored(rng, n, rng.randint(1, 3))
+            else:
+                b = ColoredGraph(a.graph.relabel(perm), colors)
+            brute = any(
+                _maps_colored_iso(a, b, p) for p in itertools.permutations(range(n))
+            )
+            assert color_preserving_isomorphic(a, b) == brute
+            assert color_preserving_isomorphic(b, a) == brute
+
+
+def _maps_colored_iso(h: ColoredGraph, g: ColoredGraph, p) -> bool:
+    """Whether v -> p[v] is a color-preserving isomorphism from h to g."""
+    return (
+        len(h.graph.edges) == len(g.graph.edges)
+        and all(h.colors[v] == g.colors[p[v]] for v in range(h.n))
+        and all(g.graph.has_edge(p[u], p[v]) for u, v in h.graph.edges)
+    )
 
 
 class TestEdgeList:
