@@ -34,7 +34,9 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .homcount import count_colored_hom, count_hom_dp, count_hom_mm
+# count_hom_mm is re-exported: the benchmark's self-test checks that its span
+# recorder wraps this import site
+from .homcount import count_colored_hom, count_hom_dp, count_hom_mm  # noqa: F401
 from .motif import (
     BASES,
     change_basis,
@@ -54,14 +56,18 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_source(src: str):
     """Inline graph6, or @path to a file holding graph6 or an edge list."""
     if src.startswith("@"):
-        try:
-            with open(src[1:], "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {src[1:]}: {exc}") from exc
+        text = _read_text(src[1:])
         first = next(
             (l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")),
             "",
@@ -107,8 +113,6 @@ def _cmd_count(args) -> int:
         h, g = _as_plain(pattern), _as_plain(host)
         if args.engine == "brute":
             value = brute_count(args.kind, h, g)
-        elif args.engine in ("dp", "mm") and args.kind == "hom":
-            value = count_hom_dp(h, g) if args.engine == "dp" else count_hom_mm(h, g)
         else:
             value = count_pattern(args.kind, h, g, engine=args.engine)
     print(value)
@@ -125,8 +129,7 @@ def _cmd_spasm(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
-        p = parse_motif_parameter(fh.read())
+    p = parse_motif_parameter(_read_text(args.input))
     if args.source_basis and p.basis != args.source_basis:
         raise UsageError(
             f"input file is in basis {p.basis!r}, not {args.source_basis!r}"
@@ -136,8 +139,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.param, "r", encoding="ascii") as fh:
-        p = parse_motif_parameter(fh.read())
+    p = parse_motif_parameter(_read_text(args.param))
     g = _as_plain(_load_source(args.host))
     print(evaluate(p, g, engine=args.engine))
     return 0

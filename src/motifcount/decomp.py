@@ -1,14 +1,17 @@
 """Tree decompositions for small pattern graphs.
 
-Provides exact treewidth (elimination-order dynamic programming over vertex
-subsets), conversion to nice form, the width-2 normal form used by the
-matrix-multiplication homomorphism counter, and the connectivity massaging
-that makes every separator the exact neighborhood of its component.
+Provides the cached elimination plan (exact treewidth and an optimal
+elimination order, by dynamic programming over vertex subsets) that the
+homomorphism counters eliminate along, tree decompositions built from it,
+the connectivity massaging that makes every separator the exact
+neighborhood of its component, and the nice and width-2 normal forms, which
+serve only `motifcount decompose` and the public API.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, adjacency, connected_components, is_connected
@@ -216,14 +219,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def exact_treewidth(g: Graph):
-    """Minimum treewidth and an optimal rooted tree decomposition, by
-    dynamic programming over elimination prefixes."""
+@lru_cache(maxsize=1024)
+def elimination_plan(g: Graph) -> tuple:
+    """(treewidth, optimal elimination order) of g, by dynamic programming
+    over elimination prefixes; the order lists the first-eliminated vertex
+    first.  Cached, so every pattern is planned once."""
     n = g.n
     if n > TREEWIDTH_GUARD:
         raise CapacityError(f"exact treewidth capped at {TREEWIDTH_GUARD} vertices")
-    if n == 0:
-        return -1, TreeDecomposition([None], [frozenset()], 0)
     adj_masks = [0] * n
     for u, v in g.edges:
         adj_masks[u] |= 1 << v
@@ -249,7 +252,6 @@ def exact_treewidth(g: Graph):
                     best, best_v = val, v
             cost[s] = best
             choice[s] = best_v
-    width = cost[full]
 
     order = []
     s = full
@@ -258,7 +260,16 @@ def exact_treewidth(g: Graph):
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return width, decomposition_from_elimination(g, order)
+    return cost[full], tuple(order)
+
+
+def exact_treewidth(g: Graph):
+    """Minimum treewidth and an optimal rooted tree decomposition, built
+    along the elimination plan."""
+    width, order = elimination_plan(g)
+    if g.n == 0:
+        return width, TreeDecomposition([None], [frozenset()], 0)
+    return width, decomposition_from_elimination(g, list(order))
 
 
 def decomposition_from_elimination(g: Graph, order: list) -> TreeDecomposition:
@@ -294,11 +305,7 @@ def decomposition_from_elimination(g: Graph, order: list) -> TreeDecomposition:
 def max_spasm_treewidth(h: Graph) -> int:
     from .partitions import spasm
 
-    best = -1
-    for cf in spasm(h):
-        w, _ = exact_treewidth(cf.graph)
-        best = max(best, w)
-    return best
+    return max((elimination_plan(cf.graph)[0] for cf in spasm(h)), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,101 +1,123 @@
-"""Exact homomorphism counting.
+"""Exact homomorphism counting by bucket elimination.
 
-count_hom_dp runs the classic dynamic program over a nice tree
-decomposition of the pattern; count_hom_mm is the treewidth-2 variant whose
-per-node work is one matrix product.  Counts are arbitrary-precision
-integers; the matrix path drops to machine words only when the worst case
-provably fits.
+Both engines eliminate the pattern's vertices along the cached optimal
+order of decomp.elimination_plan: eliminating v multiplies the factors that
+mention v and sums v out, so a pattern of treewidth k costs n^(k+1).
+count_hom_dp keeps factors as dicts keyed by host-vertex tuples;
+count_hom_mm keeps dense matrices for treewidth <= 2, one matrix product per
+vertex, in machine words only when the worst case provably fits.  The order
+is the whole plan: neither engine needs decomp's nice or width-2 normal
+forms, which serve only `motifcount decompose`.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .decomp import (
-    NiceTreeDecomposition,
-    Width2Decomposition,
-    DecompositionError,
-    exact_treewidth,
-    normalize_width2,
-    to_nice,
-)
+from .decomp import DecompositionError, elimination_plan
 from .graphs import ColoredGraph, Graph, adjacency, connected_components
+
+
+def _eliminate(h: Graph, step) -> int:
+    """Run bucket elimination over h.  step(v, later, factors) gets v, the
+    sorted tuple of its later neighbours and the (scope, table) factors in
+    v's bucket, and returns the table over `later`; when `later` is empty
+    that is an int, the count for v's connected component."""
+    _, order = elimination_plan(h)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = adjacency(h)
+    buckets: list = [[] for _ in range(h.n)]
+    total = 1
+    for v in order:
+        later = {u for u in adj[v] if rank[u] > rank[v]}
+        for scope, _ in buckets[v]:
+            later.update(scope)
+        later.discard(v)
+        later = tuple(sorted(later))
+        table = step(v, later, buckets[v])
+        if later:
+            buckets[min(later, key=rank.__getitem__)].append((later, table))
+        else:
+            total *= table
+            if total == 0:
+                return 0
+    return total
+
+
+def _projection(positions: list):
+    """key -> the tuple of its entries at `positions`."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        i = positions[0]
+        return lambda key: (key[i],)
+    return lambda key: ()
 
 
 def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
                  pattern_colors: Optional[tuple] = None) -> int:
     """Number of homomorphisms from h to g (color-preserving when colorings
     are supplied)."""
-    if h.n == 0:
-        return 1
-    if g.n == 0:
-        return 0
-    _, d = exact_treewidth(h)
-    nice = to_nice(d)
-    return _run_dp(nice, h, g, host_colors, pattern_colors)
-
-
-def _run_dp(nice: NiceTreeDecomposition, h: Graph, g: Graph,
-            host_colors, pattern_colors) -> int:
     adj_h = adjacency(h)
     adj_g = adjacency(g)
-    all_hosts = frozenset(range(g.n))
+    if pattern_colors is None:
+        candidates = [range(g.n)] * h.n
+        neighbours = [adj_g] * h.n
+    else:
+        # a pattern vertex maps only into its colour class
+        classes = {c: frozenset(x for x, cx in enumerate(host_colors) if cx == c)
+                   for c in set(pattern_colors)}
+        restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
+        candidates = [classes[c] for c in pattern_colors]
+        neighbours = [restricted[c] for c in pattern_colors]
 
-    def candidates(v: int) -> frozenset:
-        if pattern_colors is None:
-            return all_hosts
-        c = pattern_colors[v]
-        return frozenset(x for x in range(g.n) if host_colors[x] == c)
-
-    tables: dict = {}
-    for t in reversed(nice.topological_order()):
-        kind = nice.kinds[t]
-        bag = tuple(sorted(nice.bags[t]))
-        if kind[0] == "leaf":
-            tables[t] = {(): 1}
-        elif kind[0] == "intro":
-            v = kind[1]
-            (c,) = nice.children[t]
-            child = tables.pop(c)
-            pos = bag.index(v)
-            child_bag = bag[:pos] + bag[pos + 1 :]
-            nb_positions = [i for i, u in enumerate(child_bag) if u in adj_h[v]]
-            out: dict = {}
-            for key, cnt in child.items():
-                allowed = candidates(v)
-                for i in nb_positions:
-                    allowed = allowed & adj_g[key[i]]
+    def step(v, later, factors):
+        # seed from the largest message, then place one vertex at a time and
+        # multiply each message in as soon as its vertices are placed
+        if factors:
+            seed = max(factors, key=lambda f: len(f[1]))
+            placed, rows = list(seed[0]), list(seed[1].items())
+            waiting = [f for f in factors if f is not seed]
+        else:
+            placed, rows, waiting = [], [((), 1)], []
+        while rows:
+            for f in [f for f in waiting if set(f[0]).issubset(placed)]:
+                waiting.remove(f)
+                scope, table = f
+                project = _projection([placed.index(u) for u in scope])
+                rows = [(key, cnt * c) for key, cnt in rows
+                        if (c := table.get(project(key))) is not None]
+            rest = [u for u in (v,) + later if u not in placed]
+            if not rest:
+                break
+            u = max(rest, key=lambda u: len(adj_h[u].intersection(placed)))
+            nb = [i for i, w in enumerate(placed) if w in adj_h[u]]
+            placed.append(u)
+            if not nb:
+                rows = [(key + (x,), cnt) for key, cnt in rows for x in candidates[u]]
+                continue
+            nbr, first, others = neighbours[u], nb[0], nb[1:]
+            grown = []
+            for key, cnt in rows:
+                allowed = nbr[key[first]]
+                for i in others:
+                    allowed = allowed & nbr[key[i]]
                     if not allowed:
                         break
-                for x in allowed:
-                    out[key[:pos] + (x,) + key[pos:]] = cnt
-            tables[t] = out
-        elif kind[0] == "forget":
-            v = kind[1]
-            (c,) = nice.children[t]
-            child = tables.pop(c)
-            child_bag = tuple(sorted(nice.bags[c]))
-            pos = child_bag.index(v)
-            out = {}
-            for key, cnt in child.items():
-                short = key[:pos] + key[pos + 1 :]
+                grown.extend([(key + (x,), cnt) for x in allowed])
+            rows = grown
+        out: dict = {}
+        if rows:
+            project = _projection([placed.index(u) for u in later])
+            for key, cnt in rows:
+                short = project(key)
                 out[short] = out.get(short, 0) + cnt
-            tables[t] = out
-        else:  # join
-            c1, c2 = nice.children[t]
-            t1, t2 = tables.pop(c1), tables.pop(c2)
-            if len(t2) < len(t1):
-                t1, t2 = t2, t1
-            out = {}
-            for key, cnt in t1.items():
-                other = t2.get(key)
-                if other is not None:
-                    out[key] = cnt * other
-            tables[t] = out
-    root_table = tables[nice.root]
-    return root_table.get((), 0)
+        return out if later else out.get((), 0)
+
+    return _eliminate(h, step)
 
 
 def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -103,77 +125,47 @@ def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
                         pattern_colors=h.colors)
 
 
-# ---------------------------------------------------------------------------
-# treewidth-2 matrix-multiplication variant
-
-
 def count_hom_mm(h: Graph, g: Graph) -> int:
-    """Homomorphism count for a treewidth-<=2 pattern, one matrix product
-    per decomposition node.  Disconnected patterns multiply per component."""
-    if h.n == 0:
-        return 1
-    if g.n == 0:
+    """Homomorphism count for a treewidth-<=2 pattern with dense matrix
+    factors.  Disconnected patterns multiply per component."""
+    if h.n and not g.n:
         return 0
-    w, _ = exact_treewidth(h)
-    if w > 2:
+    if elimination_plan(h)[0] > 2:
         raise DecompositionError("count_hom_mm needs treewidth at most 2")
-    total = 1
-    for comp in connected_components(h):
-        total *= _mm_component(h.induced(comp), g)
-        if total == 0:
-            return 0
-    return total
-
-
-def _mm_component(h: Graph, g: Graph) -> int:
     n = g.n
-    if h.n == 1:
-        return n
-    if h.n == 2:
-        return 2 * len(g.edges)
-
-    _, d = exact_treewidth(h)
-    w2, perm = normalize_width2(d, h)
-    inverse = [0] * h.n
-    for new, old in enumerate(perm):
-        inverse[old] = new
-    hh = h.relabel(inverse)
-
-    # exact integer matrices; stay in machine words when every stored value
-    # (bounded by n^(|V(h)|-1), see the cone-size argument) fits in int64
-    if n ** max(h.n - 1, 1) < 2**61:
-        dtype: object = np.int64
-    else:
-        dtype = object
-    A = np.zeros((n, n), dtype=dtype)
+    adj_h = adjacency(h)
+    A = np.zeros((n, n), dtype=np.int64)
     for u, v in g.edges:
-        A[u, v] = 1
-        A[v, u] = 1
-    ones = np.ones((n, n), dtype=dtype)
+        A[u, v] = A[v, u] = 1
+    # a factor entry of a k-vertex component counts maps of its eliminated
+    # vertices with the scope fixed, at most n^(k-1): stay in machine words
+    # when that fits in int64
+    matrix_of = {}
+    for comp in connected_components(h):
+        m = A if n ** (len(comp) - 1) < 2**61 else A.astype(object)
+        matrix_of.update(dict.fromkeys(comp, m))
 
-    def edge_matrix(u1: int, u2: int):
-        return A if hh.has_edge(u1, u2) else ones
+    def step(v, later, factors):
+        # factors over (v,) multiply into vec; those over (u, v) into mats[u],
+        # indexed [x_u, x_v] and C-contiguous so that the product below runs
+        # along contiguous rows
+        vec = None
+        mats = {u: matrix_of[v] for u in later if u in adj_h[v]}
+        for scope, t in factors:
+            if len(scope) == 1:
+                vec = t if vec is None else vec * t
+                continue
+            u, t = (scope[0], t) if scope[1] == v else (scope[1], np.ascontiguousarray(t.T))
+            mats[u] = mats[u] * t if u in mats else t
+        if not later:
+            # the component's last step sums in Python ints: the total can
+            # exceed the per-entry bound
+            return n if vec is None else sum(vec.tolist())
+        first = mats[later[0]]
+        if vec is not None:
+            first = first * vec
+        if len(later) == 1:
+            return first.sum(axis=1)
+        return first @ mats[later[1]].T
 
-    h_tables: dict = {}
-    for t in reversed(w2.topological_order()):
-        if t == w2.root:
-            continue
-        u1, u2, u3 = sorted(w2.bags[t])
-        groups = {(u1, u2): [], (u1, u3): [], (u2, u3): []}
-        for c in w2.children[t]:
-            sep = tuple(sorted(w2.sigma(c)))
-            groups[sep].append(h_tables.pop(c))
-        a12 = edge_matrix(u1, u2).copy()
-        a13 = edge_matrix(u1, u3).copy()
-        a23 = edge_matrix(u2, u3).copy()
-        for m in groups[(u1, u2)]:
-            a12 = a12 * m
-        for m in groups[(u1, u3)]:
-            a13 = a13 * m
-        for m in groups[(u2, u3)]:
-            a23 = a23 * m
-        h_tables[t] = a12 * (a13 @ a23.T)
-
-    (child,) = w2.children[w2.root]
-    # final sum in Python ints: it can exceed the per-entry bound
-    return sum(int(x) for x in h_tables[child].flat)
+    return _eliminate(h, step)

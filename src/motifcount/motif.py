@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .decomp import exact_treewidth
+from .decomp import elimination_plan
 from .graphs import (
     CanonicalForm,
     Graph,
@@ -172,11 +172,7 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     """Max treewidth over the Hom-basis support: the predicted evaluation
     exponent minus one."""
     hom = change_basis(p, "hom")
-    best = -1
-    for cf, _ in hom.terms:
-        w, _d = exact_treewidth(cf.graph)
-        best = max(best, w)
-    return best
+    return max((elimination_plan(cf.graph)[0] for cf, _ in hom.terms), default=-1)
 
 
 def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:
@@ -185,8 +181,7 @@ def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:
     if engine == "mm":
         return count_hom_mm(f, g)
     if engine == "auto":
-        w, _ = exact_treewidth(f)
-        if w <= 2:
+        if elimination_plan(f)[0] <= 2:
             return count_hom_mm(f, g)
         return count_hom_dp(f, g)
     if engine == "brute":

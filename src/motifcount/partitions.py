@@ -144,13 +144,9 @@ def independent_partitions(
 
 def spasm(h: Graph) -> list:
     """Canonical forms of all loop-free quotients of h, sorted by the global
-    graph order."""
-    seen = {}
-    for rho in independent_partitions(h):
-        q = quotient(h, rho)
-        cf = canonical_form(q.graph)
-        seen[cf.key] = cf
-    return sorted(seen.values(), key=graph_order_key)
+    graph order; read off the cached quotient tallies."""
+    counts, _ = _quotient_tallies(h)
+    return sorted(counts, key=graph_order_key)
 
 
 def colored_spasm(h: ColoredGraph) -> list:
@@ -183,6 +179,8 @@ def _canon(x) -> CanonicalForm:
 def _quotient_tallies(h: Graph):
     """Per canonical quotient F of h: (number of partitions with H/rho = F,
     sum over those partitions of prod (|B|-1)!)."""
+    if h.n > PRUNED_GUARD:  # fail before canonical_form, which has no guard
+        raise CapacityError(f"pruned partition enumeration capped at n={PRUNED_GUARD}")
     key = canonical_form(h).key
     with _cache_lock:
         cached = _surj_rows.get(key)

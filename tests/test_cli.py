@@ -155,6 +155,16 @@ class TestErrors:
         )
         assert code == 2 and "--threads" in err
 
+    def test_missing_motif_file_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.motif")
+        for argv in (
+            ["eval", "--param", missing, "--host", "A_"],
+            ["basis", "--to", "hom", "--input", missing],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith(f"error: cannot read {missing}")
+
     def test_domain_exit_1(self, capsys):
         code, _, err = run(
             ["count", "--kind", "hom", "--pattern", "A", "--host", "A_"], capsys

@@ -61,6 +61,14 @@ class TestMatrixEngine:
         g = clique(40)
         assert count_hom_mm(path(6), g) == count_hom_dp(path(6), g)
 
+    @pytest.mark.parametrize("n", [109, 110])
+    def test_machine_word_boundary(self, n):
+        # ten-vertex patterns: 109^9 < 2^61 <= 110^9, so K_109 stays in int64
+        # and K_110 takes exact big integers; Hom(C10) exceeds int64 on both
+        g = clique(n)
+        assert count_hom_mm(cycle(10), g) == (n - 1) ** 10 + (n - 1)
+        assert count_hom_mm(path(9), g) == n * (n - 1) ** 9
+
 
 class TestColoredHom:
     def test_matches_brute_force(self):

@@ -39,6 +39,11 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_partitions(15))
 
+    def test_spasm_capacity_guard_fails_fast(self):
+        # an edgeless 21-vertex graph would take hours to canonicalise
+        with pytest.raises(CapacityError):
+            spasm(Graph(21))
+
     def test_independent_partitions_of_a_clique(self):
         # only the discrete partition has all blocks independent
         parts = list(independent_partitions(clique(3)))
