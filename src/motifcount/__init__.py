@@ -19,6 +19,7 @@ from .partitions import (
     CapacityError,
     SetPartition,
     coefficient,
+    coefficient_row,
     colored_spasm,
     enumerate_partitions,
     spasm,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .decomp import DecompositionError, TreeDecomposition, exact_treewidth, massage_connected

@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, adjacency, connected_components, is_connected
+from .graphs import Graph, adjacency, is_connected
 from .partitions import CapacityError
 
 TREEWIDTH_GUARD = 20

@@ -8,10 +8,8 @@ running time; that conversion is the core of the whole engine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .decomp import elimination_plan
 from .graphs import (
@@ -19,12 +17,11 @@ from .graphs import (
     Graph,
     automorphism_count,
     canonical_form,
-    encode_graph6,
     graph_order_key,
     parse_graph6,
 )
 from .homcount import count_hom_dp, count_hom_mm
-from .partitions import CapacityError, coefficient, spasm
+from .partitions import CapacityError, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
 
@@ -79,81 +76,23 @@ class MotifParameter:
 # basis changes
 
 
-def _supergraph_classes(h: Graph) -> list:
-    """Isomorphism classes of supergraphs of h on the same vertex set:
-    exactly the graphs f with Ext(h, f) nonzero."""
-    present = set(h.edges)
-    missing = [
-        e for e in itertools.combinations(range(h.n), 2) if e not in present
-    ]
-    seen = {}
-    for r in range(len(missing) + 1):
-        for extra in itertools.combinations(missing, r):
-            cf = canonical_form(Graph(h.n, list(present) + list(extra)))
-            seen[cf.key] = cf
-    return list(seen.values())
-
-
-def _to_sub(p: MotifParameter) -> MotifParameter:
-    if p.basis == "sub":
-        return p
-    if p.basis == "emb":
-        return MotifParameter(
-            "sub",
-            [(cf, c * automorphism_count(cf.graph)) for cf, c in p.terms],
-        )
-    if p.basis == "strembed":
-        scaled = MotifParameter(
-            "indsub",
-            [(cf, c * automorphism_count(cf.graph)) for cf, c in p.terms],
-        )
-        return _to_sub(scaled)
-    out: dict = {}
-    if p.basis == "hom":
-        # Hom(H,*) = sum_F Surj(H,F) Sub(F,*); F ranges over spasm(H)
-        for cf, c in p.terms:
-            for fc in spasm(cf.graph):
-                out[fc] = out.get(fc, Fraction(0)) + c * coefficient("Surj", cf, fc)
-    else:  # indsub
-        # IndSub(H,*) = sum_F ExtInv(H,F) Sub(F,*); F over same-size supergraphs
-        for cf, c in p.terms:
-            for fc in _supergraph_classes(cf.graph):
-                coeff = coefficient("ExtInv", cf, fc)
-                if coeff != 0:
-                    out[fc] = out.get(fc, Fraction(0)) + c * coeff
-    return MotifParameter("sub", out)
-
-
-def _from_sub(p: MotifParameter, target: str) -> MotifParameter:
-    if target == "sub":
-        return p
-    if target == "emb":
-        return MotifParameter(
-            "emb",
-            [(cf, c / automorphism_count(cf.graph)) for cf, c in p.terms],
-        )
-    out: dict = {}
-    if target == "hom":
-        # Sub(H,*) = sum_F SurjInv(H,F) Hom(F,*)
-        for cf, c in p.terms:
-            for fc in spasm(cf.graph):
-                out[fc] = out.get(fc, Fraction(0)) + c * coefficient("SurjInv", cf, fc)
-        return MotifParameter("hom", out)
-    # indsub / strembed: Sub(H,*) = sum_F Ext(H,F) IndSub(F,*)
-    for cf, c in p.terms:
-        for fc in _supergraph_classes(cf.graph):
-            coeff = coefficient("Ext", cf, fc)
-            if coeff != 0:
-                out[fc] = out.get(fc, Fraction(0)) + c * coeff
-    if target == "indsub":
-        return MotifParameter("indsub", out)
-    return MotifParameter(
-        "strembed",
-        [
-            (cf, c / automorphism_count(cf.graph))
-            for cf, c in MotifParameter("indsub", out).terms
-        ],
-    )
+# Every basis change is a chain of coefficient rows through the sub basis:
+# each link rewrites c * X(H, *) as sum_F c * row_H[F] * Y(F, *), e.g.
+# Hom(H, *) = sum_F Surj(H, F) Sub(F, *).
+_TO_SUB = {
+    "hom": ("Surj",),
+    "sub": (),
+    "emb": ("Iso",),
+    "indsub": ("ExtInv",),
+    "strembed": ("Iso", "ExtInv"),
+}
+_FROM_SUB = {
+    "hom": ("SurjInv",),
+    "sub": (),
+    "emb": ("IsoInv",),
+    "indsub": ("Ext",),
+    "strembed": ("Ext", "IsoInv"),
+}
 
 
 def change_basis(p: MotifParameter, target: str) -> MotifParameter:
@@ -161,7 +100,14 @@ def change_basis(p: MotifParameter, target: str) -> MotifParameter:
         raise ValueError(f"unknown basis {target!r}")
     if target == p.basis:
         return p
-    return _from_sub(_to_sub(p), target)
+    terms = p.as_dict()
+    for kind in _TO_SUB[p.basis] + _FROM_SUB[target]:
+        out: dict = {}
+        for cf, c in terms.items():
+            for fc, coeff in coefficient_row(kind, cf).items():
+                out[fc] = out.get(fc, 0) + c * coeff
+        terms = {fc: c for fc, c in out.items() if c != 0}
+    return MotifParameter(target, terms)
 
 
 # ---------------------------------------------------------------------------

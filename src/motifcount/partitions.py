@@ -2,16 +2,18 @@
 
 The four nontrivial families (Surj, SurjInv, Ext, ExtInv) mediate every
 basis change between homomorphism, subgraph, and induced-subgraph counts.
-All coefficients are exact rationals and are cached under canonical keys.
+Each family's row for a pattern is read off one cached tally of that
+pattern (its quotients, or its same-size supergraphs); all coefficients are
+exact rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -29,6 +31,10 @@ from .graphs import (
 
 PARTITION_GUARD = 14
 PRUNED_GUARD = 20
+# Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
+# at ~0.5 ms and ~7 KiB of canonical-form cache each: 15-30 s and 0.2-0.4 GiB
+# at m = 15-16 (P7 has 15), but ~100 s and ~0.9 GiB at 17 and ~20 min at 21.
+SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
 
@@ -145,7 +151,7 @@ def independent_partitions(
 def spasm(h: Graph) -> list:
     """Canonical forms of all loop-free quotients of h, sorted by the global
     graph order; read off the cached quotient tallies."""
-    counts, _ = _quotient_tallies(h)
+    counts, _ = _quotient_tallies(_canon(h))
     return sorted(counts, key=graph_order_key)
 
 
@@ -164,104 +170,89 @@ def colored_spasm(h: ColoredGraph) -> list:
 # ---------------------------------------------------------------------------
 # coefficient families
 
-_cache_lock = threading.Lock()
-_surj_rows: dict = {}
-_surjinv_rows: dict = {}
-_coefficient_cache: dict = {}
-
 
 def _canon(x) -> CanonicalForm:
     if isinstance(x, CanonicalForm):
         return x
+    if x.n > PRUNED_GUARD:  # fail before canonical_form, which has no guard
+        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
     return canonical_form(x)
 
 
-def _quotient_tallies(h: Graph):
+@lru_cache(maxsize=1024)
+def _quotient_tallies(hc: CanonicalForm):
     """Per canonical quotient F of h: (number of partitions with H/rho = F,
     sum over those partitions of prod (|B|-1)!)."""
-    if h.n > PRUNED_GUARD:  # fail before canonical_form, which has no guard
-        raise CapacityError(f"pruned partition enumeration capped at n={PRUNED_GUARD}")
-    key = canonical_form(h).key
-    with _cache_lock:
-        cached = _surj_rows.get(key)
-    if cached is not None:
-        return cached
     counts: dict = {}
     weights: dict = {}
-    hc = canonical_form(h).graph
-    for rho in independent_partitions(hc):
-        q = quotient(hc, rho)
-        f = canonical_form(q.graph)
+    for rho in independent_partitions(hc.graph):
+        f = canonical_form(quotient(hc.graph, rho).graph)
         counts[f] = counts.get(f, 0) + 1
         w = 1
         for b in rho.blocks:
             w *= math.factorial(len(b) - 1)
         weights[f] = weights.get(f, 0) + w
-    result = (counts, weights)
-    with _cache_lock:
-        _surj_rows[key] = result
-    return result
+    return counts, weights
 
 
-def _count_extensions(h: Graph, f: Graph) -> int:
-    """Ext(H,F): subgraph copies of H inside F on the same vertex count,
-    i.e. edge subsets of F forming a copy of H, when |V(H)| = |V(F)|."""
-    if h.n != f.n:
-        return 0
-    if len(h.edges) > len(f.edges):
-        return 0
-    target = canonical_form(h)
-    count = 0
-    for sub_edges in itertools.combinations(sorted(f.edges), len(h.edges)):
-        if canonical_form(Graph(f.n, sub_edges)) == target:
-            count += 1
-    return count
+@lru_cache(maxsize=1024)
+def _supergraph_tallies(hc: CanonicalForm) -> dict:
+    """Per class F of supergraphs of h on V(h): T(F), the number of edge
+    supersets of E(h) on V(h) that are isomorphic to F."""
+    h = hc.graph
+    missing = [e for e in itertools.combinations(range(h.n), 2) if e not in h.edges]
+    if len(missing) > SUPERGRAPH_GUARD:
+        raise CapacityError(
+            f"supergraph enumeration capped at {SUPERGRAPH_GUARD} non-edges, "
+            f"pattern has {len(missing)}"
+        )
+    tallies: dict = {}
+    for r in range(len(missing) + 1):
+        for extra in itertools.combinations(missing, r):
+            f = canonical_form(Graph(h.n, h.edges.union(extra)))
+            tallies[f] = tallies.get(f, 0) + 1
+    return tallies
+
+
+def coefficient_row(kind: str, h) -> dict:
+    """Row h of the named change-of-basis matrix: {F: entry} over the
+    classes F whose entry is nonzero, as a new dict on every call."""
+    if kind not in COEFFICIENT_KINDS:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    hc = _canon(h)
+    h = hc.graph
+    if kind == "Iso":
+        return {hc: Fraction(automorphism_count(h))}
+    if kind == "IsoInv":
+        return {hc: Fraction(1, automorphism_count(h))}
+    if kind == "Surj":
+        counts, _ = _quotient_tallies(hc)
+        return {f: Fraction(automorphism_count(f.graph) * c) for f, c in counts.items()}
+    aut = automorphism_count(h)
+    if kind == "SurjInv":
+        _, weights = _quotient_tallies(hc)
+        return {
+            f: Fraction((-1) ** (h.n - f.graph.n) * w, aut)
+            for f, w in weights.items()
+        }
+    # Ext(H, F) = T(F) Aut(F) / Aut(H): both sides count the bijections
+    # V(H) -> V(F) that map E(H) into E(F)
+    sign = -1 if kind == "ExtInv" else 1
+    return {
+        f: Fraction(
+            sign ** (len(f.graph.edges) - len(h.edges)) * t * automorphism_count(f.graph),
+            aut,
+        )
+        for f, t in _supergraph_tallies(hc).items()
+    }
 
 
 def coefficient(kind: str, h, f) -> Fraction:
     """The (h, f) entry of the named change-of-basis matrix."""
-    if kind not in COEFFICIENT_KINDS:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
-    hc, fc = _canon(h), _canon(f)
-    cache_key = (kind, hc.key, fc.key)
-    with _cache_lock:
-        if cache_key in _coefficient_cache:
-            return _coefficient_cache[cache_key]
-    value = _coefficient(kind, hc, fc)
-    with _cache_lock:
-        _coefficient_cache[cache_key] = value
-    return value
-
-
-def _coefficient(kind: str, hc: CanonicalForm, fc: CanonicalForm) -> Fraction:
-    h, f = hc.graph, fc.graph
-    if kind == "Surj":
-        counts, _ = _quotient_tallies(h)
-        return Fraction(automorphism_count(f) * counts.get(fc, 0))
-    if kind == "SurjInv":
-        _, weights = _quotient_tallies(h)
-        w = weights.get(fc, 0)
-        sign = -1 if (h.n - f.n) % 2 else 1
-        return Fraction(sign * w, automorphism_count(h))
-    if kind == "Ext":
-        return Fraction(_count_extensions(h, f))
-    if kind == "ExtInv":
-        ext = _count_extensions(h, f)
-        sign = -1 if (len(f.edges) - len(h.edges)) % 2 else 1
-        return Fraction(sign * ext)
-    if kind == "Iso":
-        return Fraction(automorphism_count(h)) if hc == fc else Fraction(0)
-    # IsoInv
-    return Fraction(1, automorphism_count(h)) if hc == fc else Fraction(0)
+    return coefficient_row(kind, h).get(_canon(f), Fraction(0))
 
 
 def sub_to_hom_vector(h: Graph) -> dict:
     """Expansion of the subgraph count of h over homomorphism counts:
     Sub(h, G) = sum of coeff[F] * Hom(F, G) with support exactly spasm(h)."""
-    hc = _canon(h)
-    out = {}
-    for fc in spasm(hc.graph):
-        c = coefficient("SurjInv", hc, fc)
-        if c != 0:
-            out[fc] = c
-    return out
+    return coefficient_row("SurjInv", h)

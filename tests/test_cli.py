@@ -93,6 +93,29 @@ class TestSpasm:
         assert all(len(l.split()) == 2 for l in lines)
 
 
+INDSUB_P5_C5_IN_HOM = """\
+basis hom
+1/2 DBg
+-1/2 DBk
+-1 DBw
+-1 DJc
+-2/5 DLo
+1 DB{
+1/2 DFw
+2 DJk
+1/2 DK{
+3 DLs
+-1/2 DF{
+-1 DJ{
+-9/2 DL{
+-3 DNw
+4 DN{
+5/2 D]{
+-5/2 D^{
+2/5 D~{
+"""
+
+
 class TestBasisEval:
     def test_round_trip_through_files(self, tmp_path, capsys):
         f = tmp_path / "p.motif"
@@ -111,6 +134,26 @@ class TestBasisEval:
             ["eval", "--param", str(f), "--host", "Bw"], capsys
         )
         assert code == 0 and out.strip() == "48"
+
+    def test_indsub_to_hom_fixture(self, tmp_path, capsys):
+        # IndSub(P5) + IndSub(C5), P5 the 5-vertex path
+        f = tmp_path / "p.motif"
+        f.write_text("basis indsub\n1 DhC\n1 Dhc\n")
+        code, out, _ = run(
+            ["basis", "--from", "indsub", "--to", "hom", "--input", str(f)], capsys
+        )
+        assert code == 0
+        assert out == INDSUB_P5_C5_IN_HOM
+
+    def test_strembed_to_emb_fixture(self, tmp_path, capsys):
+        # StrEmb(P4) - 1/2 StrEmb(K3), P4 the 4-vertex path
+        f = tmp_path / "p.motif"
+        f.write_text("basis strembed\n1 Ch\n-1/2 Bw\n")
+        code, out, _ = run(
+            ["basis", "--from", "strembed", "--to", "emb", "--input", str(f)], capsys
+        )
+        assert code == 0
+        assert out == "basis emb\n-1/2 Bw\n1 CL\n-2 CN\n-1 C]\n3 C^\n-1 C~\n"
 
     def test_basis_mismatch_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "p.motif"
@@ -171,6 +214,15 @@ class TestErrors:
         )
         assert code == 1
         assert err.strip().count("\n") == 0  # single-line diagnostic
+
+    def test_supergraph_guard_exit_1(self, tmp_path, capsys):
+        # IndSub of the 8-vertex path: 21 non-edges, 2^21 supergraphs
+        p8 = encode_graph6(Graph(8, [(i, i + 1) for i in range(7)]))
+        f = tmp_path / "p.motif"
+        f.write_text(f"basis indsub\n1 {p8}\n")
+        code, _, err = run(["basis", "--to", "hom", "--input", str(f)], capsys)
+        assert code == 1
+        assert "supergraph enumeration capped" in err
 
     def test_colored_indsub_rejected(self, capsys):
         code, _, _ = run(

@@ -1,20 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import clique, cycle, path, random_graph, star
+from conftest import all_graphs_up_to, clique, cycle, path, random_graph, star
 from motifcount.graphs import (
     ColoredGraph,
     Graph,
     canonical_form,
     colored_canonical_key,
 )
+from motifcount.motif import MotifParameter, change_basis
 from motifcount.oracle import brute_count
 from motifcount.partitions import (
+    SUPERGRAPH_GUARD,
     CapacityError,
     SetPartition,
     coefficient,
+    coefficient_row,
     colored_spasm,
     enumerate_partitions,
     independent_partitions,
@@ -114,6 +118,43 @@ class TestCoefficients:
         assert coefficient("Ext", p2, k3) == 3
         assert coefficient("ExtInv", p2, k3) == -3
 
+    def test_ext_matches_definition(self):
+        # Ext(H, F) = edge subsets of F forming a copy of H, found as the
+        # images of E(H) under all vertex permutations
+        classes = [canonical_form(g) for g in [Graph(0)] + all_graphs_up_to(5)]
+        pairs = 0
+        for hc in classes:
+            h = hc.graph
+            copies = {
+                frozenset(tuple(sorted((s[u], s[v]))) for u, v in h.edges)
+                for s in itertools.permutations(range(h.n))
+            }
+            expected = {}
+            for fc in classes:
+                if fc.graph.n != h.n:
+                    continue
+                pairs += 1
+                ext = sum(1 for c in copies if c <= fc.graph.edges)
+                sign = (-1) ** (len(fc.graph.edges) - len(h.edges))
+                assert coefficient("Ext", hc, fc) == ext
+                assert coefficient("ExtInv", hc, fc) == sign * ext
+                if ext:
+                    expected[fc] = ext
+            assert coefficient_row("Ext", hc) == expected
+        assert pairs == 1299
+
+    def test_supergraph_guard_fails_fast(self):
+        p8 = path(7)  # 21 non-edges
+        with pytest.raises(CapacityError):
+            coefficient_row("Ext", p8)
+        with pytest.raises(CapacityError):
+            change_basis(MotifParameter("indsub", {p8: 1}), "hom")
+        # a 4-edge path plus two isolated vertices: one non-edge too many
+        just_above = Graph(7, path(4).edges)
+        assert 21 - 4 == SUPERGRAPH_GUARD + 1
+        with pytest.raises(CapacityError):
+            coefficient_row("ExtInv", just_above)
+
     def test_iso_diagonal(self):
         k3 = canonical_form(clique(3))
         assert coefficient("Iso", k3, k3) == 6
@@ -125,6 +166,15 @@ class TestSubToHom:
         for k, aut in ((2, 2), (3, 6)):
             vec = sub_to_hom_vector(clique(k))
             assert vec == {canonical_form(clique(k)): Fraction(1, aut)}
+
+    def test_returned_rows_are_copies(self):
+        h = path(3)
+        for read in (sub_to_hom_vector, lambda g: coefficient_row("Ext", g)):
+            first = read(h)
+            expected = dict(first)
+            first[canonical_form(clique(2))] = Fraction(99)
+            first.clear()
+            assert read(h) == expected
 
     def test_support_is_spasm(self):
         h = path(3)
