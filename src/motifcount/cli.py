@@ -46,7 +46,7 @@ from .motif import (
     parse_motif_parameter,
 )
 from .oracle import BudgetExceeded, brute_count
-from .partitions import CapacityError, sub_to_hom_vector
+from .partitions import CapacityError, coefficient_row, sub_to_hom_vector
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -197,14 +197,11 @@ _FIXTURE_WALK_VECTOR = [
 
 
 def _fixture_matrices() -> bool:
-    from .partitions import coefficient
-
     graphs = [parse_graph6(s) for s in _FIXTURE_BASIS]
     cfs = [canonical_form(g) for g in graphs]
     hom = [[count_hom_dp(a, b) for b in graphs] for a in graphs]
-    surj = [
-        [int(coefficient("Surj", ca, cb)) for cb in cfs] for ca in cfs
-    ]
+    rows = [coefficient_row("Surj", ca) for ca in cfs]
+    surj = [[int(row.get(cb, 0)) for cb in cfs] for row in rows]
     sub = [[count_pattern("sub", a, b) for b in graphs] for a in graphs]
     product = [
         [sum(surj[i][k] * sub[k][j] for k in range(4)) for j in range(4)]

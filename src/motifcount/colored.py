@@ -391,7 +391,6 @@ def _restricted_cover(g: Graph, a: frozenset, k: int, l: int):
     component (attachment and A-paths never cross components)."""
     a_star: set = set()
     s_star: set = set()
-    total_paths = 0
     for comp in connected_components(g):
         sub = g.induced(comp)
         local_a = [i for i, v in enumerate(comp) if v in a]
@@ -399,34 +398,11 @@ def _restricted_cover(g: Graph, a: frozenset, k: int, l: int):
             continue
         res = a_path_packing_restricted(sub, local_a, k, l)
         if res[0] == "paths":
-            total_paths += len(res[1])
-            if total_paths >= k:
-                raise AssertionError(
-                    "found a large A-path packing where none should exist"
-                )
-            # fewer than k paths in this component alone: fall back to the
-            # cover arm by retrying with a smaller k is not sound; the
-            # packing bound is global, so treat per-component paths as an
-            # error only when the total reaches k
-            res = _force_cover(sub, local_a, k, l)
+            raise AssertionError("found a large A-path packing where none should exist")
         _, comp_a, comp_s = res
         a_star |= {comp[i] for i in comp_a}
         s_star |= {comp[i] for i in comp_s}
     return a_star, s_star
-
-
-def _force_cover(g: Graph, a, k: int, l: int):
-    """Cover arm even when k disjoint paths exist locally: raise k until
-    the packing fails.  Used only when the global flower bound guarantees
-    overall scarcity of paths."""
-    kk = k
-    while True:
-        res = a_path_packing_restricted(g, a, kk, max(l, 2 * kk))
-        if res[0] == "cover":
-            return res
-        kk += 1
-        if kk > k + g.n:
-            raise AssertionError("unbounded packing in cover computation")
 
 
 def _component_pipeline(hc: ColoredGraph, c: int):
@@ -620,7 +596,7 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
                 if base == 0:
                     break
             cur = {S: (base if S == guard_set else 0) for S in sets}
-            if base != 0 or len(sets) > 1:
+            if base != 0 and len(sets) > 1:
                 fbar_image = set(fbar.values())
                 for x in range(n):
                     if x in fbar_image:

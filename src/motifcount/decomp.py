@@ -272,34 +272,31 @@ def exact_treewidth(g: Graph):
     return width, decomposition_from_elimination(g, list(order))
 
 
+def _fill_in(g: Graph, order) -> dict:
+    """Map each vertex v to its later neighbors in g filled along order:
+    eliminating v makes its remaining neighbors a clique."""
+    adj = [set(a) for a in adjacency(g)]
+    later = {}
+    for v in order:
+        later[v] = nb = frozenset(adj[v])
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+    return later
+
+
 def decomposition_from_elimination(g: Graph, order: list) -> TreeDecomposition:
     """Build a tree decomposition from an elimination ordering: eliminating
-    v yields the bag {v} + current neighbors, which then become a clique."""
-    n = g.n
-    adj = [set(a) for a in adjacency(g)]
+    v yields the bag {v} + its later neighbors, and the bag hangs below the
+    bag of the first of them to be eliminated."""
+    later = _fill_in(g, order)
     position = {v: i for i, v in enumerate(order)}
-    bags = []
-    later_neighbors = []
-    for v in order:
-        nb = set(adj[v])
-        bags.append(frozenset({v} | nb))
-        later_neighbors.append(nb)
-        for a, b in itertools.combinations(nb, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        for u in nb:
-            adj[u].discard(v)
-        adj[v] = set()
-    root = n - 1
-    parents: list = [None] * n
-    for i in range(n):
-        if i == root:
-            continue
-        if later_neighbors[i]:
-            parents[i] = position[min(later_neighbors[i], key=lambda u: position[u])]
-        else:
-            parents[i] = root
-    return TreeDecomposition(parents, bags, root)
+    root = g.n - 1
+    parents = [
+        None if i == root else min((position[u] for u in later[v]), default=root)
+        for i, v in enumerate(order)
+    ]
+    return TreeDecomposition(parents, [later[v] | {v} for v in order], root)
 
 
 def max_spasm_treewidth(h: Graph) -> int:
@@ -374,133 +371,36 @@ def normalize_width2(d: TreeDecomposition, g: Graph):
 
     Returns (Width2Decomposition, perm) where perm maps new vertex labels to
     the original ones, and the decomposition is over the relabeled graph
-    g.relabel(inverse perm).
+    g.relabel(inverse perm).  Eliminating every vertex at its topmost bag,
+    children before parents, leaves each vertex at most two later neighbors;
+    adding the vertices back in reverse order grows a 2-tree whose bags are
+    the normal form, and numbering them in that order makes every separator
+    the two smallest labels of its bag.
     """
     if d.width() > 2:
         raise DecompositionError("decomposition width exceeds 2")
     if g.n < 3 or not is_connected(g):
         raise DecompositionError("width-2 normal form needs a connected graph on >= 3 vertices")
     d.validate(g)
-    bags = {t: set(b) for t, b in enumerate(d.bags)}
-    neighbors = {t: set() for t in bags}
-    for t, p in enumerate(d.parents):
-        if p is not None:
-            neighbors[t].add(p)
-            neighbors[p].add(t)
-
-    def contract(t: int, into: int):
-        for x in neighbors[t]:
-            neighbors[x].discard(t)
-            if x != into:
-                neighbors[x].add(into)
-                neighbors[into].add(x)
-        del neighbors[t]
-        del bags[t]
-
-    changed = True
-    while changed:
-        changed = False
-        # merge adjacent nested bags
-        for t in list(bags):
-            if t not in bags:
-                continue
-            for x in list(neighbors[t]):
-                if bags[t] <= bags[x]:
-                    contract(t, x)
-                    changed = True
-                    break
-        # grow undersized bags by borrowing from a non-nested neighbor
-        for t in list(bags):
-            if len(bags[t]) >= 3:
-                continue
-            for x in sorted(neighbors[t], key=lambda x: sorted(bags[x] - bags[t])):
-                extra = sorted(bags[x] - bags[t])
-                if extra:
-                    bags[t].add(extra[0])
-                    changed = True
-                    break
-        if not changed and len(bags) == 1:
-            t = next(iter(bags))
-            if len(bags[t]) < 3:
-                raise DecompositionError("graph too small for width-2 normal form")
-
-    # insert intermediate bags between poorly overlapping neighbors
-    next_id = max(bags) + 1
-    for t in list(bags):
-        for x in list(neighbors[t]):
-            if x not in neighbors.get(t, ()):  # edge removed meanwhile
-                continue
-            shared = bags[t] & bags[x]
-            if len(shared) == 2:
-                continue
-            a_side = sorted(bags[t] - shared)
-            b_side = sorted(bags[x] - shared)
-            if len(shared) == 1:
-                c = next(iter(shared))
-                mid = {a_side[-1], c, b_side[0]}
-                mids = [mid]
-            else:
-                mids = [
-                    {a_side[-2], a_side[-1], b_side[0]},
-                    {a_side[-1], b_side[0], b_side[1]},
-                ]
-            neighbors[t].discard(x)
-            neighbors[x].discard(t)
-            prev = t
-            for mbag in mids:
-                m = next_id
-                next_id += 1
-                bags[m] = set(mbag)
-                neighbors[m] = set()
-                neighbors[prev].add(m)
-                neighbors[m].add(prev)
-                prev = m
-            neighbors[prev].add(x)
-            neighbors[x].add(prev)
-
-    # root the tree at a fresh size-2 bag above an arbitrary node
-    ids = sorted(bags)
-    anchor = ids[0]
-    root_bag = set(sorted(bags[anchor])[:2])
-    root_id = next_id
-    bags[root_id] = root_bag
-    neighbors[root_id] = {anchor}
-    neighbors[anchor].add(root_id)
-
-    # orient away from the root
-    parent_of = {root_id: None}
-    order = [root_id]
-    stack = [root_id]
-    while stack:
-        t = stack.pop()
-        for x in neighbors[t]:
-            if x not in parent_of:
-                parent_of[x] = t
-                order.append(x)
-                stack.append(x)
-
-    # relabel graph vertices by preorder of topmost bags so that the
-    # separator of every node is its two smallest vertices
-    new_label = {}
-    counter = 0
-    for t in order:
-        p = parent_of[t]
-        fresh = sorted(bags[t] - (bags[p] if p is not None else set()))
-        for v in fresh:
-            if v not in new_label:
-                new_label[v] = counter
-                counter += 1
-    assert counter == g.n
-
-    idx = {t: i for i, t in enumerate(order)}
-    parents_list = [None if parent_of[t] is None else idx[parent_of[t]] for t in order]
-    bags_list = [frozenset(new_label[v] for v in bags[t]) for t in order]
-    w2 = Width2Decomposition(parents_list, bags_list, 0)
-    relabeled = g.relabel(new_label)
-    w2.validate(relabeled)
-    perm = [0] * g.n
-    for old, new in new_label.items():
-        perm[new] = old
+    order = [
+        v for t in reversed(d.topological_order()) for v in sorted(d.bags[t] - d.sigma(t))
+    ]
+    later = _fill_in(g, order)
+    perm = order[::-1]
+    parents: list = [None]
+    bags = [frozenset(perm[:2])]
+    # edge -> a bag holding it; the root's edge moves to the root's only child
+    holder = {bags[0]: 0}
+    for v in perm[2:]:
+        edge = next(e for e in holder if later[v] <= e)
+        parents.append(holder[edge])
+        bags.append(edge | {v})
+        for pair in map(frozenset, itertools.combinations(bags[-1], 2)):
+            if holder.get(pair, 0) == 0:
+                holder[pair] = len(bags) - 1
+    label = {v: i for i, v in enumerate(perm)}
+    w2 = Width2Decomposition(parents, [[label[v] for v in b] for b in bags], 0)
+    w2.validate(g.relabel(label))
     return w2, perm
 
 
@@ -534,11 +434,10 @@ def massage_connected(d: TreeDecomposition, g: Graph):
         fmap.append(source)
         return len(bags) - 1
 
-    def recurse(nodes: list, node_bags: dict, node_children: dict, r: int,
-                vertices: frozenset, parent_new: Optional[int]) -> int:
+    def recurse(r: int, vertices: frozenset, parent_new: Optional[int]) -> None:
         """Process the sub-decomposition (restricted to `vertices`) rooted
         at r; attach the result under parent_new."""
-        root_bag = node_bags[r] & vertices
+        root_bag = d.bags[r] & vertices
         r2 = new_node(parent_new, root_bag, r)
         # components of G[vertices] - root bag
         rest = vertices - root_bag
@@ -559,28 +458,13 @@ def massage_connected(d: TreeDecomposition, g: Graph):
             for v in comp:
                 boundary |= adj[v] - comp
             boundary &= vertices
-            region = frozenset(comp | boundary)
-            # find the child of r whose subtree contains the component
-            carrier = None
-            for c in node_children[r]:
-                sub_vertices = set()
-                stack = [c]
-                while stack:
-                    t = stack.pop()
-                    sub_vertices |= node_bags[t]
-                    stack.extend(node_children[t])
-                if comp & sub_vertices:
-                    carrier = c
-                    break
+            # the child of r whose subtree carries the component
+            carrier = next((c for c in d.children[r] if comp & d.gamma(c)), None)
             if carrier is None:
                 raise DecompositionError("component not found under any child")
-            recurse(nodes, node_bags, node_children, carrier, region, r2)
-        return r2
+            recurse(carrier, frozenset(comp | boundary), r2)
 
-    node_bags = {t: d.bags[t] for t in range(d.node_count())}
-    node_children = {t: list(d.children[t]) for t in range(d.node_count())}
-    recurse(list(range(d.node_count())), node_bags, node_children, d.root,
-            frozenset(range(g.n)), None)
+    recurse(d.root, frozenset(range(g.n)), None)
     out = TreeDecomposition(parents, bags, 0)
     out.validate(g)
     return out, fmap

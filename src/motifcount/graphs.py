@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+# Bound of the per-graph caches, which would otherwise keep every host and
+# every canonicalised supergraph for the life of the process.
+CACHE_SIZE = 4096
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph6 or edge-list input."""
@@ -142,7 +146,7 @@ class CanonicalForm:
         return f"CanonicalForm({self.key!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def adjacency(g: Graph) -> tuple:
     """Neighbor sets, indexed by vertex."""
     adj = [set() for _ in range(g.n)]
@@ -161,7 +165,7 @@ def _upper_triangle_bits(g: Graph) -> tuple:
     return tuple(bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _canonical_search(g: Graph, colors: tuple) -> tuple:
     """(perm, aut): perm maps canonical position -> original vertex, aut
     counts the color-preserving automorphisms of g.
@@ -218,7 +222,7 @@ def _relabel_canonical(g: Graph, perm: tuple) -> Graph:
     return g.relabel({v: pos for pos, v in enumerate(perm)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical_form(g: Graph) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
     string as key."""

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .decomp import elimination_plan
 from .graphs import (
-    CanonicalForm,
     Graph,
     automorphism_count,
     canonical_form,
@@ -21,17 +20,11 @@ from .graphs import (
     parse_graph6,
 )
 from .homcount import count_hom_dp, count_hom_mm
-from .partitions import CapacityError, coefficient_row
+from .partitions import CapacityError, _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
 
 TREE_BUILDER_GUARD = 10
-
-
-def _canon(x) -> CanonicalForm:
-    if isinstance(x, CanonicalForm):
-        return x
-    return canonical_form(x)
 
 
 @dataclass(frozen=True)
@@ -151,16 +144,16 @@ def count_pattern(kind: str, h: Graph, g: Graph, engine: str = "auto") -> int:
     families."""
     if kind == "hom":
         return _hom_count(h, g, engine)
-    if kind in ("sub", "indsub"):
-        basis = kind
-        scale = 1
-    elif kind == "emb":
-        basis, scale = "sub", automorphism_count(h)
-    elif kind == "strembed":
-        basis, scale = "indsub", automorphism_count(h)
+    if kind in ("sub", "emb"):
+        basis = "sub"
+    elif kind in ("indsub", "strembed"):
+        basis = "indsub"
     else:
         raise ValueError(f"unknown count kind {kind!r}")
-    value = evaluate(MotifParameter(basis, {h: Fraction(1)}), g, engine) * scale
+    value = evaluate(MotifParameter(basis, {h: Fraction(1)}), g, engine)
+    if kind != basis:
+        # Aut(h) only now: the basis change has checked the pattern's size
+        value *= automorphism_count(h)
     if value.denominator != 1:
         raise AssertionError("pattern count came out non-integral")
     return int(value)

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import motifcount
 from motifcount.cli import main
 from motifcount.graphs import Graph, encode_graph6
 
@@ -12,6 +16,8 @@ def run(argv, capsys):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
 
 C5 = encode_graph6(Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
 
@@ -178,6 +184,16 @@ class TestDecompose:
         assert any(k.startswith("intro:") for k in kinds)
         assert any(k.startswith("forget:") for k in kinds)
 
+    def test_width2(self, capsys):
+        code, out, _ = run(["decompose", "DDW", "--width2"], capsys)
+        assert code == 0
+        assert out == (
+            "0 parent=- bag={0,1} kind=plain\n"
+            "1 parent=0 bag={0,1,2} kind=plain\n"
+            "2 parent=1 bag={0,2,3} kind=plain\n"
+            "3 parent=2 bag={0,3,4} kind=plain\n"
+        )
+
     def test_guarded(self, tmp_path, capsys):
         f = tmp_path / "h.txt"
         f.write_text("n 3\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\n")
@@ -223,6 +239,27 @@ class TestErrors:
         code, _, err = run(["basis", "--to", "hom", "--input", str(f)], capsys)
         assert code == 1
         assert "supergraph enumeration capped" in err
+
+    @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval"])
+    def test_oversized_pattern_exit_1(self, tmp_path, command):
+        # a separate process, so that a hang fails the test at its timeout
+        big = encode_graph6(Graph(21))
+        f = tmp_path / "p.motif"
+        f.write_text(f"basis sub\n1 {big}\n")
+        argv = {
+            "count-sub": ["count", "--kind", "sub", "--pattern", big, "--host", "Bw"],
+            "count-emb": ["count", "--kind", "emb", "--pattern", big, "--host", "Bw"],
+            "eval": ["eval", "--param", str(f), "--host", "Bw"],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_MAIN, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert "capped" in proc.stderr
 
     def test_colored_indsub_rejected(self, capsys):
         code, _, _ = run(

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import clique, cycle, path, random_colored, random_graph
 from motifcount.colored import (
+    _restricted_cover,
     FlowerCapExceeded,
     a_path_packing,
     a_path_packing_restricted,
@@ -158,6 +159,13 @@ class TestAPaths:
                 }
                 assert s_star == exhaustive
             done += 1
+
+
+    def test_restricted_cover_rejects_a_large_packing(self):
+        # the path 0-1-2-3 holds the two disjoint A-paths 0-1 and 2-3
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        with pytest.raises(AssertionError, match="large A-path packing"):
+            _restricted_cover(g, frozenset(range(6)), 2, 4)
 
 
 class TestFlowers:

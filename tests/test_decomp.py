@@ -78,30 +78,60 @@ class TestNiceForm:
                         assert nice.bags[c] == nice.bags[t]
 
 
+def connected_width2_graphs(rng, count):
+    out = []
+    while len(out) < count:
+        g = random_graph(rng, rng.randint(3, 8), 0.35)
+        if is_connected(g) and exact_treewidth(g)[0] <= 2:
+            out.append(g)
+    return out
+
+
 class TestWidth2Normalization:
+    def check_normal_form(self, d, g):
+        w2, perm = normalize_width2(d, g)
+        assert sorted(perm) == list(range(g.n))
+        inverse = [0] * g.n
+        for new, old in enumerate(perm):
+            inverse[old] = new
+        gg = g.relabel(inverse)
+        w2.validate(gg)
+        assert len(w2.bags[w2.root]) == 2
+        assert len(w2.children[w2.root]) == 1
+        for t in range(w2.node_count()):
+            if t != w2.root:
+                assert len(w2.bags[t]) == 3
+                assert w2.sigma(t) == frozenset(sorted(w2.bags[t])[:2])
+
     def test_shape_invariants(self):
-        rng = random.Random(21)
-        done = 0
-        while done < 20:
-            g = random_graph(rng, rng.randint(3, 8), 0.35)
-            if not is_connected(g):
-                continue
+        for g in connected_width2_graphs(random.Random(21), 20):
+            self.check_normal_form(exact_treewidth(g)[1], g)
+
+    def test_nice_and_massaged_inputs(self):
+        for g in connected_width2_graphs(random.Random(22), 20):
+            d = exact_treewidth(g)[1]
+            self.check_normal_form(to_nice(d, g), g)
+            self.check_normal_form(massage_connected(d, g)[0], g)
+
+    def test_trees(self):
+        rng = random.Random(23)
+        for n in range(3, 10):
+            g = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
             w, d = exact_treewidth(g)
-            if w > 2:
-                continue
-            w2, perm = normalize_width2(d, g)
-            inverse = [0] * g.n
-            for new, old in enumerate(perm):
-                inverse[old] = new
-            gg = g.relabel(inverse)
-            w2.validate(gg)
-            assert len(w2.bags[w2.root]) == 2
-            assert len(w2.children[w2.root]) == 1
-            for t in range(w2.node_count()):
-                if t != w2.root:
-                    assert len(w2.bags[t]) == 3
-                    assert w2.sigma(t) == frozenset(sorted(w2.bags[t])[:2])
-            done += 1
+            assert w == 1
+            self.check_normal_form(d, g)
+
+    def test_width_three_rejected(self):
+        g = clique(4)
+        with pytest.raises(DecompositionError, match="width exceeds 2"):
+            normalize_width2(exact_treewidth(g)[1], g)
+
+    @pytest.mark.parametrize(
+        "g", [Graph(4, [(0, 1), (2, 3)]), path(1), Graph(1)], ids=["disconnected", "K2", "K1"]
+    )
+    def test_disconnected_or_small_rejected(self, g):
+        with pytest.raises(DecompositionError, match="connected graph on >= 3"):
+            normalize_width2(exact_treewidth(g)[1], g)
 
 
 class TestMassage:

@@ -125,6 +125,16 @@ class TestTreeBuilder:
             build_tree_count_parameter(11)
 
 
+class TestCapacity:
+    def test_oversized_pattern_fails_fast(self):
+        # canonicalising an edgeless 21-vertex graph would take hours
+        with pytest.raises(CapacityError):
+            MotifParameter("sub", {Graph(21): 1})
+        for kind in ("sub", "indsub", "emb", "strembed"):
+            with pytest.raises(CapacityError):
+                count_pattern(kind, Graph(21), Graph(3))
+
+
 class TestFileFormat:
     def test_round_trip(self):
         p = MotifParameter("emb", {path(4): Fraction(1, 2), clique(3): -2})
