@@ -17,6 +17,7 @@ from .colored import (
     build_guarded_decomposition,
     count_colored_embeddings,
     count_colored_sub,
+    guarded_automorphism_count,
 )
 from .decomp import (
     DecompositionError,
@@ -30,7 +31,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     canonical_form,
-    colored_automorphism_count,
     parse_edge_list,
     parse_graph6,
 )
@@ -102,7 +102,7 @@ def _cmd_count(args) -> int:
             if args.engine == "brute":
                 value = brute_count("colored-emb", h, g)
                 if args.kind == "sub":
-                    value //= colored_automorphism_count(h)
+                    value //= guarded_automorphism_count(h)
             elif args.kind == "emb":
                 value = count_colored_embeddings(h, g)
             else:
@@ -345,6 +345,11 @@ def main(argv=None) -> int:
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_EXIT
+    except (AssertionError, MemoryError, RecursionError) as exc:
+        # a failed internal check or an exhausted resource: one line, no
+        # traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     connected_components,
 )
 from .homcount import count_hom_dp
+from .partitions import PRUNED_GUARD, CapacityError
 
 FLOWER_CAP = 16
 
@@ -653,9 +654,17 @@ def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
     return ordered * factor
 
 
+def guarded_automorphism_count(h: ColoredGraph) -> int:
+    """colored_automorphism_count under the pattern cap of partitions._canon:
+    its canonical search has no size guard of its own."""
+    if h.n > PRUNED_GUARD:
+        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
+    return colored_automorphism_count(h)
+
+
 def count_colored_sub(h: ColoredGraph, g: ColoredGraph) -> int:
+    aut = guarded_automorphism_count(h)
     emb = count_colored_embeddings(h, g)
-    aut = colored_automorphism_count(h)
     if emb % aut:
         raise AssertionError("embedding count not divisible by automorphisms")
     return emb // aut

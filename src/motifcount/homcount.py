@@ -4,14 +4,20 @@ Both engines eliminate the pattern's vertices along the cached optimal
 order of decomp.elimination_plan: eliminating v multiplies the factors that
 mention v and sums v out, so a pattern of treewidth k costs n^(k+1).
 count_hom_dp keeps factors as dicts keyed by host-vertex tuples;
-count_hom_mm keeps dense matrices for treewidth <= 2, one matrix product per
-vertex, in machine words only when the worst case provably fits.  The order
-is the whole plan: neither engine needs decomp's nice or width-2 normal
-forms, which serve only `motifcount decompose`.
+count_hom_mm keeps dense float64 matrices for treewidth <= 2, one BLAS
+product per vertex.  Its arithmetic is exact by a certificate: no entry or
+partial sum exceeds D^(k-1), D the host's maximum degree and k the largest
+pattern component's vertex count.  Below 2^53 one float64 pass is exact;
+above, the factors are stacked residues modulo word-size primes (the
+FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
+remaindering in Python ints.  The order is the whole plan: neither engine
+needs decomp's nice or width-2 normal forms, which serve only
+`motifcount decompose`.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Optional
 
@@ -19,6 +25,12 @@ import numpy as np
 
 from .decomp import DecompositionError, elimination_plan
 from .graphs import ColoredGraph, Graph, adjacency, connected_components
+from .partitions import CapacityError
+
+# count_hom_mm refuses hosts whose dense factors it estimates above this
+DENSE_BYTES_GUARD = 1 << 30
+# float64 holds every integer below this exactly
+_EXACT = 2**53
 
 
 def _eliminate(h: Graph, step) -> int:
@@ -32,12 +44,13 @@ def _eliminate(h: Graph, step) -> int:
     buckets: list = [[] for _ in range(h.n)]
     total = 1
     for v in order:
+        factors, buckets[v] = buckets[v], None  # freed once v is eliminated
         later = {u for u in adj[v] if rank[u] > rank[v]}
-        for scope, _ in buckets[v]:
+        for scope, _ in factors:
             later.update(scope)
         later.discard(v)
         later = tuple(sorted(later))
-        table = step(v, later, buckets[v])
+        table = step(v, later, factors)
         if later:
             buckets[min(later, key=rank.__getitem__)].append((later, table))
         else:
@@ -125,47 +138,124 @@ def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
                         pattern_colors=h.colors)
 
 
+def _word_primes(n: int, bound: int) -> list:
+    """The largest primes p with n*(p-1)^2 < 2^53, from the top down, until
+    their product exceeds bound.  A float64 product of two n x n matrices of
+    residues modulo p then sums exact integers below 2^53."""
+    primes, product = [], 1
+    p = math.isqrt((_EXACT - 1) // n) + 1
+    while product <= bound:
+        if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            primes.append(p)
+            product *= p
+        p -= 1
+    return primes
+
+
+def _crt_sum(residues: np.ndarray, primes: list) -> int:
+    """Sum of the integers below prod(primes) whose residues modulo
+    primes[i] are the entries of residues[i] (Chinese remaindering)."""
+    modulus = math.prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    # float64 -> int64 is exact for residues; straight to Python objects
+    # would give floats
+    rows = residues.astype(np.int64).tolist()
+    return sum(sum(w * x for w, x in zip(weights, col)) % modulus
+               for col in zip(*rows))
+
+
+def _live_factors(h: Graph) -> int:
+    """Most n x n factors count_hom_mm holds at once: the adjacency matrix,
+    the pending two-vertex messages and four working arrays of one step."""
+    pending = peak = 0
+
+    def step(v, later, factors):
+        nonlocal pending, peak
+        peak = max(peak, pending + 4)
+        pending += (len(later) == 2) - sum(len(scope) == 2 for scope, _ in factors)
+        return None if later else 1
+
+    _eliminate(h, step)
+    return peak + 1
+
+
 def count_hom_mm(h: Graph, g: Graph) -> int:
-    """Homomorphism count for a treewidth-<=2 pattern with dense matrix
-    factors.  Disconnected patterns multiply per component."""
+    """Homomorphism count for a treewidth-<=2 pattern with dense float64
+    factors, exact in one pass under a degree bound and by residues modulo
+    word-size primes above it.  Disconnected patterns multiply per
+    component."""
     if h.n and not g.n:
         return 0
     if elimination_plan(h)[0] > 2:
         raise DecompositionError("count_hom_mm needs treewidth at most 2")
     n = g.n
+    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    # Certificate.  A factor entry counts the maps of the pattern vertices
+    # eliminated into its message, with the message's scope fixed; every
+    # partial sum inside `*`, `.sum` and `@` adds non-negative terms of such
+    # an entry, so none exceeds it.  An eliminated vertex's neighbours are
+    # eliminated or in the scope, and the eliminated vertices of a message
+    # form a connected subgraph (a subtree of the elimination tree) that
+    # touches its scope; at a component's last step they are the component
+    # less one fixed vertex.  Placed outward from the fixed vertices, each
+    # has at most D images once the neighbour it is reached from is placed,
+    # D the host's maximum degree, so no value exceeds D^(k-1) for k the
+    # largest component's vertex count.  Below 2^53 float64 is exact in any
+    # summation order; otherwise work modulo primes whose product exceeds it.
+    degree = int(np.bincount(ends.ravel(), minlength=1).max())
+    k = max(map(len, connected_components(h)), default=1)
+    bound = degree ** (k - 1)
+    primes = _word_primes(n, bound) if bound >= _EXACT else []
+    need = _live_factors(h) * max(len(primes), 1) * n * n * 8
+    if need > DENSE_BYTES_GUARD:
+        raise CapacityError(
+            f"dense factors need ~{need >> 20} MiB, capped at "
+            f"{DENSE_BYTES_GUARD >> 20} MiB"
+        )
     adj_h = adjacency(h)
-    A = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
-        A[u, v] = A[v, u] = 1
-    # a factor entry of a k-vertex component counts maps of its eliminated
-    # vertices with the scope fixed, at most n^(k-1): stay in machine words
-    # when that fits in int64
-    matrix_of = {}
-    for comp in connected_components(h):
-        m = A if n ** (len(comp) - 1) < 2**61 else A.astype(object)
-        matrix_of.update(dict.fromkeys(comp, m))
+    A = np.zeros((1, n, n))
+    A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
+    if primes:
+        A = np.broadcast_to(A, (len(primes), n, n))
+        moduli = np.array(primes, dtype=np.float64)
+        by_rank = {2: moduli[:, None], 3: moduli[:, None, None]}
+
+        def reduce(x):
+            return np.fmod(x, by_rank[x.ndim], out=x)
+    else:
+        def reduce(x):
+            return x
 
     def step(v, later, factors):
-        # factors over (v,) multiply into vec; those over (u, v) into mats[u],
-        # indexed [x_u, x_v] and C-contiguous so that the product below runs
-        # along contiguous rows
+        # factors are stacked over the primes (one layer without them); those
+        # over (v,) multiply into vec, those over (u, v) into mats[u], indexed
+        # [., x_u, x_v] and C-contiguous so that products run along rows
         vec = None
-        mats = {u: matrix_of[v] for u in later if u in adj_h[v]}
+        mats = {u: A for u in later if u in adj_h[v]}
         for scope, t in factors:
             if len(scope) == 1:
-                vec = t if vec is None else vec * t
+                vec = t if vec is None else reduce(vec * t)
                 continue
-            u, t = (scope[0], t) if scope[1] == v else (scope[1], np.ascontiguousarray(t.T))
-            mats[u] = mats[u] * t if u in mats else t
+            if scope[1] == v:
+                u = scope[0]
+            else:
+                u, t = scope[1], np.ascontiguousarray(t.swapaxes(1, 2))
+            mats[u] = reduce(mats[u] * t) if u in mats else t
         if not later:
-            # the component's last step sums in Python ints: the total can
-            # exceed the per-entry bound
-            return n if vec is None else sum(vec.tolist())
+            # the component's last vector goes to Python ints before its sum,
+            # which can exceed the per-entry bound
+            if vec is None:
+                return n
+            if primes:
+                return _crt_sum(vec, primes)
+            return sum(vec[0].astype(np.int64).tolist())
         first = mats[later[0]]
-        if vec is not None:
-            first = first * vec
         if len(later) == 1:
-            return first.sum(axis=1)
-        return first @ mats[later[1]].T
+            if vec is None:
+                return reduce(first.sum(axis=2))
+            return reduce(np.matmul(first, vec[:, :, None])[:, :, 0])
+        if vec is not None:
+            first = reduce(first * vec[:, None, :])
+        return reduce(first @ mats[later[1]].swapaxes(1, 2))
 
     return _eliminate(h, step)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import motifcount
+from motifcount import cli
 from motifcount.cli import main
 from motifcount.graphs import Graph, encode_graph6
 
@@ -260,6 +261,44 @@ class TestErrors:
         )
         assert proc.returncode == 1
         assert "capped" in proc.stderr
+
+    @pytest.mark.parametrize("engine", ["auto", "brute"])
+    def test_oversized_colored_pattern_exit_1(self, tmp_path, engine):
+        # one colour class of 21 vertices: the colored automorphism search
+        # would not return; a separate process, so that a hang fails the test
+        big = encode_graph6(Graph(21))
+        host = tmp_path / "host.txt"
+        host.write_text("n 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_MAIN, "count", "--colored", "--kind", "sub",
+             "--engine", engine, "--pattern", big, "--host", f"@{host}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert "capped" in proc.stderr
+
+    def test_dense_memory_guard_exit_1(self, tmp_path, capsys):
+        # 20000^2 float64 entries per factor: refused before allocating
+        host = tmp_path / "host.txt"
+        host.write_text("n 20000\ne 0 1\n")
+        code, _, err = run(
+            ["count", "--kind", "hom", "--engine", "mm", "--pattern", "Bw", "--host", f"@{host}"],
+            capsys,
+        )
+        assert code == 1 and "dense factors need" in err
+
+    @pytest.mark.parametrize("exc", [AssertionError, MemoryError, RecursionError])
+    def test_internal_failure_is_one_line(self, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "count_pattern", fail)
+        code, out, err = run(["count", "--kind", "sub", "--pattern", "A_", "--host", "A_"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {exc.__name__}: boom\n"
 
     def test_colored_indsub_rejected(self, capsys):
         code, _, _ = run(

@@ -3,10 +3,20 @@ import random
 import pytest
 
 from conftest import clique, cycle, path, random_colored, random_graph
+from motifcount import homcount
 from motifcount.decomp import DecompositionError
 from motifcount.graphs import ColoredGraph, Graph
 from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
+
+
+def partial_2_tree(rng: random.Random, k: int) -> Graph:
+    """A random subgraph of a random 2-tree on k vertices: treewidth <= 2."""
+    edges = {(0, 1)} if k > 1 else set()
+    for v in range(2, k):
+        u, w = rng.choice(sorted(edges))
+        edges |= {(u, v), (w, v)}
+    return Graph(k, [e for e in edges if rng.random() < 0.8])
 
 
 class TestDynamicProgram:
@@ -61,13 +71,38 @@ class TestMatrixEngine:
         g = clique(40)
         assert count_hom_mm(path(6), g) == count_hom_dp(path(6), g)
 
-    @pytest.mark.parametrize("n", [109, 110])
+    @pytest.mark.parametrize("n", [60, 61, 109, 110])
     def test_machine_word_boundary(self, n):
-        # ten-vertex patterns: 109^9 < 2^61 <= 110^9, so K_109 stays in int64
-        # and K_110 takes exact big integers; Hom(C10) exceeds int64 on both
+        # ten-vertex patterns: 59^9 < 2^53 <= 60^9, so K_60 (degree 59) runs
+        # in one float64 pass and K_61, K_109 and K_110 modulo primes;
+        # Hom(C10) exceeds int64 on K_109 and K_110, and Hom(P10, K_60) ~
+        # 5.2e17 is exact only if the last sum is taken in Python ints
         g = clique(n)
         assert count_hom_mm(cycle(10), g) == (n - 1) ** 10 + (n - 1)
         assert count_hom_mm(path(9), g) == n * (n - 1) ** 9
+
+    def test_differential_in_both_regimes(self, monkeypatch):
+        # random treewidth-<=2 patterns against the dict DP and, while small
+        # enough, the brute-force oracle; 12-vertex patterns on dense
+        # 32-vertex hosts pass the certificate's 2^53 (degree 29 or more)
+        bounds = []
+        word_primes = homcount._word_primes
+        monkeypatch.setattr(
+            homcount,
+            "_word_primes",
+            lambda n, bound: bounds.append(bound) or word_primes(n, bound),
+        )
+        rng = random.Random(31)
+        for _ in range(20):
+            h = partial_2_tree(rng, rng.randint(1, 5))
+            g = random_graph(rng, rng.randint(1, 7))
+            assert count_hom_mm(h, g) == count_hom_dp(h, g) == brute_count("hom", h, g)
+        assert not bounds
+        for p in (0.5, 0.95, 0.95, 0.95):
+            h = partial_2_tree(rng, 12)
+            g = random_graph(rng, 32, p)
+            assert count_hom_mm(h, g) == count_hom_dp(h, g)
+        assert 1 <= len(bounds) <= 3
 
 
 class TestColoredHom:
