@@ -27,7 +27,8 @@ from .decomp import DecompositionError, elimination_plan
 from .graphs import ColoredGraph, Graph, adjacency, connected_components
 from .partitions import CapacityError
 
-# count_hom_mm refuses hosts whose dense factors it estimates above this
+# count_hom_mm refuses hosts whose dense arrays it estimates above this;
+# motif's engine="auto" then counts with the dict DP
 DENSE_BYTES_GUARD = 1 << 30
 # float64 holds every integer below this exactly
 _EXACT = 2**53
@@ -164,19 +165,23 @@ def _crt_sum(residues: np.ndarray, primes: list) -> int:
                for col in zip(*rows))
 
 
-def _live_factors(h: Graph) -> int:
-    """Most n x n factors count_hom_mm holds at once: the adjacency matrix,
-    the pending two-vertex messages and four working arrays of one step."""
-    pending = peak = 0
+def _dense_layers(h: Graph) -> int:
+    """Most n x n arrays per prime that count_hom_mm holds at once besides
+    the adjacency matrix: the two-vertex messages waiting in buckets, plus
+    four working arrays (two products, the vector-weighted copy and the
+    result) in a step that builds any; a step over one later vertex with
+    only one-vertex messages builds vectors alone."""
+    held = peak = 0
 
     def step(v, later, factors):
-        nonlocal pending, peak
-        peak = max(peak, pending + 4)
-        pending += (len(later) == 2) - sum(len(scope) == 2 for scope, _ in factors)
+        nonlocal held, peak
+        pairs = sum(len(scope) == 2 for scope, _ in factors)
+        peak = max(peak, held + 4 * (pairs > 0 or len(later) == 2))
+        held += (len(later) == 2) - pairs
         return None if later else 1
 
     _eliminate(h, step)
-    return peak + 1
+    return peak
 
 
 def count_hom_mm(h: Graph, g: Graph) -> int:
@@ -206,7 +211,8 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
     k = max(map(len, connected_components(h)), default=1)
     bound = degree ** (k - 1)
     primes = _word_primes(n, bound) if bound >= _EXACT else []
-    need = _live_factors(h) * max(len(primes), 1) * n * n * 8
+    # the adjacency matrix is one layer, broadcast over the primes
+    need = (1 + _dense_layers(h) * max(len(primes), 1)) * n * n * 8
     if need > DENSE_BYTES_GUARD:
         raise CapacityError(
             f"dense factors need ~{need >> 20} MiB, capped at "

@@ -121,7 +121,10 @@ def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:
         return count_hom_mm(f, g)
     if engine == "auto":
         if elimination_plan(f)[0] <= 2:
-            return count_hom_mm(f, g)
+            try:
+                return count_hom_mm(f, g)
+            except CapacityError:
+                pass  # refused before allocating: the dict factors need no n x n
         return count_hom_dp(f, g)
     if engine == "brute":
         from .oracle import brute_count

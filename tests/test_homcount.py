@@ -8,6 +8,7 @@ from motifcount.decomp import DecompositionError
 from motifcount.graphs import ColoredGraph, Graph
 from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
+from motifcount.partitions import CapacityError
 
 
 def partial_2_tree(rng: random.Random, k: int) -> Graph:
@@ -80,6 +81,15 @@ class TestMatrixEngine:
         g = clique(n)
         assert count_hom_mm(cycle(10), g) == (n - 1) ** 10 + (n - 1)
         assert count_hom_mm(path(9), g) == n * (n - 1) ** 9
+
+    def test_dense_estimate_counts_built_layers(self, monkeypatch):
+        # a tree's steps build vectors only, so it holds just the adjacency
+        # matrix; a cycle's first step builds n x n products
+        g = random_graph(random.Random(5), 40, 0.2)
+        monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", 8 * 40 * 40)
+        assert count_hom_mm(path(6), g) == count_hom_dp(path(6), g)
+        with pytest.raises(CapacityError):
+            count_hom_mm(cycle(4), g)
 
     def test_differential_in_both_regimes(self, monkeypatch):
         # random treewidth-<=2 patterns against the dict DP and, while small

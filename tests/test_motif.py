@@ -103,6 +103,22 @@ class TestCountPattern:
         }
         assert len(values) == 1
 
+    def test_auto_falls_back_on_large_sparse_hosts(self):
+        # one 12000 x 12000 float64 matrix exceeds DENSE_BYTES_GUARD, so the
+        # matrix engine refuses before allocating and auto takes the dict DP
+        n, rng = 12000, random.Random(59)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+        g = Graph(n, edges)
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        with pytest.raises(CapacityError):
+            count_pattern("hom", path(1), g, engine="mm")
+        assert count_pattern("hom", path(1), g) == 2 * len(edges)
+        assert count_pattern("hom", path(2), g) == sum(d * d for d in degrees)
+        assert count_pattern("sub", path(2), g) == sum(d * (d - 1) // 2 for d in degrees)
+
 
 class TestSupportTreewidth:
     def test_path_spasm_width(self):
