@@ -65,8 +65,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_source(src: str):
-    """Inline graph6, or @path to a file holding graph6 or an edge list."""
-    if src.startswith("@"):
+    """Inline graph6, or @path to a file holding graph6 or an edge list.  A
+    bare @ is the graph6 of the one-vertex graph."""
+    if src.startswith("@") and src != "@":
         text = _read_text(src[1:])
         first = next(
             (l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")),

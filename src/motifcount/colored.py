@@ -6,6 +6,13 @@ pattern; grow bags and guards from attachment sets; massage the
 decomposition until components are connected and separators tight; then
 run a two-layer dynamic program counting ordered embeddings, from which
 embedding and subgraph counts follow by the similarity factorials.
+
+The outer layer grows each node's guard assignments the way count_hom_dp
+grows its rows: one guard vertex at a time, each drawing its images from
+the common host neighbours of its placed pattern neighbours, and a row is
+dropped as soon as a plain child's table lacks its separator's images.  The
+inner layer sweeps the host for the free bag vertices of each surviving
+row.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .graphs import (
     colored_automorphism_count,
     connected_components,
 )
-from .homcount import count_hom_dp
+from .homcount import _projection, count_hom_dp
 from .partitions import PRUNED_GUARD, CapacityError
 
 FLOWER_CAP = 16
@@ -509,7 +516,18 @@ def build_guarded_decomposition(h: ColoredGraph) -> GuardedCutvertexDecompositio
 def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
                              gcd: GuardedCutvertexDecomposition) -> int:
     """Number of color-preserving embeddings of h into g that are monotone
-    (in host vertex order) on each similarity class."""
+    (in host vertex order) on each similarity class.
+
+    Per node, bottom up, the guard assignments are grown as rows of host
+    images, one guard vertex at a time, in an order that places each vertex
+    after as many of its pattern neighbours as possible; its images are
+    drawn from the intersection of its placed neighbours' host
+    neighbourhoods within its colour class.  A row dies as soon as a plain
+    child's separator is fully placed and the child's table lacks its key,
+    and carries the product of the children's counts otherwise.  Rows are
+    grown in one batch per image of the first guard vertex, so live rows
+    stay few.  A surviving row then runs the host sweep over the free bag
+    vertices."""
     if gcd.h is not h and gcd.h != h:
         gcd = GuardedCutvertexDecomposition(h, gcd.td, gcd.guards)
     if h.n == 0:
@@ -525,9 +543,14 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
         for v in members:
             class_of[v] = ci
 
-    hosts_by_color: dict = {}
+    # per pattern colour: the host vertices of that colour, and each host
+    # vertex's neighbours among them (empty for a colour the host lacks)
+    hosts_by_color: dict = {c: [] for c in h.colors}
     for x in range(n):
-        hosts_by_color.setdefault(g.colors[x], []).append(x)
+        if g.colors[x] in hosts_by_color:
+            hosts_by_color[g.colors[x]].append(x)
+    neighbours_in = {c: tuple(a.intersection(xs) for a in adj_g)
+                     for c, xs in hosts_by_color.items()}
 
     def prefix_sets(t: int) -> list:
         """All Pi-prefix sets S with g(t) <= S <= bag(t)."""
@@ -552,10 +575,66 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
         after = [u for u in members if u > v]
         return not any(u in S for u in after)
 
+    def placement(guard_set: frozenset) -> list:
+        """The guard vertices, each after as many of its pattern neighbours
+        as possible (ties go to the most guard neighbours, then to the
+        smallest vertex)."""
+        order: list = []
+        rest = sorted(guard_set)
+        while rest:
+            u = max(rest, key=lambda u: (len(adj_h[u].intersection(order)),
+                                         len(adj_h[u] & guard_set)))
+            rest.remove(u)
+            order.append(u)
+        return order
+
     outer: dict = {}  # node -> dict keyed by tuple of images of sorted sigma
 
+    def guard_rows(order: list, plain_children: list):
+        """Yield (images of order, product of the plain children's counts)
+        for every injective, colour- and edge-preserving guard assignment
+        whose product is nonzero."""
+        pos = {u: i for i, u in enumerate(order)}
+        # checks[i + 1]: the plain children whose separator is complete once
+        # order[i] is placed; checks[0]: those with an empty separator
+        checks: list = [[] for _ in range(len(order) + 1)]
+        for ch in plain_children:
+            scope = [pos[u] for u in sorted(td.sigma(ch))]
+            checks[max(scope, default=-1) + 1].append((_projection(scope), outer[ch]))
+        weight = 1
+        for _, table in checks[0]:
+            weight *= table.get((), 0)
+        if weight == 0:
+            return
+        if not order:
+            yield (), weight
+            return
+        steps = []
+        for i, u in enumerate(order):
+            nb = [pos[w] for w in adj_h[u] if pos.get(w, i) < i]
+            steps.append((hosts_by_color[h.colors[u]], neighbours_in[h.colors[u]], nb,
+                          checks[i + 1]))
+        for x0 in steps[0][0]:
+            rows = [((x0,), weight)]
+            for i, (hosts, nbr, nb, child_checks) in enumerate(steps):
+                if i:
+                    grown = []
+                    for row, cnt in rows:
+                        if nb:
+                            allowed = nbr[row[nb[0]]].intersection(
+                                *[nbr[row[j]] for j in nb[1:]])
+                        else:
+                            allowed = hosts
+                        grown.extend([(row + (x,), cnt) for x in allowed if x not in row])
+                    rows = grown
+                for project, table in child_checks:
+                    rows = [(row, cnt * c) for row, cnt in rows
+                            if (c := table.get(project(row))) is not None]
+                if not rows:
+                    break
+            yield from rows
+
     for t in reversed(td.topological_order()):
-        guard = sorted(gcd.guards[t])
         guard_set = gcd.guards[t]
         bag = td.bags[t]
         hang = gcd.hanging(t)
@@ -563,42 +642,17 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
             ch for ch in td.children[t] if td.sigma(ch) <= guard_set
         ]
         sets = prefix_sets(t)
-        sigma = tuple(sorted(td.sigma(t)))
+        order = placement(guard_set)
+        sigma_key = _projection([order.index(u) for u in sorted(td.sigma(t))])
         w_t: dict = {}
 
-        # enumerate valid guard assignments
-        def guard_assignments():
-            def rec(idx, images, used):
-                if idx == len(guard):
-                    yield dict(zip(guard, images))
-                    return
-                v = guard[idx]
-                for x in hosts_by_color.get(h.colors[v], ()):
-                    if x in used:
-                        continue
-                    ok = True
-                    for j in range(idx):
-                        u = guard[j]
-                        if (u in adj_h[v]) and (images[j] not in adj_g[x]):
-                            ok = False
-                            break
-                    if ok:
-                        yield from rec(idx + 1, images + [x], used | {x})
-
-            yield from rec(0, [], frozenset())
-
-        for fbar in guard_assignments():
+        for row, base in guard_rows(order, plain_children):
             # base: host prefix empty; only the branches hanging entirely
             # on guards are mapped
-            base = 1
-            for ch in plain_children:
-                key = tuple(fbar[u] for u in sorted(td.sigma(ch)))
-                base *= outer[ch].get(key, 0)
-                if base == 0:
-                    break
             cur = {S: (base if S == guard_set else 0) for S in sets}
-            if base != 0 and len(sets) > 1:
-                fbar_image = set(fbar.values())
+            if len(sets) > 1:
+                fbar = dict(zip(order, row))
+                fbar_image = set(row)
                 for x in range(n):
                     if x in fbar_image:
                         continue
@@ -634,7 +688,7 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
                     cur = nxt
             total = cur[frozenset(bag)]
             if total:
-                key = tuple(fbar[u] for u in sigma)
+                key = sigma_key(row)
                 w_t[key] = w_t.get(key, 0) + total
         outer[t] = w_t
 

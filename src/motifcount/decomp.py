@@ -299,10 +299,16 @@ def decomposition_from_elimination(g: Graph, order: list) -> TreeDecomposition:
     return TreeDecomposition(parents, [later[v] | {v} for v in order], root)
 
 
+def support_treewidth(graphs) -> int:
+    """Max treewidth over an iterable of graphs (a hom-basis support), -1
+    when it is empty."""
+    return max((elimination_plan(f)[0] for f in graphs), default=-1)
+
+
 def max_spasm_treewidth(h: Graph) -> int:
     from .partitions import spasm
 
-    return max((elimination_plan(cf.graph)[0] for cf in spasm(h)), default=-1)
+    return support_treewidth(cf.graph for cf in spasm(h))
 
 
 # ---------------------------------------------------------------------------

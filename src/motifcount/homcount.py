@@ -18,6 +18,7 @@ needs decomp's nice or width-2 normal forms, which serve only
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -139,6 +140,15 @@ def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
                         pattern_colors=h.colors)
 
 
+@lru_cache(maxsize=256)
+def _prime_at_most(p: int) -> int:
+    """The largest odd prime not above p, by trial division; memoised, so
+    that repeat calls of _word_primes with the same n divide nothing."""
+    while not (p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+        p -= 1
+    return p
+
+
 def _word_primes(n: int, bound: int) -> list:
     """The largest primes p with n*(p-1)^2 < 2^53, from the top down, until
     their product exceeds bound.  A float64 product of two n x n matrices of
@@ -146,9 +156,9 @@ def _word_primes(n: int, bound: int) -> list:
     primes, product = [], 1
     p = math.isqrt((_EXACT - 1) // n) + 1
     while product <= bound:
-        if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            primes.append(p)
-            product *= p
+        p = _prime_at_most(p)
+        primes.append(p)
+        product *= p
         p -= 1
     return primes
 

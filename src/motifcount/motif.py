@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import elimination_plan
+from .decomp import elimination_plan, support_treewidth
 from .graphs import (
     Graph,
     automorphism_count,
@@ -111,7 +111,7 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     """Max treewidth over the Hom-basis support: the predicted evaluation
     exponent minus one."""
     hom = change_basis(p, "hom")
-    return max((elimination_plan(cf.graph)[0] for cf, _ in hom.terms), default=-1)
+    return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
 def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:

@@ -51,6 +51,13 @@ class TestCount:
             values.add(out.strip())
         assert values == {"10"}
 
+    def test_one_vertex_inline(self, capsys):
+        # "@" is the graph6 of K1, not an empty @file path
+        code, out, _ = run(
+            ["count", "--kind", "hom", "--pattern", "@", "--host", "C~"], capsys
+        )
+        assert code == 0 and out.strip() == "4"
+
     def test_colored_from_files(self, tmp_path, capsys):
         pat = tmp_path / "pattern.txt"
         pat.write_text("n 2\ne 0 1\nc 0 1\nc 1 2\n")

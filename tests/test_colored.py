@@ -26,8 +26,11 @@ from motifcount.graphs import (
     adjacency,
     colored_automorphism_count,
     disjoint_union,
+    quotient,
 )
+from motifcount.homcount import count_colored_hom
 from motifcount.oracle import brute_count
+from motifcount.partitions import independent_partitions
 
 
 def half_colorful_matching(k: int) -> ColoredGraph:
@@ -273,6 +276,93 @@ class TestColoredCounts:
             want = brute_count("colored-emb", h, g)
             assert count_colored_embeddings(h, g) == want
             assert count_colored_sub(h, g) == want // colored_automorphism_count(h)
+
+
+# every bag fully guarded, every similarity class a singleton
+P6_COLORED = ColoredGraph(path(5), (0, 1, 2, 0, 1, 2))
+C6_COLORED = ColoredGraph(cycle(6), (0, 1, 0, 1, 0, 1))
+# the isolated vertices 1 and 4 share colour 0: one similarity class of two,
+# so the host sweep runs
+SWEPT = ColoredGraph(Graph(7, [(0, 5), (2, 5), (2, 6), (3, 5)]), (2, 0, 1, 2, 0, 1, 1))
+# a child whose separator has one unguarded vertex hangs off the root
+HANGING = ColoredGraph(Graph(5, [(1, 3), (3, 4)]), (2, 2, 0, 0, 2))
+PATTERNS = {"P6": P6_COLORED, "C6": C6_COLORED, "swept": SWEPT, "hanging": HANGING}
+
+
+def partition_reference(h: ColoredGraph, g: ColoredGraph) -> int:
+    """Colored embeddings by Moebius inversion over the partition lattice:
+    the sum over partitions into monochromatic independent blocks of
+    prod_B (-1)^(|B|-1) (|B|-1)! times colored Hom of the quotient."""
+    total = 0
+    for rho in independent_partitions(h.graph, h.colors):
+        weight = 1
+        for block in rho.blocks:
+            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+        f = ColoredGraph(quotient(h.graph, rho).graph, [h.colors[b[0]] for b in rho.blocks])
+        total += weight * count_colored_hom(f, g)
+    return total
+
+
+class TestColoredDifferential:
+    def _assert_matches_brute(self, h, g):
+        emb = brute_count("colored-emb", h, g)
+        assert count_colored_embeddings(h, g) == emb
+        assert count_colored_sub(h, g) == emb // colored_automorphism_count(h)
+
+    def test_patterns_reach_their_cases(self):
+        for h in (P6_COLORED, C6_COLORED):
+            gcd = build_guarded_decomposition(h)
+            assert gcd.guards == [frozenset(b) for b in gcd.td.bags]
+            assert all(len(m) == 1 for m in gcd.similarity_partition())
+        gcd = build_guarded_decomposition(SWEPT)
+        assert [1, 4] in gcd.similarity_partition()
+        gcd = build_guarded_decomposition(HANGING)
+        assert any(gcd.hanging(t) for t in range(gcd.td.node_count()))
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_matches_brute(self, name):
+        # dense hosts whose colour classes are as even as the pattern's
+        # palette allows, so that most counts are nonzero
+        h = PATTERNS[name]
+        palette = sorted(set(h.colors))
+        rng = random.Random(f"colored-differential:{name}")
+        for _ in range(12):
+            n = rng.randint(h.n, 8)
+            colors = [palette[v % len(palette)] for v in range(n)]
+            rng.shuffle(colors)
+            g = ColoredGraph(random_graph(rng, n, rng.choice([0.6, 0.75, 0.9])), colors)
+            self._assert_matches_brute(h, g)
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_colour_absent_from_host(self, name):
+        h = PATTERNS[name]
+        rng = random.Random(f"colored-absent:{name}")
+        for missing in sorted(set(h.colors)):
+            kept = sorted(set(range(4)) - {missing})
+            g = random_graph(rng, 8, 0.7)
+            g = ColoredGraph(g, [rng.choice(kept) for _ in range(g.n)])
+            assert count_colored_embeddings(h, g) == 0
+            assert count_colored_sub(h, g) == 0
+            assert brute_count("colored-emb", h, g) == 0
+
+    def test_empty_pattern(self):
+        h = ColoredGraph(Graph(0), ())
+        rng = random.Random(107)
+        for n in (0, 1, 5):
+            g = random_colored(rng, n, 3)
+            assert count_colored_embeddings(h, g) == brute_count("colored-emb", h, g) == 1
+            assert count_colored_sub(h, g) == 1
+
+    @pytest.mark.parametrize("name", ["P6", "C6"])
+    def test_large_host_against_partition_reference(self, name):
+        # 100 vertices in three colour classes: far beyond brute force
+        h = PATTERNS[name]
+        rng = random.Random(109)
+        g = random_colored(rng, 100, 3, 0.09)
+        emb = partition_reference(h, g)
+        assert emb > 0
+        assert count_colored_embeddings(h, g) == emb
+        assert count_colored_sub(h, g) == emb // colored_automorphism_count(h)
 
 
 class TestColorfulIE:

@@ -10,6 +10,7 @@ from motifcount.decomp import (
     massage_connected,
     max_spasm_treewidth,
     normalize_width2,
+    support_treewidth,
     to_nice,
 )
 from motifcount.graphs import Graph, adjacency, is_connected
@@ -39,6 +40,11 @@ class TestExactTreewidth:
     def test_spasm_treewidth(self):
         assert max_spasm_treewidth(path(4)) == 2
         assert max_spasm_treewidth(path(6)) == 2
+
+    def test_support_treewidth(self):
+        assert support_treewidth([]) == -1
+        assert support_treewidth([Graph(1), path(3), cycle(4)]) == 2
+        assert support_treewidth(iter([clique(4), path(2)])) == 3
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -113,6 +114,25 @@ class TestMatrixEngine:
             g = random_graph(rng, 32, p)
             assert count_hom_mm(h, g) == count_hom_dp(h, g)
         assert 1 <= len(bounds) <= 3
+
+
+    def test_word_primes_are_memoised(self):
+        def trial_division(n, bound):
+            primes, product = [], 1
+            p = math.isqrt((2**53 - 1) // n) + 1
+            while product <= bound:
+                if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+                    primes.append(p)
+                    product *= p
+                p -= 1
+            return primes
+
+        for n, bound in ((32, 2**53), (120, 2**90), (1000, 2**200), (33, 2**60)):
+            assert homcount._word_primes(n, bound) == trial_division(n, bound)
+        misses = homcount._prime_at_most.cache_info().misses
+        assert homcount._word_primes(120, 2**90) == trial_division(120, 2**90)
+        assert homcount._word_primes(120, 2**53) == trial_division(120, 2**53)
+        assert homcount._prime_at_most.cache_info().misses == misses
 
 
 class TestColoredHom:
