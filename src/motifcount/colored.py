@@ -1,11 +1,16 @@
 """Vertex-colored pattern counting.
 
 The pipeline: contract color classes and decompose the contracted graph;
-detect flowers via A-path packing in the partially clique-saturated
-pattern; grow bags and guards from attachment sets; massage the
-decomposition until components are connected and separators tight; then
-run a two-layer dynamic program counting ordered embeddings, from which
-embedding and subgraph counts follow by the similarity factorials.
+bound the flowers by one maximum packing of disjoint A-paths per class,
+in the pattern with every other class clique-saturated; grow bags and
+guards from attachment sets; massage the decomposition until components
+are connected and separators tight; then run a two-layer dynamic program
+counting ordered embeddings, from which embedding and subgraph counts
+follow by the similarity factorials.
+
+Every A-path question is answered from one enumeration of the minimal
+A-paths (no internal vertex in A): packings are disjoint families of
+them, and a cover is a least vertex set meeting all of them.
 
 The outer layer grows each node's guard assignments the way count_hom_dp
 grows its rows: one guard vertex at a time, each drawing its images from
@@ -31,6 +36,7 @@ from .graphs import (
     automorphism_count,
     colored_automorphism_count,
     connected_components,
+    is_connected,
 )
 from .homcount import _projection, count_hom_dp
 from .partitions import PRUNED_GUARD, CapacityError
@@ -98,9 +104,9 @@ def clique_saturate(h: ColoredGraph, except_class=None) -> Graph:
 # A-paths
 
 
-def _minimal_a_paths(g: Graph, a: frozenset) -> list:
+def _minimal_a_paths(g: Graph, a: frozenset) -> tuple:
     """All simple paths with both (distinct) endpoints in a and no internal
-    vertex in a."""
+    vertex in a, and the vertex set of each."""
     adj = adjacency(g)
     paths = []
     for start in sorted(a):
@@ -115,12 +121,15 @@ def _minimal_a_paths(g: Graph, a: frozenset) -> list:
                         paths.append(path + (w,))
                 else:
                     stack.append((w, path + (w,)))
-    return paths
+    return paths, [frozenset(p) for p in paths]
 
 
-def _max_disjoint(paths: list, k: int) -> list:
-    """Up to k pairwise vertex-disjoint paths; maximal via branch and
-    bound, stopping as soon as k are found."""
+def _max_disjoint(paths: list, sets: list, k: int) -> list:
+    """Up to k pairwise vertex-disjoint paths (sets[i] holds the vertices of
+    paths[i]); maximum via branch and bound, stopping as soon as k are
+    found."""
+    if k < 1:
+        raise ValueError("k must be positive")
     best: list = []
 
     def rec(idx: int, chosen: list, used: frozenset):
@@ -132,11 +141,10 @@ def _max_disjoint(paths: list, k: int) -> list:
         if len(chosen) + (len(paths) - idx) <= len(best):
             return
         for j in range(idx, len(paths)):
-            p = paths[j]
-            if used & frozenset(p):
+            if not used.isdisjoint(sets[j]):
                 continue
-            chosen.append(p)
-            rec(j + 1, chosen, used | frozenset(p))
+            chosen.append(paths[j])
+            rec(j + 1, chosen, used | sets[j])
             chosen.pop()
             if len(best) >= k:
                 return
@@ -145,48 +153,35 @@ def _max_disjoint(paths: list, k: int) -> list:
     return best
 
 
-def _has_a_path(g: Graph, a: set, removed: set) -> bool:
-    """Does g - removed contain a path between two distinct a-vertices?"""
-    remaining = set(range(g.n)) - set(removed)
-    adj = adjacency(g)
-    seen = set()
-    for s in remaining:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        if len(comp & (a - set(removed))) >= 2:
-            return True
-    return False
+def _meets_all(sets: list, s) -> bool:
+    """Does the vertex set s meet every minimal A-path?  Exactly then g - s
+    has no A-path: the segment of an A-path between its first two
+    A-vertices is a minimal one."""
+    return all(not p.isdisjoint(s) for p in sets)
+
+
+def _packing_or_cover(paths: list, sets: list, k: int):
+    """k disjoint paths among the minimal A-paths, or a least vertex set
+    meeting them all (Gallai: at most 2k-2 vertices)."""
+    packing = _max_disjoint(paths, sets, k)
+    if len(packing) >= k:
+        return ("paths", packing)
+    vertices = sorted(set().union(*sets))
+    for size in range(0, 2 * k - 1):
+        for s in itertools.combinations(vertices, size):
+            if _meets_all(sets, s):
+                return ("cover", set(s))
+    raise AssertionError("no small cover despite small packing")
 
 
 def a_path_packing(g: Graph, a, k: int):
-    """Either k vertex-disjoint A-paths or a cover of size at most 2k-2.
+    """Either k vertex-disjoint A-paths or a minimum cover, of size at most
+    2k-2.
 
-    Returns ("paths", [...]) or ("cover", set).  The cover arm is verified:
-    removing it leaves no A-path.
+    Returns ("paths", [...]) or ("cover", set).  Removing the cover leaves
+    no A-path.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    a = frozenset(a)
-    paths = _minimal_a_paths(g, a)
-    packing = _max_disjoint(paths, k)
-    if len(packing) >= k:
-        return ("paths", packing[:k])
-    # minimum hitting set, by increasing size; Gallai guarantees <= 2k-2
-    vertices = sorted(set(itertools.chain.from_iterable(paths)))
-    for size in range(0, 2 * k - 1):
-        for s in itertools.combinations(vertices, size):
-            if not _has_a_path(g, set(a), set(s)):
-                return ("cover", set(s))
-    raise AssertionError("no small cover despite small packing")
+    return _packing_or_cover(*_minimal_a_paths(g, frozenset(a)), k)
 
 
 def _attachment_flow(g: Graph, v: int, a: frozenset) -> int:
@@ -254,10 +249,11 @@ def a_path_packing_restricted(g: Graph, a, k: int, l: int):
     g - (A* + S*) free of A-paths."""
     if l < 2 * k:
         raise ValueError("need l >= 2k")
-    if g.n > 1 and len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise ValueError("a_path_packing_restricted needs a connected graph")
     a = frozenset(a)
-    result = a_path_packing(g, a, k)
+    paths, sets = _minimal_a_paths(g, a)
+    result = _packing_or_cover(paths, sets, k)
     if result[0] == "paths":
         return result
     s_cover = result[1]
@@ -286,22 +282,25 @@ def a_path_packing_restricted(g: Graph, a, k: int, l: int):
                 stack.append(w)
     if len(a_star) > (2 * k - 2) * l or len(s_star) > 2 * k - 2:
         raise AssertionError("restricted cover size bounds violated")
-    if _has_a_path(g, set(a), s_star | a_star):
+    if not _meets_all(sets, s_star | a_star):
         raise AssertionError("restricted cover leaves an A-path")
     return ("cover", a_star, s_star)
 
 
-def find_flower(h: ColoredGraph, class_i: int, c: int) -> Optional[Flower]:
-    """A c-flower centered at the class, found via A-path packing in the
-    pattern with every other class saturated."""
-    members = [v for v in range(h.n) if h.colors[v] == class_i]
+def _class_paths(h: ColoredGraph, class_i: int) -> tuple:
+    """The minimal A-paths for A the class, in the pattern with every other
+    class saturated, and their vertex sets."""
+    members = frozenset(v for v in range(h.n) if h.colors[v] == class_i)
     if not members:
         raise ValueError(f"unknown class id {class_i}")
-    g = clique_saturate(h, except_class=class_i)
-    result = a_path_packing(g, members, c)
-    if result[0] == "paths":
-        return Flower(class_i, result[1])
-    return None
+    return _minimal_a_paths(clique_saturate(h, except_class=class_i), members)
+
+
+def find_flower(h: ColoredGraph, class_i: int, c: int) -> Optional[Flower]:
+    """A c-flower centered at the class: c disjoint A-paths in the pattern
+    with every other class saturated."""
+    packing = _max_disjoint(*_class_paths(h, class_i), c)
+    return Flower(class_i, packing) if len(packing) >= c else None
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +343,6 @@ class GuardedCutvertexDecomposition:
                 out.setdefault(v, []).append(c)
         return out
 
-    def lam(self, t: int) -> frozenset:
-        return frozenset(self.hanging(t))
-
-    def guard_size(self) -> int:
-        return max((len(gd) for gd in self.guards), default=0)
-
-    def colors_per_bag(self) -> int:
-        return max(
-            (len({self.h.colors[v] for v in b}) for b in self.td.bags), default=0
-        )
-
     def similarity_partition(self) -> list:
         """The partition used by the ordered-embedding count: per node,
         the vertices outside guards and hanging points grouped by color and
@@ -363,7 +351,7 @@ class GuardedCutvertexDecomposition:
         class_of: dict = {}
         classes: list = []
         for t in range(self.td.node_count()):
-            free = self.td.bags[t] - self.guards[t] - self.lam(t)
+            free = self.td.bags[t].difference(self.guards[t], self.hanging(t))
             groups: dict = {}
             for v in sorted(free):
                 groups.setdefault((self.h.colors[v], adj_h[v]), []).append(v)
@@ -459,25 +447,24 @@ def _component_pipeline(hc: ColoredGraph, c: int):
 
 
 def build_guarded_decomposition(h: ColoredGraph) -> GuardedCutvertexDecomposition:
-    """Full pipeline: flower-bound discovery, per-component construction,
+    """Full pipeline: the flower bound, per-component construction,
     reassembly, validation."""
     if h.n == 0:
         return GuardedCutvertexDecomposition(
             h, TreeDecomposition([None], [frozenset()], 0), [frozenset()]
         )
-    # discover the flower bound by doubling
-    class_ids = h.color_ids()
-    c = 1
-    while True:
-        blooming = [i for i in class_ids if find_flower(h, i, c) is not None]
-        if not blooming:
-            break
-        c *= 2
-        if c > FLOWER_CAP:
+    # the flower bound: the least power of two above every class's largest
+    # packing of disjoint A-paths
+    largest = 0
+    for i in h.color_ids():
+        packing = _max_disjoint(*_class_paths(h, i), FLOWER_CAP)
+        if len(packing) >= FLOWER_CAP:
             raise FlowerCapExceeded(
-                f"class {blooming[0]} still carries a {FLOWER_CAP}-flower; "
+                f"class {i} still carries a {FLOWER_CAP}-flower; "
                 "pattern is outside the tractable regime"
             )
+        largest = max(largest, len(packing))
+    c = 1 << largest.bit_length()
 
     hdot = clique_saturate(h)
     comps = connected_components(hdot)

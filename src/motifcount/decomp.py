@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, adjacency, is_connected
+from .graphs import Graph, adjacency, connected_components, is_connected
 from .partitions import CapacityError
 
 TREEWIDTH_GUARD = 20
@@ -93,12 +93,6 @@ class TreeDecomposition:
 
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    def adhesion(self) -> int:
-        return max(
-            (len(self.sigma(t)) for t in range(len(self.bags)) if t != self.root),
-            default=0,
-        )
 
     def validate(self, g: Graph) -> None:
         """Raise DecompositionError unless this is a valid rooted tree
@@ -446,20 +440,9 @@ def massage_connected(d: TreeDecomposition, g: Graph):
         root_bag = d.bags[r] & vertices
         r2 = new_node(parent_new, root_bag, r)
         # components of G[vertices] - root bag
-        rest = vertices - root_bag
-        comp_seen = set()
-        for s in sorted(rest):
-            if s in comp_seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in rest and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comp_seen |= comp
+        rest = sorted(vertices - root_bag)
+        for local in connected_components(g.induced(rest)):
+            comp = {rest[i] for i in local}
             boundary = set()
             for v in comp:
                 boundary |= adj[v] - comp

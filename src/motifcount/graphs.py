@@ -52,12 +52,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def degree(self, v: int) -> int:
-        return len(adjacency(self)[v])
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def relabel(self, perm) -> "Graph":
         """Apply the vertex map v -> perm[v]."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
@@ -87,10 +81,6 @@ class QuotientGraph:
             raise ValueError("loop vertex out of range")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "loop_vertices", loops)
-
-    @property
-    def has_loops(self) -> bool:
-        return bool(self.loop_vertices)
 
 
 @dataclass(frozen=True)

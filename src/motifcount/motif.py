@@ -61,9 +61,6 @@ class MotifParameter:
     def support(self) -> list:
         return [cf for cf, _ in self.terms]
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
 
 # ---------------------------------------------------------------------------
 # basis changes

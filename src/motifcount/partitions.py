@@ -64,23 +64,6 @@ class SetPartition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "assignment", assignment)
 
-    @staticmethod
-    def from_blocks(n: int, blocks) -> "SetPartition":
-        block_of = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                block_of[v] = i
-        order = []
-        relabel = {}
-        assignment = []
-        for v in range(n):
-            b = block_of[v]
-            if b not in relabel:
-                relabel[b] = len(order)
-                order.append(b)
-            assignment.append(relabel[b])
-        return SetPartition(n, assignment)
-
     @property
     def blocks(self) -> list:
         nblocks = max(self.assignment, default=-1) + 1
@@ -88,9 +71,6 @@ class SetPartition:
         for v, b in enumerate(self.assignment):
             out[b].append(v)
         return out
-
-    def block_count(self) -> int:
-        return max(self.assignment, default=-1) + 1
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:

@@ -30,6 +30,11 @@ def clique(k: int) -> Graph:
     return Graph(k, list(itertools.combinations(range(k), 2)))
 
 
+def matching(m: int) -> Graph:
+    """m disjoint edges."""
+    return Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
 def star(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import motifcount
+from conftest import matching
 from motifcount import cli
 from motifcount.cli import main
 from motifcount.graphs import Graph, encode_graph6
@@ -178,6 +179,49 @@ class TestBasisEval:
         assert code == 2 and err.strip()
 
 
+def colored_edge_list(n, edges, colors) -> str:
+    lines = [f"n {n}"] + [f"e {u} {v}" for u, v in edges]
+    return "\n".join(lines + [f"c {v} {c}" for v, c in enumerate(colors)]) + "\n"
+
+
+# `decompose --guarded` output, pinned byte for byte: the bench colourings of
+# P6 and C6, the swept and hanging patterns of test_colored, and the
+# monochromatic 8-matching (one class carrying an 8-flower, so c = 16)
+GUARDED_DUMPS = {
+    "P3": (
+        colored_edge_list(3, [(0, 1), (1, 2)], (0, 1, 0)),
+        "0 parent=- bag={0,2} guard={0,2}\n"
+        "1 parent=0 bag={0,1,2} guard={0,1,2}\n",
+    ),
+    "P6": (
+        colored_edge_list(6, [(i, i + 1) for i in range(5)], (0, 1, 2, 0, 1, 2)),
+        "0 parent=- bag={0,3} guard={0,3}\n"
+        "1 parent=0 bag={0,1,3,4} guard={0,1,3,4}\n"
+        "2 parent=1 bag={1,2,3,4,5} guard={1,2,3,4,5}\n",
+    ),
+    "C6": (
+        colored_edge_list(6, [(i, (i + 1) % 6) for i in range(6)], (0, 1, 0, 1, 0, 1)),
+        "0 parent=- bag={0,2,4} guard={0,2,4}\n"
+        "1 parent=0 bag={0,1,2,3,4,5} guard={0,1,2,3,4,5}\n",
+    ),
+    "swept": (
+        colored_edge_list(7, [(0, 5), (2, 5), (2, 6), (3, 5)], (2, 0, 1, 2, 0, 1, 1)),
+        "0 parent=- bag={2,5,6} guard={2,5,6}\n"
+        "1 parent=0 bag={0,3,5} guard={0,3,5}\n"
+        "2 parent=0 bag={1,4} guard={}\n",
+    ),
+    "hanging": (
+        colored_edge_list(5, [(1, 3), (3, 4)], (2, 2, 0, 0, 2)),
+        "0 parent=- bag={2,3} guard={}\n"
+        "1 parent=0 bag={0,1,3,4} guard={1,3,4}\n",
+    ),
+    "matching8": (
+        encode_graph6(matching(8)),
+        "0 parent=- bag={%s} guard={%s}\n" % ((",".join(map(str, range(16))),) * 2),
+    ),
+}
+
+
 class TestDecompose:
     def test_plain(self, capsys):
         code, out, _ = run(["decompose", "Bw"], capsys)
@@ -203,11 +247,13 @@ class TestDecompose:
         )
 
     def test_guarded(self, tmp_path, capsys):
-        f = tmp_path / "h.txt"
-        f.write_text("n 3\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\n")
-        code, out, _ = run(["decompose", "--guarded", f"@{f}"], capsys)
-        assert code == 0
-        assert "guard={" in out
+        for name, (source, want) in GUARDED_DUMPS.items():
+            if source.startswith("n "):
+                f = tmp_path / f"{name}.txt"
+                f.write_text(source)
+                source = f"@{f}"
+            code, out, _ = run(["decompose", "--guarded", source], capsys)
+            assert code == 0 and out == want, name
 
 
 class TestErrors:

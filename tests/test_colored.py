@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import clique, cycle, path, random_colored, random_graph
+import motifcount
+from conftest import clique, cycle, matching, path, random_colored, random_graph
 from motifcount.colored import (
     _restricted_cover,
+    FLOWER_CAP,
     FlowerCapExceeded,
     a_path_packing,
     a_path_packing_restricted,
@@ -26,6 +32,7 @@ from motifcount.graphs import (
     adjacency,
     colored_automorphism_count,
     disjoint_union,
+    encode_graph6,
     quotient,
 )
 from motifcount.homcount import count_colored_hom
@@ -41,6 +48,26 @@ def half_colorful_matching(k: int) -> ColoredGraph:
     for i in range(k):
         colors += [0, i + 1]
     return ColoredGraph(Graph(2 * k, edges), colors)
+
+
+def has_a_path(g: Graph, a: set, removed) -> bool:
+    """Does some component of g - removed hold two a-vertices?"""
+    adj = adjacency(g)
+    seen = set(removed)
+    for s in range(g.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, hits = [s], 0
+        while stack:
+            u = stack.pop()
+            hits += u in a
+            for w in adj[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        if hits >= 2:
+            return True
+    return False
 
 
 def brute_attachment(g: Graph, v: int, a: frozenset) -> int:
@@ -128,6 +155,26 @@ class TestAPaths:
                 cover = result[1]
                 assert len(cover) <= 2 * k - 2
 
+    def test_cover_arm_is_minimum(self):
+        # no smaller vertex set leaves the graph free of A-paths (removing
+        # more vertices never creates one, so one size less suffices)
+        rng = random.Random(97)
+        sizes = []
+        for _ in range(120):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            a = {v for v in range(n) if rng.random() < 0.6}
+            result = a_path_packing(g, a, rng.randint(1, 4))
+            if result[0] == "paths":
+                continue
+            cover = result[1]
+            assert not has_a_path(g, a, cover)
+            if cover:
+                for smaller in itertools.combinations(range(n), len(cover) - 1):
+                    assert has_a_path(g, a, smaller)
+            sizes.append(len(cover))
+        assert len(sizes) >= 40 and max(sizes) >= 3
+
     def test_attachment_matches_brute(self):
         rng = random.Random(73)
         for _ in range(40):
@@ -188,6 +235,16 @@ class TestFlowers:
         h = half_colorful_matching(3)
         assert find_flower(h, 0, 1) is None
 
+    def test_matching_flower_boundary(self):
+        # the monochromatic m-matching carries a c-flower iff c <= m
+        for m in range(1, 6):
+            h = ColoredGraph(matching(m), [0] * (2 * m))
+            for c in range(1, 9):
+                flower = find_flower(h, 0, c)
+                assert (flower is not None) == (c <= m), (m, c)
+                if flower is not None:
+                    assert sorted(flower.paths) == [(2 * i, 2 * i + 1) for i in range(m)][:c]
+
 
 class TestGuardedDecomposition:
     def _check(self, h):
@@ -214,11 +271,36 @@ class TestGuardedDecomposition:
 
     def test_flower_cap_diagnostic(self):
         # one giant class matched internally: flowers at every scale
-        k = 20
-        edges = [(2 * i, 2 * i + 1) for i in range(k)]
-        h = ColoredGraph(Graph(2 * k, edges), [0] * (2 * k))
+        h = ColoredGraph(matching(20), [0] * 40)
         with pytest.raises(FlowerCapExceeded, match="class 0"):
             build_guarded_decomposition(h)
+
+    @staticmethod
+    def _decompose_in_subprocess(g: Graph):
+        # a separate process, so that a hang fails the test at its timeout
+        main = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
+        return subprocess.run(
+            [sys.executable, "-c", main, "decompose", "--guarded", encode_graph6(g)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
+        )
+
+    def test_largest_matching_below_the_flower_cap(self):
+        m = FLOWER_CAP - 1
+        proc = self._decompose_in_subprocess(matching(m))
+        everything = ",".join(map(str, range(2 * m)))
+        assert proc.returncode == 0
+        assert proc.stdout == f"0 parent=- bag={{{everything}}} guard={{{everything}}}\n"
+
+    def test_matching_at_the_flower_cap_exits_1(self):
+        proc = self._decompose_in_subprocess(matching(FLOWER_CAP))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: class 0 still carries a {FLOWER_CAP}-flower; "
+            "pattern is outside the tractable regime\n"
+        )
 
 
 class TestOrderedEmbeddings:
