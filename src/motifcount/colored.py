@@ -9,15 +9,17 @@ counting ordered embeddings, from which embedding and subgraph counts
 follow by the similarity factorials.
 
 Every A-path question is answered from one enumeration of the minimal
-A-paths (no internal vertex in A): packings are disjoint families of
-them, and a cover is a least vertex set meeting all of them.
+A-paths that are induced paths (no internal vertex in A, no chord):
+packings are disjoint families of them, and a cover is a least vertex set
+meeting all of them.
 
 The outer layer grows each node's guard assignments the way count_hom_dp
 grows its rows: one guard vertex at a time, each drawing its images from
 the common host neighbours of its placed pattern neighbours, and a row is
 dropped as soon as a plain child's table lacks its separator's images.  The
-inner layer sweeps the host for the free bag vertices of each surviving
-row.
+inner layer places the free bag vertices of each surviving row: its state
+holds one count per similarity class, the number of the class's members
+placed so far, and it sweeps only the hosts that some class can take.
 """
 
 from __future__ import annotations
@@ -105,8 +107,10 @@ def clique_saturate(h: ColoredGraph, except_class=None) -> Graph:
 
 
 def _minimal_a_paths(g: Graph, a: frozenset) -> tuple:
-    """All simple paths with both (distinct) endpoints in a and no internal
-    vertex in a, and the vertex set of each."""
+    """All induced paths with both (distinct) endpoints in a and no internal
+    vertex in a, and the vertex set of each.  A path with a chord contains
+    such a path on a subset of its vertices, so packing sizes and covers are
+    those of all A-paths."""
     adj = adjacency(g)
     paths = []
     for start in sorted(a):
@@ -114,7 +118,7 @@ def _minimal_a_paths(g: Graph, a: frozenset) -> tuple:
         while stack:
             u, path = stack.pop()
             for w in sorted(adj[u]):
-                if w in path:
+                if w in path or len(adj[w].intersection(path)) > 1:
                     continue
                 if w in a:
                     if w > start:  # each path once, by endpoint order
@@ -154,9 +158,9 @@ def _max_disjoint(paths: list, sets: list, k: int) -> list:
 
 
 def _meets_all(sets: list, s) -> bool:
-    """Does the vertex set s meet every minimal A-path?  Exactly then g - s
-    has no A-path: the segment of an A-path between its first two
-    A-vertices is a minimal one."""
+    """Does the vertex set s meet every minimal induced A-path?  Exactly
+    then g - s has no A-path: the segment of an A-path between its first
+    two A-vertices contains one on a subset of its vertices."""
     return all(not p.isdisjoint(s) for p in sets)
 
 
@@ -167,10 +171,27 @@ def _packing_or_cover(paths: list, sets: list, k: int):
     if len(packing) >= k:
         return ("paths", packing)
     vertices = sorted(set().union(*sets))
-    for size in range(0, 2 * k - 1):
-        for s in itertools.combinations(vertices, size):
-            if _meets_all(sets, s):
-                return ("cover", set(s))
+
+    def pick(i: int, chosen: list, size: int):
+        # the least cover of this size extending chosen, lexicographically
+        # first; a path whose largest vertex is already behind us stays unhit
+        unhit = [p for p in sets if p.isdisjoint(chosen)]
+        if not unhit:
+            return set(chosen)
+        if len(chosen) == size:
+            return None
+        last = min(max(p) for p in unhit)
+        for j in range(i, len(vertices)):
+            if vertices[j] > last:
+                break
+            if (cover := pick(j + 1, chosen + [vertices[j]], size)) is not None:
+                return cover
+        return None
+
+    # each packed path needs a cover vertex of its own
+    for size in range(len(packing), 2 * k - 1):
+        if (cover := pick(0, [], size)) is not None:
+            return ("cover", cover)
     raise AssertionError("no small cover despite small packing")
 
 
@@ -187,34 +208,30 @@ def a_path_packing(g: Graph, a, k: int):
 def _attachment_flow(g: Graph, v: int, a: frozenset) -> int:
     """Maximum number of v-A paths of length >= 1 sharing only v
     (unit-capacity augmenting paths with split vertices)."""
-    adj = adjacency(g)
     targets = a - {v}
     if not targets:
         return 0
-    # nodes: ('in', u) / ('out', u) for u != v; 'src'; 'snk'
-    cap: dict = {}
+    # nodes: ('in', u) / ('out', u) for u != v; 'src'; 'snk'; residual
+    # capacities kept per node
+    res: dict = {"src": {}}
 
-    def add(x, y, c):
-        cap[(x, y)] = cap.get((x, y), 0) + c
-        cap.setdefault((y, x), 0)
+    def add(x, y):
+        out = res.setdefault(x, {})
+        out[y] = out.get(y, 0) + 1
+        res.setdefault(y, {}).setdefault(x, 0)
 
     for u in range(g.n):
         if u == v:
             continue
-        if u in targets:
-            add(("in", u), "snk", 1)
-        else:
-            add(("in", u), ("out", u), 1)
+        add(("in", u), "snk" if u in targets else ("out", u))
     for x, y in g.edges:
         for p, q in ((x, y), (y, x)):
             if p == v:
-                add("src", ("in", q), 1)
-            elif q == v:
-                continue
-            elif p in targets:
-                continue  # paths stop at their first a-vertex
+                add("src", ("in", q))
+            elif q == v or p in targets:
+                continue  # never back into v; paths stop at their first a-vertex
             else:
-                add(("out", p), ("in", q), 1)
+                add(("out", p), ("in", q))
     flow = 0
     while True:
         # BFS for an augmenting path
@@ -222,17 +239,16 @@ def _attachment_flow(g: Graph, v: int, a: frozenset) -> int:
         queue = deque(["src"])
         while queue and "snk" not in prev:
             x = queue.popleft()
-            for (p, q), c in cap.items():
-                if p == x and c > 0 and q not in prev:
-                    prev[q] = (p, q)
+            for q, c in res[x].items():
+                if c > 0 and q not in prev:
+                    prev[q] = x
                     queue.append(q)
         if "snk" not in prev:
             return flow
         node = "snk"
-        while prev[node] is not None:
-            p, q = prev[node]
-            cap[(p, q)] -= 1
-            cap[(q, p)] += 1
+        while (p := prev[node]) is not None:
+            res[p][node] -= 1
+            res[node][p] += 1
             node = p
         flow += 1
 
@@ -513,8 +529,13 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     child's separator is fully placed and the child's table lacks its key,
     and carries the product of the children's counts otherwise.  Rows are
     grown in one batch per image of the first guard vertex, so live rows
-    stay few.  A surviving row then runs the host sweep over the free bag
-    vertices."""
+    stay few.
+
+    A surviving row then places the free bag vertices.  Members of a
+    similarity class share colour and neighbours, so the state counts the
+    placed members of each class (its first ones, at increasing hosts).
+    Each class's candidate hosts are computed once per row, and only their
+    union is swept, each host taking at most one vertex."""
     if gcd.h is not h and gcd.h != h:
         gcd = GuardedCutvertexDecomposition(h, gcd.td, gcd.guards)
     if h.n == 0:
@@ -522,45 +543,17 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     td = gcd.td
     adj_h = adjacency(h.graph)
     adj_g = adjacency(g.graph)
-    n = g.n
-
-    classes = gcd.similarity_partition()
-    class_of = {}
-    for ci, members in enumerate(classes):
-        for v in members:
-            class_of[v] = ci
+    class_of = {v: ci for ci, members in enumerate(gcd.similarity_partition())
+                for v in members}
 
     # per pattern colour: the host vertices of that colour, and each host
     # vertex's neighbours among them (empty for a colour the host lacks)
     hosts_by_color: dict = {c: [] for c in h.colors}
-    for x in range(n):
+    for x in range(g.n):
         if g.colors[x] in hosts_by_color:
             hosts_by_color[g.colors[x]].append(x)
     neighbours_in = {c: tuple(a.intersection(xs) for a in adj_g)
                      for c, xs in hosts_by_color.items()}
-
-    def prefix_sets(t: int) -> list:
-        """All Pi-prefix sets S with g(t) <= S <= bag(t)."""
-        guard = gcd.guards[t]
-        free = sorted(td.bags[t] - guard)
-        # group the free vertices by class; each class contributes its
-        # prefixes, singletons contribute in/out
-        groups: dict = {}
-        for v in free:
-            groups.setdefault(class_of[v], []).append(v)
-        options = []
-        for members in groups.values():
-            members.sort()
-            options.append([tuple(members[:j]) for j in range(len(members) + 1)])
-        sets = []
-        for combo in itertools.product(*options):
-            sets.append(guard | frozenset(itertools.chain.from_iterable(combo)))
-        return sets
-
-    def is_prefix_after_removal(S: frozenset, v: int) -> bool:
-        members = classes[class_of[v]]
-        after = [u for u in members if u > v]
-        return not any(u in S for u in after)
 
     def placement(guard_set: frozenset) -> list:
         """The guard vertices, each after as many of its pattern neighbours
@@ -623,57 +616,60 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
 
     for t in reversed(td.topological_order()):
         guard_set = gcd.guards[t]
-        bag = td.bags[t]
         hang = gcd.hanging(t)
         plain_children = [
             ch for ch in td.children[t] if td.sigma(ch) <= guard_set
         ]
-        sets = prefix_sets(t)
         order = placement(guard_set)
-        sigma_key = _projection([order.index(u) for u in sorted(td.sigma(t))])
+        pos = {u: i for i, u in enumerate(order)}
+        sigma_key = _projection([pos[u] for u in sorted(td.sigma(t))])
+        # the free bag vertices by similarity class: its size, its colour,
+        # the row positions of its guard neighbours and, for a singleton,
+        # the children hanging at it (separator slots, None for itself)
+        free: dict = {}
+        for v in sorted(td.bags[t] - guard_set):
+            free.setdefault(class_of[v], []).append(v)
+        kinds = []
+        for members in free.values():
+            v = members[0]
+            kinds.append((len(members), h.colors[v], [pos[u] for u in adj_h[v] & guard_set],
+                          [([pos.get(u) for u in sorted(td.sigma(ch))], outer[ch])
+                           for ch in hang.get(v, ())]))
+        empty, full = (0,) * len(kinds), tuple(size for size, *_ in kinds)
         w_t: dict = {}
 
         for row, base in guard_rows(order, plain_children):
-            # base: host prefix empty; only the branches hanging entirely
-            # on guards are mapped
-            cur = {S: (base if S == guard_set else 0) for S in sets}
-            if len(sets) > 1:
-                fbar = dict(zip(order, row))
-                fbar_image = set(row)
-                for x in range(n):
-                    if x in fbar_image:
-                        continue
+            # state: how many members of each class are placed (its first
+            # ones, at increasing hosts); the empty state carries the row
+            cur = {empty: base}
+            if kinds:
+                taken = set(row)
+                at: dict = {}  # host -> [(class, weight of placing it there)]
+                for k, (_, c, nb, hung) in enumerate(kinds):
+                    if nb:
+                        nbr = neighbours_in[c]
+                        cands = nbr[row[nb[0]]].intersection(*[nbr[row[j]] for j in nb[1:]])
+                    else:
+                        cands = hosts_by_color[c]
+                    for x in cands:
+                        if x in taken:
+                            continue
+                        weight = 1
+                        for slots, table in hung:
+                            key = tuple(x if j is None else row[j] for j in slots)
+                            if not (weight := weight * table.get(key, 0)):
+                                break
+                        if weight:
+                            at.setdefault(x, []).append((k, weight))
+                for x in sorted(at):
                     nxt = dict(cur)
-                    for S in sets:
-                        acc = 0
-                        for v in S - guard_set:
-                            if h.colors[v] != g.colors[x]:
-                                continue
-                            if any(
-                                u in guard_set and fbar[u] not in adj_g[x]
-                                for u in adj_h[v]
-                            ):
-                                continue
-                            if v in hang:
-                                term = cur.get(S - {v}, 0)
-                                if term:
-                                    for ch in hang[v]:
-                                        key = tuple(
-                                            fbar[u] if u in fbar else x
-                                            for u in sorted(td.sigma(ch))
-                                        )
-                                        term *= outer[ch].get(key, 0)
-                                        if term == 0:
-                                            break
-                                acc += term
-                            else:
-                                if not is_prefix_after_removal(S, v):
-                                    continue
-                                acc += cur.get(S - {v}, 0)
-                        if acc:
-                            nxt[S] = nxt[S] + acc
+                    for state, cnt in cur.items():
+                        for k, weight in at[x]:
+                            if state[k] < full[k]:
+                                up = state[:k] + (state[k] + 1,) + state[k + 1:]
+                                nxt[up] = nxt.get(up, 0) + cnt * weight
                     cur = nxt
-            total = cur[frozenset(bag)]
+            total = cur.get(full, 0)
             if total:
                 key = sigma_key(row)
                 w_t[key] = w_t.get(key, 0) + total

@@ -227,25 +227,18 @@ def elimination_plan(g: Graph) -> tuple:
         adj_masks[v] |= 1 << u
 
     full = (1 << n) - 1
-    cost = {0: -1}
-    choice = {}
-    # process subsets in order of popcount so predecessors exist
-    subsets_by_size: list = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        subsets_by_size[s.bit_count()].append(s)
-    for size in range(1, n + 1):
-        for s in subsets_by_size[size]:
-            best = None
-            best_v = None
-            for vm in _bits(s):
-                v = vm.bit_length() - 1
-                prev = s ^ vm
-                q = _reachable_neighbors(adj_masks, n, prev, v)
-                val = max(cost[prev], q.bit_count())
-                if best is None or val < best:
-                    best, best_v = val, v
-            cost[s] = best
-            choice[s] = best_v
+    cost = [-1] * (1 << n)
+    choice = [0] * (1 << n)
+    # in integer order every predecessor s ^ vm < s is already done
+    for s in range(1, 1 << n):
+        best = None
+        for vm in _bits(s):
+            v = vm.bit_length() - 1
+            prev = s ^ vm
+            val = max(cost[prev], _reachable_neighbors(adj_masks, n, prev, v).bit_count())
+            if best is None or val < best:
+                best, choice[s] = val, v
+        cost[s] = best
 
     order = []
     s = full

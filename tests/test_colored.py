@@ -276,11 +276,11 @@ class TestGuardedDecomposition:
             build_guarded_decomposition(h)
 
     @staticmethod
-    def _decompose_in_subprocess(g: Graph):
+    def _decompose_in_subprocess(source: str):
         # a separate process, so that a hang fails the test at its timeout
         main = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
         return subprocess.run(
-            [sys.executable, "-c", main, "decompose", "--guarded", encode_graph6(g)],
+            [sys.executable, "-c", main, "decompose", "--guarded", source],
             capture_output=True,
             text=True,
             timeout=60,
@@ -289,18 +289,41 @@ class TestGuardedDecomposition:
 
     def test_largest_matching_below_the_flower_cap(self):
         m = FLOWER_CAP - 1
-        proc = self._decompose_in_subprocess(matching(m))
+        proc = self._decompose_in_subprocess(encode_graph6(matching(m)))
         everything = ",".join(map(str, range(2 * m)))
         assert proc.returncode == 0
         assert proc.stdout == f"0 parent=- bag={{{everything}}} guard={{{everything}}}\n"
 
     def test_matching_at_the_flower_cap_exits_1(self):
-        proc = self._decompose_in_subprocess(matching(FLOWER_CAP))
+        proc = self._decompose_in_subprocess(encode_graph6(matching(FLOWER_CAP)))
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: class 0 still carries a {FLOWER_CAP}-flower; "
             "pattern is outside the tractable regime\n"
         )
+
+    def test_bipartite_pair_against_a_class_of_eight(self, tmp_path):
+        # K_{2,8} with the pair in its own colour: through the eight, made a
+        # clique, the pair has about 10^5 simple A-paths but only 8 induced
+        # ones (length 2)
+        lines = ["n 10"] + [f"e {u} {v}" for u in (0, 1) for v in range(2, 10)]
+        lines += [f"c {v} {int(v < 2)}" for v in range(10)]
+        source = tmp_path / "k28.txt"
+        source.write_text("\n".join(lines) + "\n")
+        proc = self._decompose_in_subprocess(f"@{source}")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "0 parent=- bag={2,3,4,5,6,7,8,9} guard={2,3,4,5,6,7,8,9}\n"
+            "1 parent=0 bag={0,1,2,3,4,5,6,7,8,9} guard={0,1,2,3,4,5,6,7,8,9}\n"
+        )
+
+    def test_monochromatic_path_least_cover(self):
+        # a 30-vertex path in one colour: the restricted cover search runs
+        # with k far past the flower bound
+        proc = self._decompose_in_subprocess(encode_graph6(path(29)))
+        everything = ",".join(map(str, range(30)))
+        assert proc.returncode == 0
+        assert proc.stdout == f"0 parent=- bag={{{everything}}} guard={{{everything}}}\n"
 
 
 class TestOrderedEmbeddings:
@@ -368,7 +391,19 @@ C6_COLORED = ColoredGraph(cycle(6), (0, 1, 0, 1, 0, 1))
 SWEPT = ColoredGraph(Graph(7, [(0, 5), (2, 5), (2, 6), (3, 5)]), (2, 0, 1, 2, 0, 1, 1))
 # a child whose separator has one unguarded vertex hangs off the root
 HANGING = ColoredGraph(Graph(5, [(1, 3), (3, 4)]), (2, 2, 0, 0, 2))
-PATTERNS = {"P6": P6_COLORED, "C6": C6_COLORED, "swept": SWEPT, "hanging": HANGING}
+# one root bag holds the similarity class {0, 3} beside vertex 2, at which a
+# child hangs
+CLASS_AND_HANGING = ColoredGraph(Graph(5, [(1, 2)]), (0, 1, 0, 0, 1))
+# the isolated vertices 2, 3 and 4 form one similarity class of three
+CLASS_OF_THREE = ColoredGraph(Graph(5, [(0, 1)]), (2, 2, 1, 1, 1))
+PATTERNS = {
+    "P6": P6_COLORED,
+    "C6": C6_COLORED,
+    "swept": SWEPT,
+    "hanging": HANGING,
+    "class-and-hanging": CLASS_AND_HANGING,
+    "class-of-three": CLASS_OF_THREE,
+}
 
 
 def partition_reference(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -400,6 +435,14 @@ class TestColoredDifferential:
         assert [1, 4] in gcd.similarity_partition()
         gcd = build_guarded_decomposition(HANGING)
         assert any(gcd.hanging(t) for t in range(gcd.td.node_count()))
+        gcd = build_guarded_decomposition(CLASS_AND_HANGING)
+        assert [0, 3] in gcd.similarity_partition()
+        assert any(
+            set(gcd.hanging(t)) == {2} and gcd.td.bags[t] - gcd.guards[t] == {0, 2, 3}
+            for t in range(gcd.td.node_count())
+        )
+        gcd = build_guarded_decomposition(CLASS_OF_THREE)
+        assert [2, 3, 4] in gcd.similarity_partition()
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_matches_brute(self, name):
