@@ -93,6 +93,8 @@ def _cmd_count(args) -> int:
     pattern = _load_source(args.pattern)
     host = _load_source(args.host)
     if args.colored:
+        if args.engine in ("dp", "mm"):
+            raise UsageError(f"--colored does not support --engine {args.engine}")
         h, g = _as_colored(pattern), _as_colored(host)
         if args.kind == "hom":
             if args.engine == "brute":

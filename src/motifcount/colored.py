@@ -13,13 +13,12 @@ A-paths that are induced paths (no internal vertex in A, no chord):
 packings are disjoint families of them, and a cover is a least vertex set
 meeting all of them.
 
-The outer layer grows each node's guard assignments the way count_hom_dp
-grows its rows: one guard vertex at a time, each drawing its images from
-the common host neighbours of its placed pattern neighbours, and a row is
-dropped as soon as a plain child's table lacks its separator's images.  The
-inner layer places the free bag vertices of each surviving row: its state
-holds one count per similarity class, the number of the class's members
-placed so far, and it sweeps only the hosts that some class can take.
+The outer layer grows each node's guard assignments with the dict DP's row
+builder (homcount._RowBuilder), joining the plain children's tables as
+factors and keeping images distinct.  The inner layer places the free bag
+vertices of each surviving row from the same host tables: its state holds
+one count per similarity class, the number of the class's members placed
+so far, and it sweeps only the hosts that some class can take.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .graphs import (
     connected_components,
     is_connected,
 )
-from .homcount import _projection, count_hom_dp
+from .homcount import _RowBuilder, _projection, count_hom_dp
 from .partitions import PRUNED_GUARD, CapacityError
 
 FLOWER_CAP = 16
@@ -521,14 +520,10 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     """Number of color-preserving embeddings of h into g that are monotone
     (in host vertex order) on each similarity class.
 
-    Per node, bottom up, the guard assignments are grown as rows of host
-    images, one guard vertex at a time, in an order that places each vertex
-    after as many of its pattern neighbours as possible; its images are
-    drawn from the intersection of its placed neighbours' host
-    neighbourhoods within its colour class.  A row dies as soon as a plain
-    child's separator is fully placed and the child's table lacks its key,
-    and carries the product of the children's counts otherwise.  Rows are
-    grown in one batch per image of the first guard vertex, so live rows
+    Per node, bottom up, the guard assignments are the rows of
+    homcount._RowBuilder, with distinct images: the plain children's tables
+    are its factors, and a row carries the product of their counts.  Rows
+    are grown in one batch per image of the first guard vertex, so live rows
     stay few.
 
     A surviving row then places the free bag vertices.  Members of a
@@ -541,116 +536,54 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     if h.n == 0:
         return 1
     td = gcd.td
-    adj_h = adjacency(h.graph)
-    adj_g = adjacency(g.graph)
+    builder = _RowBuilder(h.graph, g.graph, g.colors, h.colors)
     class_of = {v: ci for ci, members in enumerate(gcd.similarity_partition())
                 for v in members}
-
-    # per pattern colour: the host vertices of that colour, and each host
-    # vertex's neighbours among them (empty for a colour the host lacks)
-    hosts_by_color: dict = {c: [] for c in h.colors}
-    for x in range(g.n):
-        if g.colors[x] in hosts_by_color:
-            hosts_by_color[g.colors[x]].append(x)
-    neighbours_in = {c: tuple(a.intersection(xs) for a in adj_g)
-                     for c, xs in hosts_by_color.items()}
-
-    def placement(guard_set: frozenset) -> list:
-        """The guard vertices, each after as many of its pattern neighbours
-        as possible (ties go to the most guard neighbours, then to the
-        smallest vertex)."""
-        order: list = []
-        rest = sorted(guard_set)
-        while rest:
-            u = max(rest, key=lambda u: (len(adj_h[u].intersection(order)),
-                                         len(adj_h[u] & guard_set)))
-            rest.remove(u)
-            order.append(u)
-        return order
-
     outer: dict = {}  # node -> dict keyed by tuple of images of sorted sigma
-
-    def guard_rows(order: list, plain_children: list):
-        """Yield (images of order, product of the plain children's counts)
-        for every injective, colour- and edge-preserving guard assignment
-        whose product is nonzero."""
-        pos = {u: i for i, u in enumerate(order)}
-        # checks[i + 1]: the plain children whose separator is complete once
-        # order[i] is placed; checks[0]: those with an empty separator
-        checks: list = [[] for _ in range(len(order) + 1)]
-        for ch in plain_children:
-            scope = [pos[u] for u in sorted(td.sigma(ch))]
-            checks[max(scope, default=-1) + 1].append((_projection(scope), outer[ch]))
-        weight = 1
-        for _, table in checks[0]:
-            weight *= table.get((), 0)
-        if weight == 0:
-            return
-        if not order:
-            yield (), weight
-            return
-        steps = []
-        for i, u in enumerate(order):
-            nb = [pos[w] for w in adj_h[u] if pos.get(w, i) < i]
-            steps.append((hosts_by_color[h.colors[u]], neighbours_in[h.colors[u]], nb,
-                          checks[i + 1]))
-        for x0 in steps[0][0]:
-            rows = [((x0,), weight)]
-            for i, (hosts, nbr, nb, child_checks) in enumerate(steps):
-                if i:
-                    grown = []
-                    for row, cnt in rows:
-                        if nb:
-                            allowed = nbr[row[nb[0]]].intersection(
-                                *[nbr[row[j]] for j in nb[1:]])
-                        else:
-                            allowed = hosts
-                        grown.extend([(row + (x,), cnt) for x in allowed if x not in row])
-                    rows = grown
-                for project, table in child_checks:
-                    rows = [(row, cnt * c) for row, cnt in rows
-                            if (c := table.get(project(row))) is not None]
-                if not rows:
-                    break
-            yield from rows
 
     for t in reversed(td.topological_order()):
         guard_set = gcd.guards[t]
         hang = gcd.hanging(t)
-        plain_children = [
-            ch for ch in td.children[t] if td.sigma(ch) <= guard_set
-        ]
-        order = placement(guard_set)
+        order = builder.order(sorted(guard_set))
         pos = {u: i for i, u in enumerate(order)}
         sigma_key = _projection([pos[u] for u in sorted(td.sigma(t))])
-        # the free bag vertices by similarity class: its size, its colour,
-        # the row positions of its guard neighbours and, for a singleton,
-        # the children hanging at it (separator slots, None for itself)
+        # the plain children: separator inside the guard set
+        factors = [(sorted(td.sigma(ch)), outer[ch])
+                   for ch in td.children[t] if td.sigma(ch) <= guard_set]
+        # one batch of guard rows per image of the first guard vertex, so
+        # that live rows stay few
+        seeds = [((x,), 1) for x in builder.hosts[order[0]]] if order else [((), 1)]
+        batches = (builder.grow([seed], order, len(seed[0]), factors, distinct=True)
+                   for seed in seeds)
+        # the free bag vertices by similarity class: its size, its first
+        # member (whose host tables all members share), the row positions
+        # of its guard neighbours and, for a singleton, the children hanging
+        # at it (separator slots, None for itself)
         free: dict = {}
         for v in sorted(td.bags[t] - guard_set):
             free.setdefault(class_of[v], []).append(v)
         kinds = []
         for members in free.values():
             v = members[0]
-            kinds.append((len(members), h.colors[v], [pos[u] for u in adj_h[v] & guard_set],
+            kinds.append((len(members), v, [pos[u] for u in builder.adj[v] & guard_set],
                           [([pos.get(u) for u in sorted(td.sigma(ch))], outer[ch])
                            for ch in hang.get(v, ())]))
         empty, full = (0,) * len(kinds), tuple(size for size, *_ in kinds)
         w_t: dict = {}
 
-        for row, base in guard_rows(order, plain_children):
+        for row, base in itertools.chain.from_iterable(batches):
             # state: how many members of each class are placed (its first
             # ones, at increasing hosts); the empty state carries the row
             cur = {empty: base}
             if kinds:
                 taken = set(row)
                 at: dict = {}  # host -> [(class, weight of placing it there)]
-                for k, (_, c, nb, hung) in enumerate(kinds):
+                for k, (_, v, nb, hung) in enumerate(kinds):
                     if nb:
-                        nbr = neighbours_in[c]
+                        nbr = builder.neighbours[v]
                         cands = nbr[row[nb[0]]].intersection(*[nbr[row[j]] for j in nb[1:]])
                     else:
-                        cands = hosts_by_color[c]
+                        cands = builder.hosts[v]
                     for x in cands:
                         if x in taken:
                             continue

@@ -3,16 +3,19 @@
 Both engines eliminate the pattern's vertices along the cached optimal
 order of decomp.elimination_plan: eliminating v multiplies the factors that
 mention v and sums v out, so a pattern of treewidth k costs n^(k+1).
-count_hom_dp keeps factors as dicts keyed by host-vertex tuples;
-count_hom_mm keeps dense float64 matrices for treewidth <= 2, one BLAS
-product per vertex.  Its arithmetic is exact by a certificate: no entry or
-partial sum exceeds D^(k-1), D the host's maximum degree and k the largest
-pattern component's vertex count.  Below 2^53 one float64 pass is exact;
-above, the factors are stacked residues modulo word-size primes (the
-FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
-remaindering in Python ints.  The order is the whole plan: neither engine
-needs decomp's nice or width-2 normal forms, which serve only
-`motifcount decompose`.
+count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built
+by _RowBuilder: rows of host images grown one pattern vertex at a time
+through colour-restricted neighbourhoods, each message joined once its
+scope is placed (the colored ordered-embedding DP grows its guard rows with
+the same builder).  count_hom_mm keeps dense float64 matrices for
+treewidth <= 2, one BLAS product per vertex.  Its arithmetic is exact by a
+certificate: no entry or partial sum exceeds D^(k-1), D the host's maximum
+degree and k the largest pattern component's vertex count.  Below 2^53 one
+float64 pass is exact; above, the factors are stacked residues modulo
+word-size primes (the FFLAS-FFPACK approach of Dumas, Giorgi and Pernet)
+rebuilt by Chinese remaindering in Python ints.  The order is the whole
+plan: neither engine needs decomp's nice or width-2 normal forms, which
+serve only `motifcount decompose`.
 """
 
 from __future__ import annotations
@@ -72,61 +75,94 @@ def _projection(positions: list):
     return lambda key: ()
 
 
+class _RowBuilder:
+    """Rows of host images, grown one pattern vertex at a time.
+
+    A row is (key, count): key holds the images of a prefix of a placement
+    order.  A vertex's images are its candidate hosts (`hosts`, the host
+    vertices of its colour) or, once some pattern neighbour is placed, the
+    common neighbours of their images within that colour (`neighbours`)."""
+
+    def __init__(self, h: Graph, g: Graph, host_colors: Optional[tuple] = None,
+                 pattern_colors: Optional[tuple] = None):
+        self.adj = adjacency(h)
+        adj_g = adjacency(g)
+        if pattern_colors is None:
+            self.hosts = [range(g.n)] * h.n
+            self.neighbours = [adj_g] * h.n
+        else:
+            classes = {c: frozenset(x for x, cx in enumerate(host_colors) if cx == c)
+                       for c in set(pattern_colors)}
+            restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
+            self.hosts = [classes[c] for c in pattern_colors]
+            self.neighbours = [restricted[c] for c in pattern_colors]
+
+    def order(self, rest, placed=()) -> list:
+        """`placed`, then `rest` with the vertex of most placed neighbours
+        next (ties: most neighbours still in rest, then first in rest)."""
+        order, rest = list(placed), list(rest)
+        while rest:
+            u = max(rest, key=lambda u: (len(self.adj[u].intersection(order)),
+                                         len(self.adj[u].intersection(rest))))
+            rest.remove(u)
+            order.append(u)
+        return order
+
+    def grow(self, rows: list, order: list, start: int, factors: list,
+             distinct: bool = False) -> list:
+        """Extend rows holding images of order[:start] to images of all of
+        `order`.  Each (scope, table) factor multiplies in as soon as its
+        scope is placed, and a row whose projection the table lacks dies;
+        with `distinct`, a row never reuses an image."""
+        pos = {u: i for i, u in enumerate(order)}
+        # joins[i]: the factors joined once order[:i] is placed
+        joins: list = [[] for _ in range(len(order) + 1)]
+        for scope, table in factors:
+            at = max(start, max((pos[u] + 1 for u in scope), default=0))
+            joins[at].append((_projection([pos[u] for u in scope]), table))
+        for i in range(start, len(order) + 1):
+            for project, table in joins[i]:
+                rows = [(key, cnt * c) for key, cnt in rows
+                        if (c := table.get(project(key))) is not None]
+            if i == len(order) or not rows:
+                return rows
+            u = order[i]
+            nb = [pos[w] for w in self.adj[u] if pos.get(w, i) < i]
+            nbr, others = self.neighbours[u], nb[1:]
+            grown = []
+            for key, cnt in rows:
+                allowed = nbr[key[nb[0]]] if nb else self.hosts[u]
+                for j in others:
+                    allowed = allowed & nbr[key[j]]
+                    if not allowed:
+                        break
+                if distinct:
+                    grown.extend([(key + (x,), cnt) for x in allowed if x not in key])
+                else:
+                    grown.extend([(key + (x,), cnt) for x in allowed])
+            rows = grown
+        return rows
+
+
 def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
                  pattern_colors: Optional[tuple] = None) -> int:
     """Number of homomorphisms from h to g (color-preserving when colorings
     are supplied)."""
-    adj_h = adjacency(h)
-    adj_g = adjacency(g)
-    if pattern_colors is None:
-        candidates = [range(g.n)] * h.n
-        neighbours = [adj_g] * h.n
-    else:
-        # a pattern vertex maps only into its colour class
-        classes = {c: frozenset(x for x, cx in enumerate(host_colors) if cx == c)
-                   for c in set(pattern_colors)}
-        restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
-        candidates = [classes[c] for c in pattern_colors]
-        neighbours = [restricted[c] for c in pattern_colors]
+    builder = _RowBuilder(h, g, host_colors, pattern_colors)
 
     def step(v, later, factors):
-        # seed from the largest message, then place one vertex at a time and
-        # multiply each message in as soon as its vertices are placed
+        # seed from the largest message, then grow through the others
         if factors:
             seed = max(factors, key=lambda f: len(f[1]))
-            placed, rows = list(seed[0]), list(seed[1].items())
-            waiting = [f for f in factors if f is not seed]
+            placed, rows = seed[0], list(seed[1].items())
+            factors = [f for f in factors if f is not seed]
         else:
-            placed, rows, waiting = [], [((), 1)], []
-        while rows:
-            for f in [f for f in waiting if set(f[0]).issubset(placed)]:
-                waiting.remove(f)
-                scope, table = f
-                project = _projection([placed.index(u) for u in scope])
-                rows = [(key, cnt * c) for key, cnt in rows
-                        if (c := table.get(project(key))) is not None]
-            rest = [u for u in (v,) + later if u not in placed]
-            if not rest:
-                break
-            u = max(rest, key=lambda u: len(adj_h[u].intersection(placed)))
-            nb = [i for i, w in enumerate(placed) if w in adj_h[u]]
-            placed.append(u)
-            if not nb:
-                rows = [(key + (x,), cnt) for key, cnt in rows for x in candidates[u]]
-                continue
-            nbr, first, others = neighbours[u], nb[0], nb[1:]
-            grown = []
-            for key, cnt in rows:
-                allowed = nbr[key[first]]
-                for i in others:
-                    allowed = allowed & nbr[key[i]]
-                    if not allowed:
-                        break
-                grown.extend([(key + (x,), cnt) for x in allowed])
-            rows = grown
+            placed, rows = (), [((), 1)]
+        order = builder.order([u for u in (v,) + later if u not in placed], placed)
+        rows = builder.grow(rows, order, len(placed), factors)
         out: dict = {}
         if rows:
-            project = _projection([placed.index(u) for u in later])
+            project = _projection([order.index(u) for u in later])
             for key, cnt in rows:
                 short = project(key)
                 out[short] = out.get(short, 0) + cnt

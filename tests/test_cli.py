@@ -369,6 +369,16 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["count", "colored-count"])
+    @pytest.mark.parametrize("engine", ["dp", "mm"])
+    def test_colored_engine_rejected(self, capsys, command, engine):
+        argv = [command, "--kind", "sub", "--pattern", "A_", "--host", "A_", "--engine", engine]
+        if command == "count":
+            argv.append("--colored")
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --colored does not support --engine {engine}\n"
+
 
 class TestSelftest:
     def test_all_fixtures_pass(self, capsys):

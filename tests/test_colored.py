@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import motifcount
 from conftest import clique, cycle, matching, path, random_colored, random_graph
@@ -97,6 +98,26 @@ def brute_attachment(g: Graph, v: int, a: frozenset) -> int:
 
     rec(0, 0, frozenset())
     return best
+
+
+@st.composite
+def matching_class_instances(draw, m: int):
+    """(pattern, host): class 0 of the pattern is m disjoint monochromatic
+    edges, beside 0-2 vertices of colours 1 and 2 with random edges, so its
+    largest A-path packing is m (each path spends two of its 2m vertices);
+    the host has at most 8 vertices in the pattern's colours, and no fewer
+    than the pattern unless that is over 8."""
+    extra = draw(st.lists(st.sampled_from([1, 2]), max_size=2))
+    edges = [(2 * i, 2 * i + 1) for i in range(m)]
+    for v in range(2 * m, 2 * m + len(extra)):
+        edges += [(u, v) for u in range(v) if draw(st.booleans())]
+    h = ColoredGraph(Graph(2 * m + len(extra), edges), [0] * (2 * m) + extra)
+    rng = draw(st.randoms(use_true_random=False))
+    palette = sorted(set(h.colors))
+    n = rng.randint(min(h.n, 8), 8)
+    g = ColoredGraph(random_graph(rng, n, rng.choice([0.5, 0.8])),
+                     [rng.choice(palette) for _ in range(n)])
+    return h, g
 
 
 def brute_ordered_embeddings(h, g, classes):
@@ -477,6 +498,19 @@ class TestColoredDifferential:
             g = random_colored(rng, n, 3)
             assert count_colored_embeddings(h, g) == brute_count("colored-emb", h, g) == 1
             assert count_colored_sub(h, g) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matching_class_packings(self, m, data):
+        h, g = data.draw(matching_class_instances(m))
+        assert find_flower(h, 0, m) is not None
+        assert find_flower(h, 0, m + 1) is None
+        build_guarded_decomposition(h).validate()
+        # no injection into a smaller host; the brute-force budget refuses
+        # its 8^10 maps
+        emb = brute_count("colored-emb", h, g) if h.n <= g.n else 0
+        assert count_colored_embeddings(h, g) == emb
 
     @pytest.mark.parametrize("name", ["P6", "C6"])
     def test_large_host_against_partition_reference(self, name):

@@ -39,6 +39,10 @@ class TestDynamicProgram:
             h = random_graph(rng, rng.randint(1, 5))
             g = random_graph(rng, rng.randint(1, 7))
             assert count_hom_dp(h, g) == brute_count("hom", h, g)
+        # a step whose second message lies inside the seed message's scope,
+        # without its last vertex: it is joined before any vertex is grown
+        h = Graph(7, [(0, 4), (0, 6), (1, 6), (2, 6), (3, 4), (3, 6), (4, 5), (4, 6)])
+        assert count_hom_dp(h, clique(4)) == brute_count("hom", h, clique(4)) == 1296
 
     def test_empty_cases(self):
         assert count_hom_dp(Graph(0), clique(3)) == 1
