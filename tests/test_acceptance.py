@@ -41,7 +41,7 @@ from motifcount.graphs import (
 from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.motif import MotifParameter, change_basis, count_pattern, evaluate
 from motifcount.oracle import brute_count
-from motifcount.partitions import coefficient, spasm, sub_to_hom_vector
+from motifcount.partitions import coefficient, coefficient_row, spasm, sub_to_hom_vector
 
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
@@ -201,28 +201,25 @@ def test_criterion_08_inversion_identities():
         (canonical_form(g) for g in all_graphs_up_to(4)),
         key=graph_order_key,
     )
-    surj = [
-        [coefficient("Surj", h, f) for f in classes] for h in classes
-    ]
-    surjinv = [
-        [coefficient("SurjInv", h, f) for f in classes] for h in classes
-    ]
-    ok = surjinv == _invert(surj)
+
+    def matrix(kind, rows):
+        """The named matrix on `rows`, one coefficient row per h."""
+        out = []
+        for h in rows:
+            row = coefficient_row(kind, h)
+            out.append([row.get(f, Fraction(0)) for f in rows])
+        return out
+
+    ok = matrix("SurjInv", classes) == _invert(matrix("Surj", classes))
     for n in range(1, 5):
         sub_classes = [cf for cf in classes if cf.graph.n == n]
-        ext = [
-            [coefficient("Ext", h, f) for f in sub_classes]
-            for h in sub_classes
-        ]
-        extinv = [
-            [coefficient("ExtInv", h, f) for f in sub_classes]
-            for h in sub_classes
-        ]
+        ext = matrix("Ext", sub_classes)
+        extinv = matrix("ExtInv", sub_classes)
         ok = ok and extinv == _invert(ext)
-        for h in sub_classes:
-            for f in sub_classes:
+        for i, h in enumerate(sub_classes):
+            for j, f in enumerate(sub_classes):
                 sign = (-1) ** (len(f.graph.edges) - len(h.graph.edges))
-                if coefficient("ExtInv", h, f) != sign * coefficient("Ext", h, f):
+                if extinv[i][j] != sign * ext[i][j]:
                     ok = False
     _report(8, "Surj/Ext inversion identities", ok)
 

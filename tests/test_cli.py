@@ -52,6 +52,21 @@ class TestCount:
             values.add(out.strip())
         assert values == {"10"}
 
+    def test_pattern_past_the_treewidth_guard(self):
+        # the 11-edge matching: 22 vertices, all cleared by the reduction
+        # rules; a separate process, so that a hang fails the test at its
+        # timeout
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_MAIN, "count", "--kind", "hom",
+             "--pattern", encode_graph6(matching(11)), "--host", "Bw"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == str(6**11)  # (2m)^11 on K3
+
     def test_one_vertex_inline(self, capsys):
         # "@" is the graph6 of K1, not an empty @file path
         code, out, _ = run(
@@ -190,28 +205,28 @@ def colored_edge_list(n, edges, colors) -> str:
 GUARDED_DUMPS = {
     "P3": (
         colored_edge_list(3, [(0, 1), (1, 2)], (0, 1, 0)),
-        "0 parent=- bag={0,2} guard={0,2}\n"
+        "0 parent=- bag={1} guard={}\n"
         "1 parent=0 bag={0,1,2} guard={0,1,2}\n",
     ),
     "P6": (
         colored_edge_list(6, [(i, i + 1) for i in range(5)], (0, 1, 2, 0, 1, 2)),
-        "0 parent=- bag={0,3} guard={0,3}\n"
-        "1 parent=0 bag={0,1,3,4} guard={0,1,3,4}\n"
-        "2 parent=1 bag={1,2,3,4,5} guard={1,2,3,4,5}\n",
+        "0 parent=- bag={2,5} guard={2,5}\n"
+        "1 parent=0 bag={1,2,4,5} guard={1,2,4,5}\n"
+        "2 parent=1 bag={0,1,2,3,4} guard={0,1,2,3,4}\n",
     ),
     "C6": (
         colored_edge_list(6, [(i, (i + 1) % 6) for i in range(6)], (0, 1, 0, 1, 0, 1)),
-        "0 parent=- bag={0,2,4} guard={0,2,4}\n"
+        "0 parent=- bag={1,3,5} guard={1,3,5}\n"
         "1 parent=0 bag={0,1,2,3,4,5} guard={0,1,2,3,4,5}\n",
     ),
     "swept": (
         colored_edge_list(7, [(0, 5), (2, 5), (2, 6), (3, 5)], (2, 0, 1, 2, 0, 1, 1)),
-        "0 parent=- bag={2,5,6} guard={2,5,6}\n"
-        "1 parent=0 bag={0,3,5} guard={0,3,5}\n"
+        "0 parent=- bag={0,3} guard={0,3}\n"
+        "1 parent=0 bag={0,2,3,5,6} guard={0,2,3,5,6}\n"
         "2 parent=0 bag={1,4} guard={}\n",
     ),
     "hanging": (
-        colored_edge_list(5, [(1, 3), (3, 4)], (2, 2, 0, 0, 2)),
+        colored_edge_list(5, [(1, 3), (3, 4)], (0, 0, 2, 2, 0)),
         "0 parent=- bag={2,3} guard={}\n"
         "1 parent=0 bag={0,1,3,4} guard={1,3,4}\n",
     ),
@@ -242,8 +257,8 @@ class TestDecompose:
         assert out == (
             "0 parent=- bag={0,1} kind=plain\n"
             "1 parent=0 bag={0,1,2} kind=plain\n"
-            "2 parent=1 bag={0,2,3} kind=plain\n"
-            "3 parent=2 bag={0,3,4} kind=plain\n"
+            "2 parent=1 bag={1,2,3} kind=plain\n"
+            "3 parent=2 bag={1,3,4} kind=plain\n"
         )
 
     def test_guarded(self, tmp_path, capsys):

@@ -334,7 +334,7 @@ class TestGuardedDecomposition:
         proc = self._decompose_in_subprocess(f"@{source}")
         assert proc.returncode == 0
         assert proc.stdout == (
-            "0 parent=- bag={2,3,4,5,6,7,8,9} guard={2,3,4,5,6,7,8,9}\n"
+            "0 parent=- bag={0,1} guard={0,1}\n"
             "1 parent=0 bag={0,1,2,3,4,5,6,7,8,9} guard={0,1,2,3,4,5,6,7,8,9}\n"
         )
 
@@ -410,11 +410,12 @@ C6_COLORED = ColoredGraph(cycle(6), (0, 1, 0, 1, 0, 1))
 # the isolated vertices 1 and 4 share colour 0: one similarity class of two,
 # so the host sweep runs
 SWEPT = ColoredGraph(Graph(7, [(0, 5), (2, 5), (2, 6), (3, 5)]), (2, 0, 1, 2, 0, 1, 1))
-# a child whose separator has one unguarded vertex hangs off the root
-HANGING = ColoredGraph(Graph(5, [(1, 3), (3, 4)]), (2, 2, 0, 0, 2))
+# a child whose separator has one unguarded vertex hangs off the root (the
+# plan eliminates colour 0 first, so colour 2 is the root bag)
+HANGING = ColoredGraph(Graph(5, [(1, 3), (3, 4)]), (0, 0, 2, 2, 0))
 # one root bag holds the similarity class {0, 3} beside vertex 2, at which a
-# child hangs
-CLASS_AND_HANGING = ColoredGraph(Graph(5, [(1, 2)]), (0, 1, 0, 0, 1))
+# child hangs (colour 1, planned last, is the root bag)
+CLASS_AND_HANGING = ColoredGraph(Graph(5, [(1, 2)]), (1, 0, 1, 1, 0))
 # the isolated vertices 2, 3 and 4 form one similarity class of three
 CLASS_OF_THREE = ColoredGraph(Graph(5, [(0, 1)]), (2, 2, 1, 1, 1))
 PATTERNS = {

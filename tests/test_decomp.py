@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,9 @@ from conftest import clique, cycle, path, random_graph
 from motifcount.decomp import (
     DecompositionError,
     TreeDecomposition,
+    _degeneracy,
+    _reduction,
+    elimination_plan,
     exact_treewidth,
     massage_connected,
     max_spasm_treewidth,
@@ -13,8 +17,58 @@ from motifcount.decomp import (
     support_treewidth,
     to_nice,
 )
-from motifcount.graphs import Graph, adjacency, is_connected
+from motifcount.graphs import Graph, adjacency, disjoint_union, is_connected
 from motifcount.partitions import CapacityError
+
+
+def prism(k: int) -> Graph:
+    """C_k x K2 on 2k vertices: cubic, and triangle-free for k >= 4."""
+    return Graph(
+        2 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)],
+    )
+
+
+def partial_k_tree(rng: random.Random, n: int, k: int) -> Graph:
+    """A random subgraph of a random k-tree on n >= k + 1 vertices, randomly
+    labelled: treewidth <= k."""
+    edges = set(itertools.combinations(range(k + 1), 2))
+    cliques = list(itertools.combinations(range(k + 1), k))
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges |= {(u, v) for u in base}
+        cliques += [base[:i] + base[i + 1:] + (v,) for i in range(k)]
+    label = rng.sample(range(n), n)
+    return Graph(n, [(label[u], label[v]) for u, v in edges if rng.random() < 0.8])
+
+
+def fill_width(g: Graph, order) -> int:
+    """Largest number of later neighbours at elimination along `order`, each
+    elimination making the eliminated vertex's neighbours a clique."""
+    adj = [set(a) for a in adjacency(g)]
+    width = -1
+    for v in order:
+        nb = adj[v]
+        width = max(width, len(nb))
+        for u in nb:
+            adj[u] |= nb
+            adj[u] -= {u, v}
+    return width
+
+
+def planner_cases(rng: random.Random, n_max: int) -> list:
+    """Random, disconnected, edgeless and complete graphs and random partial
+    2- and 3-trees on at most n_max vertices."""
+    cases = [Graph(n) for n in range(n_max + 1)] + [clique(n) for n in range(1, n_max + 1)]
+    for _ in range(12):
+        cases.append(random_graph(rng, rng.randint(1, n_max), rng.choice([0.2, 0.4, 0.6])))
+        n = rng.randint(1, n_max - 1)
+        cases.append(disjoint_union(random_graph(rng, n), random_graph(rng, rng.randint(1, n_max - n))))
+        cases.append(partial_k_tree(rng, rng.randint(3, n_max), 2))
+        cases.append(partial_k_tree(rng, rng.randint(4, n_max), 3))
+    return cases
 
 
 class TestExactTreewidth:
@@ -34,8 +88,11 @@ class TestExactTreewidth:
             assert d.width() == w
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            exact_treewidth(Graph(25))
+        # 20 and 22 vertices that no reduction rule removes: one kernel
+        # component past TREEWIDTH_GUARD
+        for k in (10, 11):
+            with pytest.raises(CapacityError):
+                exact_treewidth(prism(k))
 
     def test_spasm_treewidth(self):
         assert max_spasm_treewidth(path(4)) == 2
@@ -45,6 +102,41 @@ class TestExactTreewidth:
         assert support_treewidth([]) == -1
         assert support_treewidth([Graph(1), path(3), cycle(4)]) == 2
         assert support_treewidth(iter([clique(4), path(2)])) == 3
+
+
+class TestPlanner:
+    def test_width_is_the_least_fill_in_width(self):
+        for g in planner_cases(random.Random(41), 7):
+            least = min(fill_width(g, order) for order in itertools.permutations(range(g.n)))
+            assert elimination_plan(g)[0] == least, g
+
+    def test_order_realises_the_width(self):
+        for g in planner_cases(random.Random(42), 12):
+            width, order = elimination_plan(g)
+            assert sorted(order) == list(range(g.n))
+            assert fill_width(g, order) == width, g
+
+    def test_rules_clear_a_large_partial_2_tree(self):
+        # far past TREEWIDTH_GUARD: only the reduction rules can plan it
+        g = partial_k_tree(random.Random(43), 200, 2)
+        width, order = elimination_plan(g)
+        assert width <= 2
+        assert fill_width(g, order) == width
+
+    def test_almost_simplicial_rule_waits_for_the_lower_bound(self):
+        # K4 on 0-3, each matched to a vertex of the 4-cycle 4-7: the K4
+        # vertices are almost simplicial of degree 4, the cycle vertices
+        # have independent neighbourhoods of size 3
+        g = Graph(8, list(itertools.combinations(range(4), 2))
+                  + [(4, 5), (5, 6), (6, 7), (4, 7)] + [(i, i + 4) for i in range(4)])
+        adj = [set(a) for a in adjacency(g)]
+        assert _degeneracy(adj) == 3
+        assert _reduction(adj, set(range(8)), 3) is None
+        assert _reduction(adj, set(range(8)), 4) == (0, 4)
+
+    def test_edge_cases(self):
+        assert elimination_plan(Graph(0)) == (-1, ())
+        assert elimination_plan(Graph(4))[0] == 0
 
 
 class TestValidation:

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import clique, cycle, path, random_colored, random_graph
+from conftest import clique, cycle, matching, path, random_colored, random_graph, star
 from motifcount import homcount
 from motifcount.decomp import DecompositionError
-from motifcount.graphs import ColoredGraph, Graph
+from motifcount.graphs import ColoredGraph, Graph, adjacency
 from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
 from motifcount.partitions import CapacityError
@@ -137,6 +137,21 @@ class TestMatrixEngine:
         assert homcount._word_primes(120, 2**90) == trial_division(120, 2**90)
         assert homcount._word_primes(120, 2**53) == trial_division(120, 2**53)
         assert homcount._prime_at_most.cache_info().misses == misses
+
+
+class TestPatternsPastTheGuard:
+    # forests on more than TREEWIDTH_GUARD vertices: the reduction rules
+    # plan them, and both engines match closed forms
+    @pytest.mark.parametrize("count", [count_hom_mm, count_hom_dp], ids=["mm", "dp"])
+    def test_closed_forms(self, count):
+        g = random_graph(random.Random(44), 40, 0.25)
+        adj = adjacency(g)
+        walks = [1] * g.n  # walks[v]: walks of the current length ending at v
+        for _ in range(29):
+            walks = [sum(walks[u] for u in a) for a in adj]
+        assert count(matching(11), g) == (2 * len(g.edges)) ** 11
+        assert count(star(20), g) == sum(len(a) ** 20 for a in adj)
+        assert count(path(29), g) == sum(walks)
 
 
 class TestColoredHom:
