@@ -2,6 +2,7 @@
 
 from .graphs import (
     CanonicalForm,
+    CapacityError,
     ColoredGraph,
     Graph,
     GraphFormatError,
@@ -16,7 +17,6 @@ from .graphs import (
     tensor_product,
 )
 from .partitions import (
-    CapacityError,
     SetPartition,
     coefficient,
     coefficient_row,

@@ -17,7 +17,6 @@ from .colored import (
     build_guarded_decomposition,
     count_colored_embeddings,
     count_colored_sub,
-    guarded_automorphism_count,
 )
 from .decomp import (
     DecompositionError,
@@ -31,6 +30,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     canonical_form,
+    colored_automorphism_count,
     parse_edge_list,
     parse_graph6,
 )
@@ -105,7 +105,7 @@ def _cmd_count(args) -> int:
             if args.engine == "brute":
                 value = brute_count("colored-emb", h, g)
                 if args.kind == "sub":
-                    value //= guarded_automorphism_count(h)
+                    value //= colored_automorphism_count(h)
             elif args.kind == "emb":
                 value = count_colored_embeddings(h, g)
             else:

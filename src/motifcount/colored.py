@@ -40,7 +40,6 @@ from .graphs import (
     is_connected,
 )
 from .homcount import _RowBuilder, _projection, count_hom_dp
-from .partitions import PRUNED_GUARD, CapacityError
 
 FLOWER_CAP = 16
 
@@ -624,16 +623,8 @@ def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
     return ordered * factor
 
 
-def guarded_automorphism_count(h: ColoredGraph) -> int:
-    """colored_automorphism_count under the pattern cap of partitions._canon:
-    its canonical search has no size guard of its own."""
-    if h.n > PRUNED_GUARD:
-        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
-    return colored_automorphism_count(h)
-
-
 def count_colored_sub(h: ColoredGraph, g: ColoredGraph) -> int:
-    aut = guarded_automorphism_count(h)
+    aut = colored_automorphism_count(h)
     emb = count_colored_embeddings(h, g)
     if emb % aut:
         raise AssertionError("embedding count not divisible by automorphisms")
@@ -654,13 +645,13 @@ def count_colorful_subgraphs_ie(f_pattern: Graph, g: Graph, coloring) -> int:
     for u, v in g.edges:
         if not f_pattern.has_edge(coloring[u], coloring[v]):
             raise ValueError("coloring is not a homomorphism into the pattern")
+    aut = automorphism_count(f_pattern)  # before the 2^|V(F)| loop: fails fast
     total = 0
     for r in range(f_pattern.n + 1):
         for dropped in itertools.combinations(range(f_pattern.n), r):
             keep = [v for v in range(g.n) if coloring[v] not in dropped]
             sign = -1 if r % 2 else 1
             total += sign * count_hom_dp(f_pattern, g.induced(keep))
-    aut = automorphism_count(f_pattern)
     if total % aut:
         raise AssertionError("inclusion-exclusion sum not divisible by Aut")
     return total // aut

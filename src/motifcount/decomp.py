@@ -16,8 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, adjacency, connected_components, is_connected
-from .partitions import CapacityError
+from .graphs import CapacityError, Graph, adjacency, connected_components, is_connected
 
 # largest kernel component the subset DP plans: 39 s for an irreducible
 # 19-vertex component, 70-77 s at 20 vertices (2-vCPU VM, Python 3.11)
@@ -133,9 +132,6 @@ class TreeDecomposition:
                 raise DecompositionError(f"N(alpha({t})) escapes sigma({t})")
         if self.alpha(self.root) != frozenset(range(g.n)):
             raise DecompositionError("root component must be the whole vertex set")
-
-    def dump(self) -> str:
-        return dump_decomposition(self)
 
 
 class NiceTreeDecomposition(TreeDecomposition):

@@ -3,6 +3,7 @@ edge-list I/O.
 
 One backtracking search yields canonical forms, automorphism counts and
 colored isomorphism; plain graphs are searched with the all-zero coloring.
+It refuses graphs above PRUNED_GUARD vertices, whichever entry point calls it.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
@@ -18,6 +19,12 @@ from typing import Iterable, Optional
 # Bound of the per-graph caches, which would otherwise keep every host and
 # every canonicalised supergraph for the life of the process.
 CACHE_SIZE = 4096
+# largest graph the canonical search accepts
+PRUNED_GUARD = 20
+
+
+class CapacityError(RuntimeError):
+    pass
 
 
 class GraphFormatError(ValueError):
@@ -167,43 +174,57 @@ def _canonical_search(g: Graph, colors: tuple) -> tuple:
     only when its key prefix exceeds the best complete key found so far, so
     no labeling reaching the final minimum is ever cut off.  Those labelings
     form one coset of the automorphism group; aut is their number.
+
+    Twins (same color, and the same open or the same closed neighborhood)
+    are placed once: swapping two unplaced twins is an automorphism fixing
+    the placed prefix, so only the least unplaced member of a twin class is
+    tried, its ties counting once per unplaced member.  The skipped subtrees
+    repeat its keys later in the search, so perm and aut do not change.
     """
     n = g.n
+    if n > PRUNED_GUARD:
+        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
     adj = adjacency(g)
+    # v's least twin: no vertex has twins of both kinds, so classes partition V
+    twin = [next(u for u in range(v + 1) if colors[u] == colors[v]
+                 and (adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v}))
+            for v in range(n)]
     best_key: Optional[tuple] = None
     best_perm: tuple = ()
     ties = 0
 
-    def extend(assigned, used, key):
+    def extend(assigned, used, key, weight):
         nonlocal best_key, best_perm, ties
         k = len(assigned)
         if k == n:
             # pruning below guarantees key <= best_key here
             if best_key is None or key < best_key:
-                best_key, best_perm, ties = key, tuple(assigned), 1
+                best_key, best_perm, ties = key, tuple(assigned), weight
             else:
-                ties += 1
+                ties += weight
             return
-        candidates = []
+        unplaced: dict = {}  # twin class -> its unplaced members
         for v in range(n):
-            if v in used:
-                continue
+            if v not in used:
+                unplaced.setdefault(twin[v], []).append(v)
+        candidates = []
+        for members in unplaced.values():
+            v = members[0]
             part = colors[v]
             for u in assigned:
                 part = part << 1 | (u in adj[v])
-            candidates.append((part, v))
-        candidates.sort()
-        for part, v in candidates:
+            candidates.append((part, v, len(members)))
+        for part, v, size in sorted(candidates):
             new_key = key + (part,)
             if best_key is not None and new_key > best_key[: k + 1]:
                 continue
             assigned.append(v)
             used.add(v)
-            extend(assigned, used, new_key)
+            extend(assigned, used, new_key, weight * size)
             assigned.pop()
             used.remove(v)
 
-    extend([], set(), ())
+    extend([], set(), (), 1)
     return best_perm, ties
 
 

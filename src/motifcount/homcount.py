@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .decomp import DecompositionError, elimination_plan
-from .graphs import ColoredGraph, Graph, adjacency, connected_components
-from .partitions import CapacityError
+from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_components
 
 # count_hom_mm refuses hosts whose dense arrays it estimates above this;
 # motif's engine="auto" then counts with the dict DP
@@ -211,6 +210,7 @@ def _crt_sum(residues: np.ndarray, primes: list) -> int:
                for col in zip(*rows))
 
 
+@lru_cache(maxsize=1024)
 def _dense_layers(h: Graph) -> int:
     """Most n x n arrays per prime that count_hom_mm holds at once besides
     the adjacency matrix: the two-vertex messages waiting in buckets, plus

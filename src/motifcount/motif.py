@@ -152,7 +152,6 @@ def count_pattern(kind: str, h: Graph, g: Graph, engine: str = "auto") -> int:
         raise ValueError(f"unknown count kind {kind!r}")
     value = evaluate(MotifParameter(basis, {h: Fraction(1)}), g, engine)
     if kind != basis:
-        # Aut(h) only now: the basis change has checked the pattern's size
         value *= automorphism_count(h)
     if value.denominator != 1:
         raise AssertionError("pattern count came out non-integral")

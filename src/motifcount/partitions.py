@@ -18,7 +18,9 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .graphs import (
+    PRUNED_GUARD,
     CanonicalForm,
+    CapacityError,
     ColoredGraph,
     Graph,
     adjacency,
@@ -30,17 +32,12 @@ from .graphs import (
 )
 
 PARTITION_GUARD = 14
-PRUNED_GUARD = 20
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
 # at ~0.5 ms and ~7 KiB of canonical-form cache each: 15-30 s and 0.2-0.4 GiB
 # at m = 15-16 (P7 has 15), but ~100 s and ~0.9 GiB at 17 and ~20 min at 21.
 SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
-
-
-class CapacityError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -152,11 +149,7 @@ def colored_spasm(h: ColoredGraph) -> list:
 
 
 def _canon(x) -> CanonicalForm:
-    if isinstance(x, CanonicalForm):
-        return x
-    if x.n > PRUNED_GUARD:  # fail before canonical_form, which has no guard
-        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
-    return canonical_form(x)
+    return x if isinstance(x, CanonicalForm) else canonical_form(x)
 
 
 @lru_cache(maxsize=1024)

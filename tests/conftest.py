@@ -1,9 +1,30 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import motifcount
 from motifcount.graphs import ColoredGraph, Graph, canonical_form
+
+CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_isolated(code: str, *argv) -> subprocess.CompletedProcess:
+    """`python -c code *argv` in a separate process that can import
+    motifcount and these helpers, so that a hang fails the test at its
+    timeout."""
+    paths = [str(Path(motifcount.__file__).parents[1]), str(Path(__file__).parent)]
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -15,6 +36,33 @@ def random_colored(rng: random.Random, n: int, ncolors: int, p: float = 0.5) -> 
     return ColoredGraph(
         random_graph(rng, n, p), [rng.randrange(ncolors) for _ in range(n)]
     )
+
+
+def twin_rich(rng: random.Random, n: int, ncolors: int) -> ColoredGraph:
+    """A random graph on at most 3 vertices, grown to n vertices by copying
+    random vertices as true twins (adjacent to the original) or false twins
+    (not adjacent); a copy mostly keeps its original's color.  Vertices are
+    then shuffled."""
+    base = rng.randint(1, min(n, 3)) if n else 0
+    adj = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(base), 2):
+        if rng.random() < 0.5:
+            adj[u].add(v)
+            adj[v].add(u)
+    colors = [rng.randrange(ncolors) for _ in range(base)]
+    for w in range(base, n):
+        v = rng.randrange(w)
+        for u in adj[v] | ({v} if rng.random() < 0.5 else set()):
+            adj[u].add(w)
+            adj[w].add(u)
+        colors.append(colors[v] if rng.random() < 0.8 else rng.randrange(ncolors))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(n) for v in adj[u] if u < v]
+    shuffled = [0] * n
+    for v in range(n):
+        shuffled[perm[v]] = colors[v]
+    return ColoredGraph(Graph(n, edges), shuffled)
 
 
 def path(k: int) -> Graph:

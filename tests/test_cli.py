@@ -1,13 +1,8 @@
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import motifcount
-from conftest import matching
+from conftest import CLI_MAIN, clique, matching, run_isolated, star
 from motifcount import cli
 from motifcount.cli import main
 from motifcount.graphs import Graph, encode_graph6
@@ -19,7 +14,6 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
 
 C5 = encode_graph6(Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
 
@@ -54,16 +48,9 @@ class TestCount:
 
     def test_pattern_past_the_treewidth_guard(self):
         # the 11-edge matching: 22 vertices, all cleared by the reduction
-        # rules; a separate process, so that a hang fails the test at its
-        # timeout
-        proc = subprocess.run(
-            [sys.executable, "-c", CLI_MAIN, "count", "--kind", "hom",
-             "--pattern", encode_graph6(matching(11)), "--host", "Bw"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
-        )
+        # rules
+        proc = run_isolated(CLI_MAIN, "count", "--kind", "hom", "--pattern",
+                            encode_graph6(matching(11)), "--host", "Bw")
         assert proc.returncode == 0
         assert proc.stdout.strip() == str(6**11)  # (2m)^11 on K3
 
@@ -112,6 +99,12 @@ class TestCount:
             capsys,
         )
         assert code == 0 and out.strip() == "2"
+
+    def test_colored_sub_of_a_monochromatic_star(self):
+        # K1,11 in one colour: its 11 leaves are one twin class
+        proc = run_isolated(CLI_MAIN, "colored-count", "--kind", "sub", "--pattern",
+                            encode_graph6(star(11)), "--host", "Bw")
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
 
 class TestSpasm:
@@ -164,6 +157,13 @@ class TestBasisEval:
             ["eval", "--param", str(f), "--host", "Bw"], capsys
         )
         assert code == 0 and out.strip() == "48"
+
+    def test_eval_hom_of_k12(self, tmp_path):
+        # K12 is one twin class; Hom(K12, K3) = 0
+        f = tmp_path / "p.motif"
+        f.write_text(f"basis hom\n1 {encode_graph6(clique(12))}\n")
+        proc = run_isolated(CLI_MAIN, "eval", "--param", str(f), "--host", "Bw")
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
     def test_indsub_to_hom_fixture(self, tmp_path, capsys):
         # IndSub(P5) + IndSub(C5), P5 the 5-vertex path
@@ -311,7 +311,6 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval"])
     def test_oversized_pattern_exit_1(self, tmp_path, command):
-        # a separate process, so that a hang fails the test at its timeout
         big = encode_graph6(Graph(21))
         f = tmp_path / "p.motif"
         f.write_text(f"basis sub\n1 {big}\n")
@@ -320,31 +319,18 @@ class TestErrors:
             "count-emb": ["count", "--kind", "emb", "--pattern", big, "--host", "Bw"],
             "eval": ["eval", "--param", str(f), "--host", "Bw"],
         }[command]
-        proc = subprocess.run(
-            [sys.executable, "-c", CLI_MAIN, *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
-        )
+        proc = run_isolated(CLI_MAIN, *argv)
         assert proc.returncode == 1
         assert "capped" in proc.stderr
 
     @pytest.mark.parametrize("engine", ["auto", "brute"])
     def test_oversized_colored_pattern_exit_1(self, tmp_path, engine):
-        # one colour class of 21 vertices: the colored automorphism search
-        # would not return; a separate process, so that a hang fails the test
+        # one colour class of 21 vertices, past the canonical search's cap
         big = encode_graph6(Graph(21))
         host = tmp_path / "host.txt"
         host.write_text("n 1\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", CLI_MAIN, "count", "--colored", "--kind", "sub",
-             "--engine", engine, "--pattern", big, "--host", f"@{host}"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
-        )
+        proc = run_isolated(CLI_MAIN, "count", "--colored", "--kind", "sub", "--engine", engine,
+                            "--pattern", big, "--host", f"@{host}")
         assert proc.returncode == 1
         assert "capped" in proc.stderr
 

@@ -1,16 +1,20 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import motifcount
-from conftest import clique, cycle, matching, path, random_colored, random_graph
+from conftest import (
+    CLI_MAIN,
+    clique,
+    cycle,
+    matching,
+    path,
+    random_colored,
+    random_graph,
+    run_isolated,
+)
 from motifcount.colored import (
     _restricted_cover,
     FLOWER_CAP,
@@ -28,6 +32,7 @@ from motifcount.colored import (
     is_l_attached,
 )
 from motifcount.graphs import (
+    CapacityError,
     ColoredGraph,
     Graph,
     adjacency,
@@ -298,15 +303,7 @@ class TestGuardedDecomposition:
 
     @staticmethod
     def _decompose_in_subprocess(source: str):
-        # a separate process, so that a hang fails the test at its timeout
-        main = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
-        return subprocess.run(
-            [sys.executable, "-c", main, "decompose", "--guarded", source],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(motifcount.__file__).parents[1])},
-        )
+        return run_isolated(CLI_MAIN, "decompose", "--guarded", source)
 
     def test_largest_matching_below_the_flower_cap(self):
         m = FLOWER_CAP - 1
@@ -540,6 +537,11 @@ class TestColorfulIE:
     def test_rejects_non_homomorphism_coloring(self):
         with pytest.raises(ValueError):
             count_colorful_subgraphs_ie(path(2), Graph(2, [(0, 1)]), [0, 2])
+
+    def test_oversized_pattern_refused_before_the_sum(self):
+        # the 2^21 terms of the sum are never run
+        with pytest.raises(CapacityError):
+            count_colorful_subgraphs_ie(Graph(21), Graph(0), [])
 
     def test_matches_brute(self):
         rng = random.Random(103)

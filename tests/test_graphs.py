@@ -11,7 +11,9 @@ from conftest import (
     path,
     random_colored,
     random_graph,
+    run_isolated,
     star,
+    twin_rich,
 )
 from motifcount.graphs import (
     ColoredGraph,
@@ -80,7 +82,8 @@ class TestCanonicalForm:
     def test_key_is_least_graph6_over_relabelings(self):
         # pins the keys that the CLI prints and graph_order_key sorts by
         rng = random.Random(3)
-        for g in all_graphs_up_to(5):
+        twins = [twin_rich(random.Random(i), 6, 1).graph for i in range(30)]
+        for g in all_graphs_up_to(5) + twins:
             perm = list(range(g.n))
             rng.shuffle(perm)
             least = min(
@@ -99,14 +102,56 @@ class TestAutomorphisms:
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 6))
+        graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(30)]
+        graphs += [twin_rich(rng, rng.randint(1, 7), 1).graph for _ in range(30)]
+        for g in graphs:
             brute = sum(
                 1
                 for perm in itertools.permutations(range(g.n))
                 if all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
             )
             assert automorphism_count(g) == brute
+
+    def test_closed_forms_up_to_the_cap(self):
+        # twin classes make these quick; a separate process, so that a hang
+        # fails the test at its timeout
+        proc = run_isolated(
+            "from math import factorial as f\n"
+            "from conftest import clique, matching, star\n"
+            "from motifcount.graphs import Graph, automorphism_count as aut\n"
+            "for n in range(21):\n"
+            "    assert aut(Graph(n)) == aut(clique(n)) == f(n), n\n"
+            "    if n > 2:\n"
+            "        assert aut(star(n - 1)) == f(n - 1), n\n"
+            "    for a in range(1, n // 2 + 1):\n"
+            "        kab = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])\n"
+            "        assert aut(kab) == f(a) * f(n - a) * (2 if 2 * a == n else 1), (a, n)\n"
+            # the edges of kM2 are not twins: the search is exponential in k
+            "for k in range(8):\n"
+            "    assert aut(matching(k)) == 2**k * f(k), k\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestCapacity:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "canonical_form(Graph(21))",
+            "automorphism_count(Graph(21))",
+            "colored_canonical_key(ColoredGraph(Graph(21), [0] * 21))",
+            "colored_automorphism_count(ColoredGraph(Graph(21), [0] * 21))",
+            "hom_closure([Graph(21)])",
+        ],
+    )
+    def test_every_symmetry_entry_point_refuses_past_the_cap(self, call):
+        proc = run_isolated(
+            "from motifcount import hom_closure\n"
+            "from motifcount.graphs import *\n"
+            f"try:\n    {call}\nexcept CapacityError as exc:\n    print(exc)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "patterns are capped at n=20"
 
 
 class TestProducts:
@@ -151,8 +196,9 @@ class TestColored:
 
     def test_colored_automorphisms_match_brute_force(self):
         rng = random.Random(7)
-        for _ in range(60):
-            h = random_colored(rng, rng.randint(0, 6), rng.randint(1, 3))
+        cases = [random_colored(rng, rng.randint(0, 6), rng.randint(1, 3)) for _ in range(60)]
+        cases += [twin_rich(rng, rng.randint(0, 7), rng.randint(2, 3)) for _ in range(60)]
+        for h in cases:
             brute = sum(
                 1
                 for p in itertools.permutations(range(h.n))
@@ -162,9 +208,9 @@ class TestColored:
 
     def test_isomorphism_matches_brute_force(self):
         rng = random.Random(11)
-        for i in range(90):
+        for i, make in itertools.product(range(90), (random_colored, twin_rich)):
             n = rng.randint(1, 6)
-            a = random_colored(rng, n, rng.randint(1, 3))
+            a = make(rng, n, rng.randint(1, 3))
             perm = list(range(n))
             rng.shuffle(perm)
             colors = [0] * n
@@ -173,7 +219,7 @@ class TestColored:
             if i % 3 == 1:  # one vertex recolored
                 colors[rng.randrange(n)] += 1
             if i % 3 == 2:  # unrelated graph on as many vertices
-                b = random_colored(rng, n, rng.randint(1, 3))
+                b = make(rng, n, rng.randint(1, 3))
             else:
                 b = ColoredGraph(a.graph.relabel(perm), colors)
             brute = any(
