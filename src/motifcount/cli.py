@@ -31,14 +31,15 @@ from .graphs import (
     GraphFormatError,
     canonical_form,
     colored_automorphism_count,
-    parse_edge_list,
     parse_graph6,
+    parse_graph_file,
 )
 # count_hom_mm is re-exported: the benchmark's self-test checks that its span
 # recorder wraps this import site
 from .homcount import count_colored_hom, count_hom_dp, count_hom_mm  # noqa: F401
 from .motif import (
     BASES,
+    MotifParameter,
     change_basis,
     count_pattern,
     evaluate,
@@ -68,14 +69,7 @@ def _load_source(src: str):
     """Inline graph6, or @path to a file holding graph6 or an edge list.  A
     bare @ is the graph6 of the one-vertex graph."""
     if src.startswith("@") and src != "@":
-        text = _read_text(src[1:])
-        first = next(
-            (l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")),
-            "",
-        )
-        if first.split()[:1] == ["n"]:
-            return parse_edge_list(text)
-        return parse_graph6(first)
+        return parse_graph_file(_read_text(src[1:]))
     return parse_graph6(src)
 
 
@@ -144,12 +138,18 @@ def _cmd_basis(args) -> int:
 def _cmd_eval(args) -> int:
     p = parse_motif_parameter(_read_text(args.param))
     g = _as_plain(_load_source(args.host))
-    print(evaluate(p, g, engine=args.engine))
+    if args.engine == "brute":
+        # the oracle on the parameter's own terms: no basis change, no kernel
+        print(sum(c * brute_count(p.basis, cf.graph, g) for cf, c in p.terms))
+    else:
+        print(evaluate(p, g, engine=args.engine))
     return 0
 
 
 def _cmd_decompose(args) -> int:
     if args.guarded is not None:
+        if args.graph is not None:
+            raise UsageError("decompose --guarded takes no graph argument")
         h = _as_colored(_load_source(args.guarded))
         gcd = build_guarded_decomposition(h)
         sys.stdout.write(gcd.dump())
@@ -225,8 +225,6 @@ def _fixture_expansion() -> bool:
 
 
 def _fixture_walks() -> bool:
-    from .motif import MotifParameter
-
     p = MotifParameter(
         "emb", [(parse_graph6(k), c) for k, c in _FIXTURE_WALK_VECTOR]
     )

@@ -1,13 +1,14 @@
 """Tree decompositions for small pattern graphs.
 
-Provides the cached elimination plan (exact treewidth and an optimal
-elimination order) that the homomorphism counters eliminate along: safe
-reduction rules eliminate simplicial and almost-simplicial vertices, and
-dynamic programming over vertex subsets plans each connected component of
-what they leave.  Also tree decompositions built from the plan, the
-connectivity massaging that makes every separator the exact neighborhood of
-its component, and the nice and width-2 normal forms, which serve only
-`motifcount decompose` and the public API.
+Provides the cached elimination plan (exact treewidth, an optimal
+elimination order and its message scopes) that the homomorphism counters
+eliminate along: safe reduction rules eliminate simplicial and
+almost-simplicial vertices, and dynamic programming over vertex subsets
+plans each connected component of what they leave.  Also tree
+decompositions built from the plan, the connectivity massaging that makes
+every separator the exact neighborhood of its component, and the nice and
+width-2 normal forms, which serve only `motifcount decompose` and the public
+API.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .graphs import CapacityError, Graph, adjacency, connected_components, is_connected
+from .partitions import spasm
 
 # largest kernel component the subset DP plans: 39 s for an irreducible
 # 19-vertex component, 70-77 s at 20 vertices (2-vCPU VM, Python 3.11)
@@ -277,8 +279,11 @@ def _subset_plan(adj: list, vertices: list) -> tuple:
 
 @lru_cache(maxsize=1024)
 def elimination_plan(g: Graph) -> tuple:
-    """(treewidth, optimal elimination order) of g; the order lists the
-    first-eliminated vertex first.  Cached, so every pattern is planned once.
+    """(width, order, later, parent): g's treewidth, an optimal elimination
+    order listing the first-eliminated vertex first, and per vertex v the
+    sorted tuple of its later neighbours after fill-in (the scope of the
+    message v sends) and the first of them in the order (its parent in the
+    elimination tree), or None.  Cached, so every pattern is planned once.
 
     The safe reduction rules of Bodlaender, Koster and van den Eijkhof
     eliminate vertices first, each filling in its neighbourhood, with the
@@ -309,43 +314,38 @@ def elimination_plan(g: Graph) -> tuple:
         w, comp_order = _subset_plan(adj, comp)
         width = max(width, w)
         order.extend(comp_order)
-    return width, tuple(order)
+    later = _fill_in(g, order)
+    rank = {v: i for i, v in enumerate(order)}
+    parent = tuple(min(nb, key=rank.__getitem__, default=None) for nb in later)
+    return width, tuple(order), later, parent
 
 
 def exact_treewidth(g: Graph):
-    """Minimum treewidth and an optimal rooted tree decomposition, built
-    along the elimination plan."""
-    width, order = elimination_plan(g)
+    """Minimum treewidth and an optimal rooted tree decomposition along the
+    elimination plan: eliminating v yields the bag {v} + later[v], which
+    hangs below its parent's bag, or below the last bag for a component's
+    last vertex."""
+    width, order, later, parent = elimination_plan(g)
     if g.n == 0:
         return width, TreeDecomposition([None], [frozenset()], 0)
-    return width, decomposition_from_elimination(g, list(order))
-
-
-def _fill_in(g: Graph, order) -> dict:
-    """Map each vertex v to its later neighbors in g filled along order:
-    eliminating v makes its remaining neighbors a clique."""
-    adj = [set(a) for a in adjacency(g)]
-    later = {}
-    for v in order:
-        later[v] = nb = frozenset(adj[v])
-        for u in nb:
-            adj[u] |= nb - {u}
-            adj[u].discard(v)
-    return later
-
-
-def decomposition_from_elimination(g: Graph, order: list) -> TreeDecomposition:
-    """Build a tree decomposition from an elimination ordering: eliminating
-    v yields the bag {v} + its later neighbors, and the bag hangs below the
-    bag of the first of them to be eliminated."""
-    later = _fill_in(g, order)
-    position = {v: i for i, v in enumerate(order)}
+    node = {v: i for i, v in enumerate(order)}
     root = g.n - 1
-    parents = [
-        None if i == root else min((position[u] for u in later[v]), default=root)
-        for i, v in enumerate(order)
-    ]
-    return TreeDecomposition(parents, [later[v] | {v} for v in order], root)
+    parents = [None if i == root else node.get(parent[v], root) for i, v in enumerate(order)]
+    return width, TreeDecomposition(parents, [later[v] + (v,) for v in order], root)
+
+
+def _fill_in(g: Graph, order) -> tuple:
+    """Per vertex v, the sorted tuple of its later neighbors in g filled
+    along order: eliminating v makes its remaining neighbors a clique."""
+    adj = [set(a) for a in adjacency(g)]
+    later = [()] * g.n
+    for v in order:
+        nb = adj[v]
+        later[v] = tuple(sorted(nb))
+        for u in nb:
+            adj[u] |= nb
+            adj[u] -= {u, v}
+    return tuple(later)
 
 
 def support_treewidth(graphs) -> int:
@@ -355,8 +355,6 @@ def support_treewidth(graphs) -> int:
 
 
 def max_spasm_treewidth(h: Graph) -> int:
-    from .partitions import spasm
-
     return support_treewidth(cf.graph for cf in spasm(h))
 
 
@@ -447,7 +445,7 @@ def normalize_width2(d: TreeDecomposition, g: Graph):
     # edge -> a bag holding it; the root's edge moves to the root's only child
     holder = {bags[0]: 0}
     for v in perm[2:]:
-        edge = next(e for e in holder if later[v] <= e)
+        edge = next(e for e in holder if e.issuperset(later[v]))
         parents.append(holder[edge])
         bags.append(edge | {v})
         for pair in map(frozenset, itertools.combinations(bags[-1], 2)):

@@ -414,34 +414,56 @@ def parse_graph6(text: str) -> Graph:
 # edge-list text format
 
 
-def parse_edge_list(text: str):
-    """Parse the edge-list format: `n <count>`, `e <u> <v>`, optional
-    `c <v> <color>` lines, `#` comments.  Returns a Graph, or a ColoredGraph
-    when any color line is present."""
-    n = None
-    edges = []
-    colors = {}
+def _content_lines(text: str):
+    """(line number, stripped line) of every line that is neither blank nor
+    a `#` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_graph_file(text: str):
+    """A graph file: the edge-list format when its first content line is an
+    `n` line, else graph6 on that line."""
+    first = next((line for _, line in _content_lines(text)), "")
+    if first.split()[:1] == ["n"]:
+        return parse_edge_list(text)
+    return parse_graph6(first)
+
+
+def parse_edge_list(text: str):
+    """Parse the edge-list format: one `n <count>`, `e <u> <v>` and at most
+    one `c <v> <color>` per vertex, `#` comments.  Returns a Graph, or a
+    ColoredGraph when any color line is present; errors name the line."""
+    n, edges, colors = None, {}, {}  # line -> (u, v); v -> (line, color)
+    for lineno, line in _content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "n" and len(parts) == 2:
+                if n is not None:
+                    raise ValueError("second `n` line")
                 n = int(parts[1])
             elif parts[0] == "e" and len(parts) == 3:
-                edges.append((int(parts[1]), int(parts[2])))
+                edges[lineno] = (int(parts[1]), int(parts[2]))
             elif parts[0] == "c" and len(parts) == 3:
-                colors[int(parts[1])] = int(parts[2])
+                v = int(parts[1])
+                if v in colors:
+                    raise ValueError(f"second color for vertex {v}")
+                colors[v] = (lineno, int(parts[2]))
             else:
                 raise ValueError("unrecognized directive")
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise GraphFormatError("missing `n <count>` line")
-    g = Graph(n, edges)
+    bad = [line for line, (u, v) in edges.items() if not (0 <= u < n and 0 <= v < n)]
+    bad += [line for v, (line, _) in colors.items() if not 0 <= v < n]
+    if bad:
+        raise GraphFormatError(f"line {min(bad)}: vertex out of range for {n} vertices")
+    g = Graph(n, edges.values())
     if colors:
-        return ColoredGraph(g, tuple(colors.get(v, 0) for v in range(n)))
+        return ColoredGraph(g, tuple(colors[v][1] if v in colors else 0 for v in range(n)))
     return g
 
 

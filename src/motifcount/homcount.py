@@ -1,8 +1,9 @@
 """Exact homomorphism counting by bucket elimination.
 
 Both engines eliminate the pattern's vertices along the cached optimal
-order of decomp.elimination_plan: eliminating v multiplies the factors that
-mention v and sums v out, so a pattern of treewidth k costs n^(k+1).
+order of decomp.elimination_plan, which also fixes each message's scope and
+the bucket it goes to: eliminating v multiplies the factors that mention v
+and sums v out, so a pattern of treewidth k costs n^(k+1).
 count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built
 by _RowBuilder: rows of host images grown one pattern vertex at a time
 through colour-restricted neighbourhoods, each message joined once its
@@ -38,25 +39,19 @@ _EXACT = 2**53
 
 
 def _eliminate(h: Graph, step) -> int:
-    """Run bucket elimination over h.  step(v, later, factors) gets v, the
-    sorted tuple of its later neighbours and the (scope, table) factors in
-    v's bucket, and returns the table over `later`; when `later` is empty
-    that is an int, the count for v's connected component."""
-    _, order = elimination_plan(h)
-    rank = {v: i for i, v in enumerate(order)}
-    adj = adjacency(h)
+    """Run bucket elimination over h along its plan.  step(v, later,
+    factors) gets v, its scope later[v] and the (scope, table) factors in
+    v's bucket, and returns the table over `later`, which goes to the
+    bucket of v's parent; when `later` is empty that is an int, the count
+    for v's connected component."""
+    _, order, later, parent = elimination_plan(h)
     buckets: list = [[] for _ in range(h.n)]
     total = 1
     for v in order:
         factors, buckets[v] = buckets[v], None  # freed once v is eliminated
-        later = {u for u in adj[v] if rank[u] > rank[v]}
-        for scope, _ in factors:
-            later.update(scope)
-        later.discard(v)
-        later = tuple(sorted(later))
-        table = step(v, later, factors)
-        if later:
-            buckets[min(later, key=rank.__getitem__)].append((later, table))
+        table = step(v, later[v], factors)
+        if later[v]:
+            buckets[parent[v]].append((later[v], table))
         else:
             total *= table
             if total == 0:

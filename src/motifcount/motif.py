@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomp import elimination_plan, support_treewidth
-from .graphs import (
-    Graph,
-    automorphism_count,
-    canonical_form,
-    graph_order_key,
-    parse_graph6,
-)
+from .graphs import Graph, canonical_form, graph_order_key, parse_graph6
 from .homcount import count_hom_dp, count_hom_mm
 from .partitions import CapacityError, _canon, coefficient_row
 
@@ -123,10 +117,6 @@ def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:
             except CapacityError:
                 pass  # refused before allocating: the dict factors need no n x n
         return count_hom_dp(f, g)
-    if engine == "brute":
-        from .oracle import brute_count
-
-        return brute_count("hom", f, g)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -141,18 +131,11 @@ def evaluate(p: MotifParameter, g: Graph, engine: str = "auto") -> Fraction:
 
 def count_pattern(kind: str, h: Graph, g: Graph, engine: str = "auto") -> int:
     """Convenience counter for a single pattern in any of the five count
-    families."""
+    families: a hom count directly, uncanonicalised; any other kind as the
+    one-term parameter in its own basis."""
     if kind == "hom":
         return _hom_count(h, g, engine)
-    if kind in ("sub", "emb"):
-        basis = "sub"
-    elif kind in ("indsub", "strembed"):
-        basis = "indsub"
-    else:
-        raise ValueError(f"unknown count kind {kind!r}")
-    value = evaluate(MotifParameter(basis, {h: Fraction(1)}), g, engine)
-    if kind != basis:
-        value *= automorphism_count(h)
+    value = evaluate(MotifParameter(kind, {h: 1}), g, engine)
     if value.denominator != 1:
         raise AssertionError("pattern count came out non-integral")
     return int(value)

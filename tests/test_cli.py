@@ -1,11 +1,15 @@
 import io
+import random
 
 import pytest
 
-from conftest import CLI_MAIN, clique, matching, run_isolated, star
-from motifcount import cli
+from conftest import (
+    CLI_MAIN, clique, matching, path, random_colored, random_graph, run_isolated, star,
+)
+from motifcount import cli, motif
 from motifcount.cli import main
-from motifcount.graphs import Graph, encode_graph6
+from motifcount.graphs import ColoredGraph, Graph, encode_graph6, format_edge_list, parse_graph6
+from motifcount.oracle import brute_count
 
 
 def run(argv, capsys):
@@ -100,6 +104,34 @@ class TestCount:
         )
         assert code == 0 and out.strip() == "2"
 
+    def test_files_with_leading_comments(self, tmp_path, capsys):
+        g6 = tmp_path / "k3.g6"
+        g6.write_text("# a triangle\nBw\n")
+        edges = tmp_path / "k2.txt"
+        edges.write_text("  # an indented note\nn 2\ne 0 1\n")
+        code, out, _ = run(
+            ["count", "--kind", "hom", "--pattern", f"@{edges}", "--host", f"@{g6}"], capsys
+        )
+        assert code == 0 and out.strip() == "6"
+
+    @pytest.mark.parametrize("kind", ["hom", "emb", "sub"])
+    @pytest.mark.parametrize("engine", ["auto", "brute"])
+    def test_colored_kinds_match_the_oracle(self, tmp_path, capsys, kind, engine):
+        rng = random.Random(53)
+        h = ColoredGraph(path(2), (0, 1, 0))  # two colour-preserving automorphisms
+        g = random_colored(rng, 8, 2, 0.6)
+        for name, x in (("h", h), ("g", g)):
+            (tmp_path / name).write_text(format_edge_list(x))
+        code, out, _ = run(["colored-count", "--kind", kind, "--engine", engine,
+                            "--pattern", f"@{tmp_path / 'h'}", "--host", f"@{tmp_path / 'g'}"],
+                           capsys)
+        if kind == "hom":
+            want = brute_count("colored-hom", h, g)
+        else:
+            want = brute_count("colored-emb", h, g) // (2 if kind == "sub" else 1)
+        assert want > 0
+        assert code == 0 and out.strip() == str(want)
+
     def test_colored_sub_of_a_monochromatic_star(self):
         # K1,11 in one colour: its 11 leaves are one twin class
         proc = run_isolated(CLI_MAIN, "colored-count", "--kind", "sub", "--pattern",
@@ -157,6 +189,23 @@ class TestBasisEval:
             ["eval", "--param", str(f), "--host", "Bw"], capsys
         )
         assert code == 0 and out.strip() == "48"
+
+    def test_eval_brute_is_the_oracle_in_the_own_basis(self, tmp_path, capsys, monkeypatch):
+        # IndSub(P5) + IndSub(C5) by the oracle alone: no basis change runs
+        f = tmp_path / "p.motif"
+        f.write_text("basis indsub\n1 DhC\n1 Dhc\n")
+        g = random_graph(random.Random(61), 9)
+        want = brute_count("indsub", path(4), g) + brute_count("indsub", parse_graph6("Dhc"), g)
+        code, out, _ = run(["eval", "--param", str(f), "--host", encode_graph6(g)], capsys)
+        assert code == 0 and out.strip() == str(want) and want > 0
+
+        def no_basis_change(*args):
+            raise AssertionError("eval --engine brute changed basis")
+
+        monkeypatch.setattr(motif, "change_basis", no_basis_change)
+        code, out, _ = run(["eval", "--param", str(f), "--host", encode_graph6(g),
+                            "--engine", "brute"], capsys)
+        assert code == 0 and out.strip() == str(want)
 
     def test_eval_hom_of_k12(self, tmp_path):
         # K12 is one twin class; Hom(K12, K3) = 0
@@ -269,6 +318,12 @@ class TestDecompose:
                 source = f"@{f}"
             code, out, _ = run(["decompose", "--guarded", source], capsys)
             assert code == 0 and out == want, name
+
+    def test_guarded_takes_no_graph_argument(self, tmp_path, capsys):
+        f = tmp_path / "p3.txt"
+        f.write_text(GUARDED_DUMPS["P3"][0])
+        code, out, err = run(["decompose", "Bw", "--guarded", f"@{f}"], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestErrors:

@@ -400,6 +400,20 @@ class TestColoredCounts:
             assert count_colored_embeddings(h, g) == want
             assert count_colored_sub(h, g) == want // colored_automorphism_count(h)
 
+    def test_star_leaves_free_beside_a_guarded_centre(self):
+        # K1,20 with centre colour 0 and leaves colour 1: the leaves are one
+        # free class whose members all neighbour the guarded centre
+        rng = random.Random(103)
+        g = random_graph(rng, 60)
+        colors = [0] * 3 + [1] * 57
+        rng.shuffle(colors)
+        h = ColoredGraph(Graph(21, [(0, i) for i in range(1, 21)]), [0] + [1] * 20)
+        adj = adjacency(g)
+        want = sum(math.perm(sum(colors[y] == 1 for y in adj[x]), 20)
+                   for x in range(60) if colors[x] == 0)
+        assert want > 0
+        assert count_colored_embeddings(h, ColoredGraph(g, colors)) == want
+
 
 # every bag fully guarded, every similarity class a singleton
 P6_COLORED = ColoredGraph(path(5), (0, 1, 2, 0, 1, 2))

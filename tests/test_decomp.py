@@ -112,14 +112,25 @@ class TestPlanner:
 
     def test_order_realises_the_width(self):
         for g in planner_cases(random.Random(42), 12):
-            width, order = elimination_plan(g)
+            width, order = elimination_plan(g)[:2]
             assert sorted(order) == list(range(g.n))
             assert fill_width(g, order) == width, g
+
+    def test_plan_carries_the_fill_in_scopes(self):
+        for g in planner_cases(random.Random(44), 10):
+            _, order, later, parent = elimination_plan(g)
+            adj = [set(a) for a in adjacency(g)]
+            for v in order:
+                assert later[v] == tuple(sorted(adj[v])), g
+                assert parent[v] == next((u for u in order if u in adj[v]), None), g
+                for u in adj[v]:
+                    adj[u] |= adj[v]
+                    adj[u] -= {u, v}
 
     def test_rules_clear_a_large_partial_2_tree(self):
         # far past TREEWIDTH_GUARD: only the reduction rules can plan it
         g = partial_k_tree(random.Random(43), 200, 2)
-        width, order = elimination_plan(g)
+        width, order = elimination_plan(g)[:2]
         assert width <= 2
         assert fill_width(g, order) == width
 
@@ -135,7 +146,7 @@ class TestPlanner:
         assert _reduction(adj, set(range(8)), 4) == (0, 4)
 
     def test_edge_cases(self):
-        assert elimination_plan(Graph(0)) == (-1, ())
+        assert elimination_plan(Graph(0)) == (-1, (), (), ())
         assert elimination_plan(Graph(4))[0] == 0
 
 

@@ -2,9 +2,9 @@
 
 A stdlib-only dead-code scan: each function defined at module level, and
 each method defined at class level, in the package source (dunders
-excepted) must appear by name in the package or the tests, as a name, an
-attribute or an import alias.  The scan goes by name alone, so a method
-escapes it when an unrelated variable shares its name.
+excepted) must be referenced in the package or the tests: a function as a
+name, an attribute or an import alias, a method only as an attribute, so
+that a same-named variable does not count for it.
 """
 
 import ast
@@ -30,28 +30,30 @@ def definitions(path: Path) -> list:
     return [d for d in out if not (d[2].startswith("__") and d[2].endswith("__"))]
 
 
-def referenced_names(paths) -> set:
-    names = set()
+def references(paths) -> tuple:
+    """(names, attributes): every name, attribute and import alias used,
+    and the attributes alone."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.split(".")[-1])
                 if node.asname:
                     names.add(node.asname)
-    return names
+    return names | attributes, attributes
 
 
 def unreferenced(defining: list, referencing: list) -> list:
-    names = referenced_names(referencing)
+    names, attributes = references(referencing)
     return [
         f"{path.name}:{line}: {qualified}"
         for path in defining
         for line, qualified, name in definitions(path)
-        if name not in names
+        if name not in (attributes if "." in qualified else names)
     ]
 
 
@@ -70,6 +72,17 @@ def test_scan_finds_an_unreferenced_definition(tmp_path):
     user = tmp_path / "test_m.py"
     user.write_text("from m import C\n")
     assert unreferenced([module], [module, user]) == ["m.py:4: unused", "m.py:11: C.dead"]
+
+
+def test_a_method_shadowed_by_a_variable_is_unreferenced(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class C:\n"
+        "    def size(self):\n        return 0\n"
+        "size = 3\n"
+        "print(size)\n"
+    )
+    assert unreferenced([module], [module]) == ["m.py:2: C.size"]
 
 
 def test_every_definition_is_referenced():

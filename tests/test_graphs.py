@@ -28,6 +28,7 @@ from motifcount.graphs import (
     format_edge_list,
     parse_edge_list,
     parse_graph6,
+    parse_graph_file,
     quotient,
     tensor_product,
 )
@@ -252,6 +253,22 @@ class TestEdgeList:
         assert g == path(2)
         with pytest.raises(ValueError):
             parse_edge_list("n 2\ne 0 5\n")
+
+    def test_indented_comment_before_the_n_line(self):
+        assert parse_graph_file("  # note\nn 3\ne 0 1\n") == Graph(3, [(0, 1)])
+        assert parse_graph_file("  # note\nBw\n") == clique(3)
+
+    @pytest.mark.parametrize("text, line", [
+        ("n 2\ne 0 1\nc 5 1\n", 3),
+        ("n 2\nc 0 1\nc 0 2\n", 3),
+        ("n 2\nn 3\n", 2),
+        ("n 2\ne 0 1\ne 1 7\n", 3),
+        ("e 0 4\nn 3\n", 1),
+    ], ids=["color-out-of-range", "second-color", "second-n", "edge-out-of-range",
+            "edge-before-n"])
+    def test_bad_lines_are_named(self, text, line):
+        with pytest.raises(GraphFormatError, match=f"^line {line}: "):
+            parse_edge_list(text)
 
 
 def test_connected_components():

@@ -97,11 +97,12 @@ class TestCountPattern:
 
     def test_engines_agree(self):
         h, g = path(3), random_graph(random.Random(51), 8)
-        values = {
-            count_pattern("sub", h, g, engine=e)
-            for e in ("auto", "dp", "mm", "brute")
-        }
-        assert len(values) == 1
+        values = {count_pattern("sub", h, g, engine=e) for e in ("auto", "dp", "mm")}
+        assert values == {brute_count("sub", h, g)}
+
+    def test_brute_is_not_a_library_engine(self):
+        with pytest.raises(ValueError):
+            evaluate(MotifParameter("sub", {path(2): 1}), path(3), engine="brute")
 
     def test_auto_falls_back_on_large_sparse_hosts(self):
         # one 12000 x 12000 float64 matrix exceeds DENSE_BYTES_GUARD, so the
