@@ -26,6 +26,7 @@ from .decomp import (
     to_nice,
 )
 from .graphs import (
+    CapacityError,
     ColoredGraph,
     Graph,
     GraphFormatError,
@@ -47,7 +48,7 @@ from .motif import (
     parse_motif_parameter,
 )
 from .oracle import BudgetExceeded, brute_count
-from .partitions import CapacityError, coefficient_row, sub_to_hom_vector
+from .partitions import coefficient_row, sub_to_hom_vector
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1

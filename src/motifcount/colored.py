@@ -38,8 +38,9 @@ from .graphs import (
     colored_automorphism_count,
     connected_components,
     is_connected,
+    quotient,
 )
-from .homcount import _RowBuilder, _projection, count_hom_dp
+from .homcount import _eliminate, _RowBuilder, _projection, count_hom_dp
 
 FLOWER_CAP = 16
 
@@ -68,14 +69,8 @@ class Flower:
 def contract_colors(h: ColoredGraph) -> Graph:
     """One vertex per color class (in sorted class-id order); an edge iff
     some cross-class edge exists."""
-    ids = h.color_ids()
-    index = {c: i for i, c in enumerate(ids)}
-    edges = set()
-    for u, v in h.graph.edges:
-        cu, cv = index[h.colors[u]], index[h.colors[v]]
-        if cu != cv:
-            edges.add((min(cu, cv), max(cu, cv)))
-    return Graph(len(ids), edges)
+    classes = h.color_classes()
+    return quotient(h.graph, [classes[c] for c in h.color_ids()]).graph
 
 
 def clique_saturate(h: ColoredGraph, except_class=None) -> Graph:
@@ -420,7 +415,6 @@ def _component_pipeline(hc: ColoredGraph, c: int):
     returns (TreeDecomposition, guards) in the component's local labels."""
     hdot = clique_saturate(hc)
     ids = hc.color_ids()
-    id_index = {cid: i for i, cid in enumerate(ids)}
     contracted = contract_colors(hc)
     w, td_hat = exact_treewidth(contracted)
     classes = hc.color_classes()
@@ -448,10 +442,8 @@ def _component_pipeline(hc: ColoredGraph, c: int):
         inside = s_star & td0.gamma(t)
         beta1.append(beta0[t] | inside)
         guard1.append(inside | a_star)
-    td1 = TreeDecomposition(td0.parents, beta1, td0.root)
-    td1.validate(hdot)
-
-    td2, fmap = massage_connected(td1, hdot)
+    # massage_connected validates the grown decomposition
+    td2, fmap = massage_connected(TreeDecomposition(td0.parents, beta1, td0.root), hdot)
     guards = []
     for t in range(td2.node_count()):
         base = guard1[fmap[t]] & td2.bags[t]
@@ -519,45 +511,48 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     """Number of color-preserving embeddings of h into g that are monotone
     (in host vertex order) on each similarity class.
 
-    Per node, bottom up, the guard assignments are the rows of
-    homcount._RowBuilder, with distinct images: the plain children's tables
-    are its factors, and a row carries the product of their counts.  Rows
-    are grown in one batch per image of the first guard vertex, so live rows
-    stay few.
+    homcount._eliminate runs the DP over the decomposition's nodes, children
+    first, each sending its table over its sorted separator.  A node's guard
+    assignments are the rows of homcount._RowBuilder, with distinct images:
+    the tables of children with guarded separators are its factors, and a
+    row carries the product of their counts.  Rows are grown in one batch
+    per image of the first guard vertex, so live rows stay few.
 
     A surviving row then places the free bag vertices.  Members of a
     similarity class share colour and neighbours, so the state counts the
     placed members of each class (its first ones, at increasing hosts).
     Each class's candidate hosts are computed once per row, and only their
-    union is swept, each host taking at most one vertex."""
+    union is swept, each host taking at most one vertex; a child whose
+    separator has one unguarded vertex weighs the host that vertex takes."""
     if gcd.h is not h and gcd.h != h:
         gcd = GuardedCutvertexDecomposition(h, gcd.td, gcd.guards)
-    if h.n == 0:
-        return 1
     td = gcd.td
     builder = _RowBuilder(h.graph, g.graph, g.colors, h.colors)
     class_of = {v: ci for ci, members in enumerate(gcd.similarity_partition())
                 for v in members}
-    outer: dict = {}  # node -> dict keyed by tuple of images of sorted sigma
 
-    for t in reversed(td.topological_order()):
+    def step(t, sigma, factors):
         guard_set = gcd.guards[t]
-        hang = gcd.hanging(t)
         order = builder.order(sorted(guard_set))
         pos = {u: i for i, u in enumerate(order)}
-        sigma_key = _projection([pos[u] for u in sorted(td.sigma(t))])
-        # the plain children: separator inside the guard set
-        factors = [(sorted(td.sigma(ch)), outer[ch])
-                   for ch in td.children[t] if td.sigma(ch) <= guard_set]
+        # a child's table joins the guard rows when its separator is guarded;
+        # else it hangs at the separator's one unguarded vertex (separator
+        # slots, None for that vertex)
+        plain, hung_at = [], {}
+        for scope, table in factors:
+            loose = [u for u in scope if u not in guard_set]
+            if loose:
+                hung_at.setdefault(loose[0], []).append(([pos.get(u) for u in scope], table))
+            else:
+                plain.append((scope, table))
         # one batch of guard rows per image of the first guard vertex, so
         # that live rows stay few
         seeds = [((x,), 1) for x in builder.hosts[order[0]]] if order else [((), 1)]
-        batches = (builder.grow([seed], order, len(seed[0]), factors, distinct=True)
+        batches = (builder.grow([seed], order, len(seed[0]), plain, distinct=True)
                    for seed in seeds)
         # the free bag vertices by similarity class: its size, its first
         # member (whose host tables all members share), the row positions
-        # of its guard neighbours and, for a singleton, the children hanging
-        # at it (separator slots, None for itself)
+        # of its guard neighbours and the children hanging at it
         free: dict = {}
         for v in sorted(td.bags[t] - guard_set):
             free.setdefault(class_of[v], []).append(v)
@@ -565,9 +560,9 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
         for members in free.values():
             v = members[0]
             kinds.append((len(members), v, [pos[u] for u in builder.adj[v] & guard_set],
-                          [([pos.get(u) for u in sorted(td.sigma(ch))], outer[ch])
-                           for ch in hang.get(v, ())]))
+                          hung_at.get(v, ())))
         empty, full = (0,) * len(kinds), tuple(size for size, *_ in kinds)
+        sigma_key = _projection([pos[u] for u in sigma])
         w_t: dict = {}
 
         for row, base in itertools.chain.from_iterable(batches):
@@ -605,16 +600,16 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
             if total:
                 key = sigma_key(row)
                 w_t[key] = w_t.get(key, 0) + total
-        outer[t] = w_t
+        return w_t if sigma else w_t.get((), 0)
 
-    return outer[td.root].get((), 0)
+    return _eliminate((td.topological_order()[::-1],
+                       [tuple(sorted(td.sigma(t))) for t in range(td.node_count())],
+                       td.parents), step)
 
 
 def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
     """Color-preserving embedding count via the guarded decomposition and
     the ordered-embedding factorization."""
-    if h.n == 0:
-        return 1
     gcd = build_guarded_decomposition(h)
     ordered = count_ordered_embeddings(h, g, gcd)
     factor = 1

@@ -245,10 +245,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _subset_plan(adj: list, vertices: list) -> tuple:
-    """(treewidth, optimal elimination order) of the graph that `adj`
-    induces on `vertices`, a connected component, by dynamic programming
-    over elimination prefixes: 2^len(vertices) states."""
+def _subset_plan(adj: list, vertices: list) -> list:
+    """An optimal elimination order of the graph that `adj` induces on
+    `vertices`, a connected component, by dynamic programming over
+    elimination prefixes: 2^len(vertices) states."""
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     adj_masks = [sum(1 << index[u] for u in adj[v]) for v in vertices]
@@ -274,13 +274,14 @@ def _subset_plan(adj: list, vertices: list) -> tuple:
         order.append(vertices[v])
         s ^= 1 << v
     order.reverse()
-    return cost[full], order
+    return order
 
 
 @lru_cache(maxsize=1024)
 def elimination_plan(g: Graph) -> tuple:
-    """(width, order, later, parent): g's treewidth, an optimal elimination
-    order listing the first-eliminated vertex first, and per vertex v the
+    """(width, order, later, parent): g's treewidth (the largest scope, -1
+    for the empty graph), an optimal elimination order listing the
+    first-eliminated vertex first, and per vertex v the
     sorted tuple of its later neighbours after fill-in (the scope of the
     message v sends) and the first of them in the order (its parent in the
     elimination tree), or None.  Cached, so every pattern is planned once.
@@ -293,11 +294,10 @@ def elimination_plan(g: Graph) -> tuple:
     components, not g."""
     adj = [set(a) for a in adjacency(g)]
     alive = set(range(g.n))
-    low, width, order = _degeneracy(adj), -1, []
+    low, order = _degeneracy(adj), []
     while (step := _reduction(adj, alive, low)) is not None:
         v, low = step
         nb = adj[v]
-        width = max(width, len(nb))
         order.append(v)
         alive.remove(v)
         for u in nb:
@@ -311,13 +311,11 @@ def elimination_plan(g: Graph) -> tuple:
             raise CapacityError(
                 f"exact treewidth capped at {TREEWIDTH_GUARD} vertices per kernel component"
             )
-        w, comp_order = _subset_plan(adj, comp)
-        width = max(width, w)
-        order.extend(comp_order)
+        order.extend(_subset_plan(adj, comp))
     later = _fill_in(g, order)
     rank = {v: i for i, v in enumerate(order)}
     parent = tuple(min(nb, key=rank.__getitem__, default=None) for nb in later)
-    return width, tuple(order), later, parent
+    return max(map(len, later), default=-1), tuple(order), later, parent
 
 
 def exact_treewidth(g: Graph):

@@ -18,18 +18,10 @@ from .partitions import spasm
 
 
 def hom_closure(support) -> list:
-    """Minimal spasm-closed superset, sorted by the global graph order."""
-    pending = [canonical_form(s) if not isinstance(s, CanonicalForm) else s for s in support]
-    closed: dict = {}
-    while pending:
-        cf = pending.pop()
-        if cf.key in closed:
-            continue
-        closed[cf.key] = cf
-        for fc in spasm(cf.graph):
-            if fc.key not in closed:
-                pending.append(fc)
-    return sorted(closed.values(), key=graph_order_key)
+    """Minimal spasm-closed superset, sorted by the global graph order: the
+    union of the members' spasms, since a quotient of a quotient of H is a
+    quotient of H."""
+    return sorted({f for s in support for f in spasm(s)}, key=graph_order_key)
 
 
 def _solve_exact(matrix, rhs):

@@ -443,14 +443,19 @@ def parse_edge_list(text: str):
             if parts[0] == "n" and len(parts) == 2:
                 if n is not None:
                     raise ValueError("second `n` line")
-                n = int(parts[1])
+                if (n := int(parts[1])) < 0:
+                    raise ValueError("vertex count must be nonnegative")
             elif parts[0] == "e" and len(parts) == 3:
-                edges[lineno] = (int(parts[1]), int(parts[2]))
+                u, v = edges[lineno] = (int(parts[1]), int(parts[2]))
+                if u == v:
+                    raise ValueError(f"loop at vertex {u} not allowed")
             elif parts[0] == "c" and len(parts) == 3:
-                v = int(parts[1])
+                v, c = int(parts[1]), int(parts[2])
                 if v in colors:
                     raise ValueError(f"second color for vertex {v}")
-                colors[v] = (lineno, int(parts[2]))
+                if c < 0:
+                    raise ValueError("colors must be nonnegative")
+                colors[v] = (lineno, c)
             else:
                 raise ValueError("unrecognized directive")
         except ValueError as exc:

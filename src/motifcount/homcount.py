@@ -8,15 +8,16 @@ count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built
 by _RowBuilder: rows of host images grown one pattern vertex at a time
 through colour-restricted neighbourhoods, each message joined once its
 scope is placed (the colored ordered-embedding DP grows its guard rows with
-the same builder).  count_hom_mm keeps dense float64 matrices for
-treewidth <= 2, one BLAS product per vertex.  Its arithmetic is exact by a
-certificate: no entry or partial sum exceeds D^(k-1), D the host's maximum
-degree and k the largest pattern component's vertex count.  Below 2^53 one
-float64 pass is exact; above, the factors are stacked residues modulo
-word-size primes (the FFLAS-FFPACK approach of Dumas, Giorgi and Pernet)
-rebuilt by Chinese remaindering in Python ints.  The order is the whole
-plan: neither engine needs decomp's nice or width-2 normal forms, which
-serve only `motifcount decompose`.
+the same builder, and runs _eliminate over its guarded decomposition).
+count_hom_mm keeps dense float64 matrices for treewidth <= 2, one BLAS
+product per vertex.  Its arithmetic is exact by a certificate: no entry or
+partial sum exceeds D^(k-1), D the host's maximum degree and k the largest
+pattern component's vertex count.  Below 2^53 one float64 pass is exact;
+above, the factors are stacked residues modulo word-size primes (the
+FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
+remaindering in Python ints.  The order is the whole plan: neither engine
+needs decomp's nice or width-2 normal forms, which serve only `motifcount
+decompose`.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ DENSE_BYTES_GUARD = 1 << 30
 _EXACT = 2**53
 
 
-def _eliminate(h: Graph, step) -> int:
-    """Run bucket elimination over h along its plan.  step(v, later,
-    factors) gets v, its scope later[v] and the (scope, table) factors in
-    v's bucket, and returns the table over `later`, which goes to the
-    bucket of v's parent; when `later` is empty that is an int, the count
-    for v's connected component."""
-    _, order, later, parent = elimination_plan(h)
-    buckets: list = [[] for _ in range(h.n)]
+def _eliminate(forest: tuple, step) -> int:
+    """Run bucket elimination over a forest (order, later, parent) on the
+    nodes 0..len(order)-1, children first, such as elimination_plan(h)[1:].
+    step(v, later, factors) gets v, its scope later[v] and the (scope,
+    table) factors in v's bucket, and returns the table over `later`, which
+    goes to the bucket of v's parent; when `later` is empty that is an int,
+    the count of v's tree, and the trees' counts multiply."""
+    order, later, parent = forest
+    buckets: list = [[] for _ in order]
     total = 1
     for v in order:
         factors, buckets[v] = buckets[v], None  # freed once v is eliminated
@@ -135,7 +137,6 @@ class _RowBuilder:
                 else:
                     grown.extend([(key + (x,), cnt) for x in allowed])
             rows = grown
-        return rows
 
 
 def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
@@ -162,7 +163,7 @@ def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
                 out[short] = out.get(short, 0) + cnt
         return out if later else out.get((), 0)
 
-    return _eliminate(h, step)
+    return _eliminate(elimination_plan(h)[1:], step)
 
 
 def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -221,7 +222,7 @@ def _dense_layers(h: Graph) -> int:
         held += (len(later) == 2) - pairs
         return None if later else 1
 
-    _eliminate(h, step)
+    _eliminate(elimination_plan(h)[1:], step)
     return peak
 
 
@@ -305,4 +306,4 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
             first = reduce(first * vec[:, None, :])
         return reduce(first @ mats[later[1]].swapaxes(1, 2))
 
-    return _eliminate(h, step)
+    return _eliminate(elimination_plan(h)[1:], step)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomp import elimination_plan, support_treewidth
-from .graphs import Graph, canonical_form, graph_order_key, parse_graph6
+from .graphs import (CapacityError, Graph, _content_lines, canonical_form, graph_order_key,
+                     parse_graph6)
 from .homcount import count_hom_dp, count_hom_mm
-from .partitions import CapacityError, _canon, coefficient_row
+from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
 
@@ -148,8 +149,6 @@ def count_pattern(kind: str, h: Graph, g: Graph, engine: str = "auto") -> int:
 def _all_trees(k: int) -> list:
     """Canonical forms of all unlabeled trees on k vertices, grown by
     attaching leaves."""
-    if k == 0:
-        return []
     level = {canonical_form(Graph(1))}
     for size in range(2, k + 1):
         nxt = set()
@@ -181,10 +180,7 @@ def parse_motif_parameter(text: str) -> MotifParameter:
     `#` starts a comment."""
     basis = None
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if basis is None:
             if parts[0] != "basis" or len(parts) != 2 or parts[1] not in BASES:

@@ -77,37 +77,15 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
             f"unpruned partition enumeration capped at n={PARTITION_GUARD}; "
             "use the independent-blocks (spasm) filter for larger patterns"
         )
-    yield from _rgs_stream(n, lambda v, b: True)
-
-
-def _rgs_stream(n: int, admit) -> Iterator[SetPartition]:
-    """Restricted-growth strings, pruned by the admit(vertex, block) test."""
-    if n == 0:
-        yield SetPartition(0, ())
-        return
-    assignment = [0] * n
-    blocks: list = [[] for _ in range(n)]
-
-    def rec(v: int, used: int):
-        if v == n:
-            yield SetPartition(n, assignment[:n])
-            return
-        for b in range(used + 1):
-            if b < used and not admit(v, blocks[b]):
-                continue
-            assignment[v] = b
-            blocks[b].append(v)
-            yield from rec(v + 1, used + (1 if b == used else 0))
-            blocks[b].pop()
-
-    yield from rec(0, 0)
+    yield from independent_partitions(Graph(n))
 
 
 def independent_partitions(
     h: Graph, colors: Optional[tuple] = None
 ) -> Iterator[SetPartition]:
     """Partitions of V(h) whose blocks are independent sets (and, when a
-    coloring is given, monochromatic)."""
+    coloring is given, monochromatic), as restricted-growth strings in
+    lexicographic order."""
     if h.n > PRUNED_GUARD:
         raise CapacityError(f"pruned partition enumeration capped at n={PRUNED_GUARD}")
     if h.n > PARTITION_GUARD:
@@ -116,13 +94,23 @@ def independent_partitions(
             stacklevel=2,
         )
     adj = adjacency(h)
+    assignment = [0] * h.n
+    blocks: list = [[] for _ in range(h.n)]
 
-    def admit(v: int, block: list) -> bool:
-        if colors is not None and block and colors[block[0]] != colors[v]:
-            return False
-        return all(u not in adj[v] for u in block)
+    def rec(v: int, used: int):
+        if v == h.n:
+            yield SetPartition(h.n, assignment)
+            return
+        for b in range(used + 1):
+            if b < used and (not adj[v].isdisjoint(blocks[b]) or (
+                    colors is not None and colors[blocks[b][0]] != colors[v])):
+                continue
+            assignment[v] = b
+            blocks[b].append(v)
+            yield from rec(v + 1, used + (b == used))
+            blocks[b].pop()
 
-    yield from _rgs_stream(h.n, admit)
+    yield from rec(0, 0)
 
 
 def spasm(h: Graph) -> list:

@@ -319,6 +319,11 @@ class TestDecompose:
             code, out, _ = run(["decompose", "--guarded", source], capsys)
             assert code == 0 and out == want, name
 
+    def test_needs_a_graph(self, capsys):
+        code, out, err = run(["decompose"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: decompose needs a graph argument\n"
+
     def test_guarded_takes_no_graph_argument(self, tmp_path, capsys):
         f = tmp_path / "p3.txt"
         f.write_text(GUARDED_DUMPS["P3"][0])

@@ -511,6 +511,13 @@ class TestColoredDifferential:
             assert count_colored_embeddings(h, g) == brute_count("colored-emb", h, g) == 1
             assert count_colored_sub(h, g) == 1
 
+    def test_empty_pattern_runs_the_general_path(self):
+        h = ColoredGraph(Graph(0), ())
+        gcd = build_guarded_decomposition(h)
+        assert gcd.dump() == "0 parent=- bag={} guard={}\n"
+        g = random_colored(random.Random(108), 5, 3)
+        assert count_ordered_embeddings(h, g, gcd) == 1
+
     @pytest.mark.parametrize("m", [1, 2, 4])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

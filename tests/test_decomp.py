@@ -94,6 +94,11 @@ class TestExactTreewidth:
             with pytest.raises(CapacityError):
                 exact_treewidth(prism(k))
 
+    def test_empty_graph(self):
+        w, d = exact_treewidth(Graph(0))
+        assert w == -1
+        assert d.node_count() == 1 and d.bags[d.root] == frozenset()
+
     def test_spasm_treewidth(self):
         assert max_spasm_treewidth(path(4)) == 2
         assert max_spasm_treewidth(path(6)) == 2

@@ -264,8 +264,12 @@ class TestEdgeList:
         ("n 2\nn 3\n", 2),
         ("n 2\ne 0 1\ne 1 7\n", 3),
         ("e 0 4\nn 3\n", 1),
+        ("n 2\ne 1 1\n", 2),
+        ("n -3\n", 1),
+        ("n 2\nc 0 -1\n", 2),
+        ("n -3\ne 0 1\n", 1),
     ], ids=["color-out-of-range", "second-color", "second-n", "edge-out-of-range",
-            "edge-before-n"])
+            "edge-before-n", "loop", "negative-n", "negative-color", "negative-n-then-edge"])
     def test_bad_lines_are_named(self, text, line):
         with pytest.raises(GraphFormatError, match=f"^line {line}: "):
             parse_edge_list(text)

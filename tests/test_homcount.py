@@ -50,6 +50,9 @@ class TestDynamicProgram:
 
 
 class TestMatrixEngine:
+    def test_empty_host(self):
+        assert count_hom_mm(clique(2), Graph(0)) == 0
+
     def test_agrees_with_dp(self):
         rng = random.Random(23)
         done = 0

@@ -1,8 +1,13 @@
-"""Every module-level import in the package source is used.
+"""Stdlib AST scans of the package source.
 
-A stdlib-only stand-in for a linter's unused-import rule (F401): package
-`__init__.py` files re-export by importing and are skipped, and an import
-line marked `# noqa: F401` is an intended re-export.
+- Every module-level import is used: a stand-in for a linter's unused-import
+  rule (F401).  Package `__init__.py` files re-export by importing and are
+  skipped, and an import line marked `# noqa: F401` is an intended re-export.
+- Every local name a function assigns is read in it: a stand-in for the
+  unused-local rule (F841).  Names starting with `_` and names declared
+  `nonlocal` or `global` are exempt.
+- Every `from .m import name` names something module m defines, not
+  something m imports from elsewhere.
 """
 
 import ast
@@ -12,6 +17,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "motifcount"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def unused_imports(path: Path) -> list:
@@ -48,3 +54,104 @@ def test_scan_finds_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path) == []
+
+
+def _own_nodes(function):
+    """The nodes of a function's body outside nested functions and classes."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(path: Path) -> list:
+    """Names a function binds by a plain or annotated assignment or `:=`
+    and never reads in its body, nested functions included."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(function, FUNCTIONS):
+            continue
+        declared = {name for node in ast.walk(function)
+                    if isinstance(node, (ast.Nonlocal, ast.Global)) for name in node.names}
+        assigned: dict = {}
+        for node in _own_nodes(function):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+                targets = [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, target.lineno)
+        read = {n.id for n in ast.walk(function)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {n.target.id for n in ast.walk(function)
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found += [f"{path.name}:{line}: {name} in {getattr(function, 'name', 'lambda')}"
+                  for name, line in assigned.items()
+                  if name not in read and name not in declared and not name.startswith("_")]
+    return sorted(found)
+
+
+def _defined(path: Path) -> set:
+    """Names a module binds at top level other than by importing."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def reexported_imports(package: Path) -> list:
+    """`from .m import name` lines in the package whose name m does not
+    define itself."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                defined = _defined(package / f"{node.module}.py")
+                found += [f"{path.name}:{node.lineno}: {alias.name} from .{node.module}"
+                          for alias in node.names if alias.name not in defined]
+    return found
+
+
+def test_scan_finds_an_unused_local(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(x):\n"
+        "    unused = x\n"
+        "    _skipped = x\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    closed = x\n"
+        "    total: int = 0\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = closed\n"
+        "    if (hit := x):\n"
+        "        return g\n"
+        "    return lambda: (spare := 1)\n"
+    )
+    assert unused_locals(module) == [
+        "m.py:11: hit in f", "m.py:13: spare in lambda", "m.py:2: unused in f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path) == []
+
+
+def test_scan_finds_a_reexported_import(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import B\nA = 1\ndef f():\n    pass\n")
+    (tmp_path / "b.py").write_text("class B:\n    pass\n")
+    (tmp_path / "c.py").write_text("from .a import A, B, f\n")
+    assert reexported_imports(tmp_path) == ["c.py:1: B from .a"]
+
+
+def test_package_imports_name_their_definitions():
+    assert reexported_imports(SOURCE) == []

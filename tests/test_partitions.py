@@ -43,6 +43,13 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_partitions(15))
 
+    def test_independent_partitions_guard_and_warning(self):
+        with pytest.raises(CapacityError):
+            next(independent_partitions(Graph(21)))
+        with pytest.warns(UserWarning, match="may be slow"):
+            first = next(independent_partitions(Graph(15)))
+        assert first.assignment == (0,) * 15
+
     def test_spasm_capacity_guard_fails_fast(self):
         # an edgeless 21-vertex graph would take hours to canonicalise
         with pytest.raises(CapacityError):
