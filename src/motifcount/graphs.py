@@ -12,6 +12,7 @@ as dictionary keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -361,15 +362,20 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+# a character outside graph6's range 63..126 ('?'..'~')
+_G6_OUTSIDE = re.compile(r"[^?-~]")
+# graph6 character -> its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string; errors name the offending byte offset."""
     if not text:
         raise GraphFormatError("empty graph6 string")
-    for off, ch in enumerate(text):
-        if not (63 <= ord(ch) <= 126):
-            raise GraphFormatError(
-                f"byte offset {off}: character {ch!r} outside graph6 range 63..126"
-            )
+    if bad := _G6_OUTSIDE.search(text):
+        raise GraphFormatError(
+            f"byte offset {bad.start()}: character {bad.group()!r} outside graph6 range 63..126"
+        )
     if text[0] == "~":
         if len(text) < 4:
             raise GraphFormatError("byte offset 0: truncated multi-byte size prefix")
@@ -391,22 +397,21 @@ def parse_graph6(text: str) -> Graph:
             f"byte offset {body_off + min(len(body), need)}: expected {need} "
             f"data bytes for {n} vertices, got {len(body)}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    for k in range(nbits, len(bits)):
-        if bits[k]:
-            raise GraphFormatError(
-                f"byte offset {body_off + k // 6}: nonzero trailing padding bit"
-            )
+    # the body as one string of '0'/'1'; column j holds rows 0..j-1
+    bits = body.translate(_G6_BITS)
+    if (k := bits.find("1", nbits)) >= 0:
+        raise GraphFormatError(
+            f"byte offset {body_off + k // 6}: nonzero trailing padding bit"
+        )
     edges = []
-    k = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+        end = start + j
+        k = bits.find("1", start, end)
+        while k >= 0:
+            edges.append((k - start, j))
+            k = bits.find("1", k + 1, end)
+        start = end
     return Graph(n, edges)
 
 

@@ -18,6 +18,11 @@ FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
 remaindering in Python ints.  The order is the whole plan: neither engine
 needs decomp's nice or width-2 normal forms, which serve only `motifcount
 decompose`.
+What count_hom_mm derives from one input alone is built once: per host
+(_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
+per pattern (_dense_shape) the largest component and the dense layers.  The
+n x n adjacency matrix is built on every call, after DENSE_BYTES_GUARD has
+passed, and no cache keeps it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_com
 # count_hom_mm refuses hosts whose dense arrays it estimates above this;
 # motif's engine="auto" then counts with the dict DP
 DENSE_BYTES_GUARD = 1 << 30
+# hosts whose edge arrays and degree count_hom_mm keeps between calls
+HOST_CACHE_SIZE = 32
 # float64 holds every integer below this exactly
 _EXACT = 2**53
 
@@ -207,12 +214,13 @@ def _crt_sum(residues: np.ndarray, primes: list) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _dense_layers(h: Graph) -> int:
-    """Most n x n arrays per prime that count_hom_mm holds at once besides
-    the adjacency matrix: the two-vertex messages waiting in buckets, plus
-    four working arrays (two products, the vector-weighted copy and the
-    result) in a step that builds any; a step over one later vertex with
-    only one-vertex messages builds vectors alone."""
+def _dense_shape(h: Graph) -> tuple:
+    """(layers, k) for count_hom_mm: k is the vertex count of h's largest
+    component, and layers the most n x n arrays per prime held at once
+    besides the adjacency matrix: the two-vertex messages waiting in
+    buckets, plus four working arrays (two products, the vector-weighted
+    copy and the result) in a step that builds any; a step over one later
+    vertex with only one-vertex messages builds vectors alone."""
     held = peak = 0
 
     def step(v, later, factors):
@@ -223,7 +231,16 @@ def _dense_layers(h: Graph) -> int:
         return None if later else 1
 
     _eliminate(elimination_plan(h)[1:], step)
-    return peak
+    return peak, max(map(len, connected_components(h)), default=1)
+
+
+@lru_cache(maxsize=HOST_CACHE_SIZE)
+def _host_facts(g: Graph) -> tuple:
+    """(ends, D): the host's edges as a read-only 2 x m index array, and its
+    maximum degree.  O(m) per host; the n x n matrix is never kept."""
+    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T.copy()
+    ends.flags.writeable = False
+    return ends, int(np.bincount(ends.ravel(), minlength=1).max())
 
 
 def count_hom_mm(h: Graph, g: Graph) -> int:
@@ -236,7 +253,7 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
     if elimination_plan(h)[0] > 2:
         raise DecompositionError("count_hom_mm needs treewidth at most 2")
     n = g.n
-    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    ends, degree = _host_facts(g)
     # Certificate.  A factor entry counts the maps of the pattern vertices
     # eliminated into its message, with the message's scope fixed; every
     # partial sum inside `*`, `.sum` and `@` adds non-negative terms of such
@@ -249,12 +266,11 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
     # D the host's maximum degree, so no value exceeds D^(k-1) for k the
     # largest component's vertex count.  Below 2^53 float64 is exact in any
     # summation order; otherwise work modulo primes whose product exceeds it.
-    degree = int(np.bincount(ends.ravel(), minlength=1).max())
-    k = max(map(len, connected_components(h)), default=1)
+    layers, k = _dense_shape(h)
     bound = degree ** (k - 1)
     primes = _word_primes(n, bound) if bound >= _EXACT else []
     # the adjacency matrix is one layer, broadcast over the primes
-    need = (1 + _dense_layers(h) * max(len(primes), 1)) * n * n * 8
+    need = (1 + layers * max(len(primes), 1)) * n * n * 8
     if need > DENSE_BYTES_GUARD:
         raise CapacityError(
             f"dense factors need ~{need >> 20} MiB, capped at "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .decomp import elimination_plan, support_treewidth
 from .graphs import (CapacityError, Graph, _content_lines, canonical_form, graph_order_key,
@@ -80,7 +81,11 @@ _FROM_SUB = {
 }
 
 
+@lru_cache(maxsize=256)
 def change_basis(p: MotifParameter, target: str) -> MotifParameter:
+    """p rewritten in the target basis.  Memoised: the result depends on the
+    (immutable) parameter alone, so evaluating one parameter on many hosts
+    changes its basis once; guards raise again on every call."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == p.basis:

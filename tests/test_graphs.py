@@ -42,6 +42,51 @@ def graphs(draw, max_n=8):
     return Graph(n, chosen)
 
 
+def bit_list_parse_graph6(text: str) -> Graph:
+    """The reference decoder: one list entry per body bit."""
+    if not text:
+        raise GraphFormatError("empty graph6 string")
+    for off, ch in enumerate(text):
+        if not (63 <= ord(ch) <= 126):
+            raise GraphFormatError(
+                f"byte offset {off}: character {ch!r} outside graph6 range 63..126"
+            )
+    if text[0] == "~":
+        if len(text) < 4:
+            raise GraphFormatError("byte offset 0: truncated multi-byte size prefix")
+        if text[1] == "~":
+            raise GraphFormatError("byte offset 1: 36-bit sizes not supported")
+        n = 0
+        for ch in text[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        body, body_off = text[4:], 4
+    else:
+        n, body, body_off = ord(text[0]) - 63, text[1:], 1
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise GraphFormatError(
+            f"byte offset {body_off + min(len(body), need)}: expected {need} "
+            f"data bytes for {n} vertices, got {len(body)}"
+        )
+    bits = []
+    for ch in body:
+        bits.extend((ord(ch) - 63 >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    for k in range(nbits, len(bits)):
+        if bits[k]:
+            raise GraphFormatError(f"byte offset {body_off + k // 6}: nonzero trailing padding bit")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [e for e, bit in zip(pairs, bits) if bit])
+
+
+def decoded(parse, text: str):
+    """parse(text), or the text of the GraphFormatError it raises."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
 class TestGraph6:
     def test_known_decodings(self):
         assert parse_graph6("A_") == Graph(2, [(0, 1)])
@@ -59,6 +104,22 @@ class TestGraph6:
         text = encode_graph6(g)
         assert text.startswith("~")
         assert parse_graph6(text) == g
+
+    def test_differential_against_the_bit_list_decoder(self):
+        # seeded random graphs on both sides of the 1-byte size prefix (n <= 62)
+        # and the `~` prefix, then corrupted copies: the same Graph, or the
+        # same error text with the same byte offset
+        rng = random.Random(61)
+        for n in [0, 1, 2, 5, 6, 7, 62, 63, 64, 100, 131] + [rng.randint(0, 140) for _ in range(30)]:
+            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.5, 1.0]))
+            text = encode_graph6(g)
+            assert parse_graph6(text) == bit_list_parse_graph6(text) == g
+            for _ in range(6):
+                cut = rng.randrange(len(text) + 1)
+                for bad in (text[:cut],
+                            text[:cut] + chr(rng.randint(32, 130)) + text[cut + 1:],
+                            text + chr(rng.randint(63, 126))):
+                    assert decoded(parse_graph6, bad) == decoded(bit_list_parse_graph6, bad)
 
     def test_errors_name_byte_offsets(self):
         with pytest.raises(GraphFormatError, match="offset"):

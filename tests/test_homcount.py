@@ -122,6 +122,17 @@ class TestMatrixEngine:
             assert count_hom_mm(h, g) == count_hom_dp(h, g)
         assert 1 <= len(bounds) <= 3
 
+    def test_cached_host_arrays_are_read_only(self):
+        g = random_graph(random.Random(71), 30, 0.3)
+        want = count_hom_dp(cycle(5), g)
+        assert count_hom_mm(cycle(5), g) == want
+        ends, degree = homcount._host_facts(g)
+        assert ends.shape == (2, len(g.edges))
+        assert degree == max(map(len, adjacency(g)))
+        for target in (ends, ends[0], ends[1]):
+            with pytest.raises(ValueError):
+                target[0] = 0
+        assert count_hom_mm(cycle(5), g) == want
 
     def test_word_primes_are_memoised(self):
         def trial_division(n, bound):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import clique, cycle, path, random_graph, star
+from motifcount import homcount
 from motifcount.graphs import Graph, canonical_form, parse_graph6
+from motifcount.homcount import count_hom_dp
 from motifcount.motif import (
     BASES,
     MotifParameter,
@@ -84,6 +86,46 @@ class TestChangeBasis:
             want = evaluate(p, g)
             for dst in BASES:
                 assert evaluate(change_basis(p, dst), g) == want
+
+
+class TestEvaluationState:
+    def test_basis_change_is_memoised(self):
+        p = build_tree_count_parameter(5)
+        hom = change_basis(p, "hom")
+        assert change_basis(p, "hom") is hom
+        assert change_basis(MotifParameter("sub", p.terms), "hom") is hom
+
+    def test_guards_raise_on_every_call(self):
+        # IndSub(P8) has 21 non-edges, past SUPERGRAPH_GUARD
+        p = MotifParameter("indsub", {path(7): 1})
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                change_basis(p, "hom")
+
+    def test_values_survive_clearing_the_memo(self):
+        rng = random.Random(67)
+        p = MotifParameter("indsub", {path(3): 1, cycle(4): -2, star(3): Fraction(1, 3)})
+        hosts = [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(20)]
+        before = [evaluate(p, g) for g in hosts]
+        change_basis.cache_clear()
+        assert [evaluate(p, g) for g in hosts] == before
+        assert change_basis.cache_info().misses == 1
+
+    def test_one_host_in_both_arithmetic_regimes(self, monkeypatch):
+        # on K40 (degree 39) P3 runs in one float64 pass and P12 modulo
+        # primes, since 39^11 >= 2^53; the shared host facts serve both
+        bounds = []
+        word_primes = homcount._word_primes
+        monkeypatch.setattr(
+            homcount,
+            "_word_primes",
+            lambda n, bound: bounds.append(bound) or word_primes(n, bound),
+        )
+        g = clique(40)
+        terms = {path(2): Fraction(-3, 2), path(11): 5}
+        want = sum(c * count_hom_dp(h, g) for h, c in terms.items())
+        assert evaluate(MotifParameter("hom", terms), g) == want
+        assert bounds == [39**11]
 
 
 class TestCountPattern:
