@@ -26,14 +26,10 @@ from .partitions import (
     sub_to_hom_vector,
 )
 from .decomp import (
-    NiceTreeDecomposition,
     TreeDecomposition,
-    Width2Decomposition,
     exact_treewidth,
     massage_connected,
     max_spasm_treewidth,
-    normalize_width2,
-    to_nice,
 )
 from .homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from .motif import (

@@ -18,13 +18,7 @@ from .colored import (
     count_colored_embeddings,
     count_colored_sub,
 )
-from .decomp import (
-    DecompositionError,
-    dump_decomposition,
-    exact_treewidth,
-    normalize_width2,
-    to_nice,
-)
+from .decomp import DecompositionError, elimination_plan, format_plan
 from .graphs import (
     CapacityError,
     ColoredGraph,
@@ -158,12 +152,7 @@ def _cmd_decompose(args) -> int:
     if args.graph is None:
         raise UsageError("decompose needs a graph argument")
     g = _as_plain(_load_source(args.graph))
-    _, d = exact_treewidth(g)
-    if args.nice:
-        d = to_nice(d, g)
-    elif args.width2:
-        d, _perm = normalize_width2(d, g)
-    sys.stdout.write(dump_decomposition(d))
+    sys.stdout.write(format_plan(elimination_plan(g)))
     return 0
 
 
@@ -313,12 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="auto", choices=("auto", "dp", "mm", "brute"))
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("decompose", help="print a tree decomposition")
+    p = sub.add_parser(
+        "decompose", help="print a pattern's elimination plan or a guarded decomposition"
+    )
     p.add_argument("graph", nargs="?", metavar="G6|@FILE")
-    style = p.add_mutually_exclusive_group()
-    style.add_argument("--nice", action="store_true")
-    style.add_argument("--width2", action="store_true")
-    style.add_argument("--guarded", metavar="@COLOREDFILE")
+    p.add_argument("--guarded", metavar="@COLOREDFILE")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("selftest", help="run the embedded fixtures")

@@ -4,11 +4,10 @@ Provides the cached elimination plan (exact treewidth, an optimal
 elimination order and its message scopes) that the homomorphism counters
 eliminate along: safe reduction rules eliminate simplicial and
 almost-simplicial vertices, and dynamic programming over vertex subsets
-plans each connected component of what they leave.  Also tree
-decompositions built from the plan, the connectivity massaging that makes
-every separator the exact neighborhood of its component, and the nice and
-width-2 normal forms, which serve only `motifcount decompose` and the public
-API.
+plans each connected component of what they leave; format_plan prints it
+for `motifcount decompose`.  Also the rooted tree decompositions built from
+the plan and the connectivity massaging that makes every separator the
+exact neighborhood of its component, both for the colored pipeline.
 """
 
 from __future__ import annotations
@@ -134,55 +133,6 @@ class TreeDecomposition:
                 raise DecompositionError(f"N(alpha({t})) escapes sigma({t})")
         if self.alpha(self.root) != frozenset(range(g.n)):
             raise DecompositionError("root component must be the whole vertex set")
-
-
-class NiceTreeDecomposition(TreeDecomposition):
-    """Tree decomposition where every node is a leaf (empty bag), an
-    introduce node, a forget node, or a join of two equal-bag children."""
-
-    def __init__(self, parents, bags, root, kinds):
-        super().__init__(parents, bags, root)
-        self.kinds = list(kinds)
-        for t, kind in enumerate(self.kinds):
-            bag = self.bags[t]
-            kids = self.children[t]
-            if kind[0] == "leaf":
-                if bag or kids:
-                    raise DecompositionError("leaf must have empty bag, no children")
-            elif kind[0] == "intro":
-                (c,) = kids
-                if bag != self.bags[c] | {kind[1]} or kind[1] in self.bags[c]:
-                    raise DecompositionError("bad introduce node")
-            elif kind[0] == "forget":
-                (c,) = kids
-                if bag != self.bags[c] - {kind[1]} or kind[1] not in self.bags[c]:
-                    raise DecompositionError("bad forget node")
-            elif kind[0] == "join":
-                if len(kids) != 2 or any(self.bags[c] != bag for c in kids):
-                    raise DecompositionError("bad join node")
-            else:
-                raise DecompositionError(f"unknown node kind {kind!r}")
-
-
-class Width2Decomposition(TreeDecomposition):
-    """Normal form for treewidth-2 counting: root bag of size 2 with a
-    unique child, all other bags of size exactly 3, separators of size 2,
-    and bag numbering consistent with the ancestor order."""
-
-    def __init__(self, parents, bags, root):
-        super().__init__(parents, bags, root)
-        if len(self.bags[root]) != 2 or len(self.children[root]) != 1:
-            raise DecompositionError("root must have a size-2 bag and one child")
-        for t in range(len(self.bags)):
-            if t == root:
-                continue
-            if len(self.bags[t]) != 3:
-                raise DecompositionError("non-root bags must have size 3")
-            if len(self.sigma(t)) != 2:
-                raise DecompositionError("separators must have size 2")
-            u1, u2, _ = sorted(self.bags[t])
-            if self.sigma(t) != frozenset((u1, u2)):
-                raise DecompositionError("separator must be the two smallest bag vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +268,17 @@ def elimination_plan(g: Graph) -> tuple:
     return max(map(len, later), default=-1), tuple(order), later, parent
 
 
+def format_plan(plan: tuple) -> str:
+    """An elimination plan as text: `width=W order=v1,v2,...`, then per
+    vertex in elimination order `v scope={a,b} parent=p` (`-` for none)."""
+    width, order, later, parent = plan
+    lines = [f"width={width} order={','.join(map(str, order))}"]
+    for v in order:
+        p = "-" if parent[v] is None else parent[v]
+        lines.append(f"{v} scope={{{','.join(map(str, later[v]))}}} parent={p}")
+    return "\n".join(lines) + "\n"
+
+
 def exact_treewidth(g: Graph):
     """Minimum treewidth and an optimal rooted tree decomposition along the
     elimination plan: eliminating v yields the bag {v} + later[v], which
@@ -354,105 +315,6 @@ def support_treewidth(graphs) -> int:
 
 def max_spasm_treewidth(h: Graph) -> int:
     return support_treewidth(cf.graph for cf in spasm(h))
-
-
-# ---------------------------------------------------------------------------
-# nice form
-
-
-def to_nice(d: TreeDecomposition, g: Optional[Graph] = None) -> NiceTreeDecomposition:
-    """Standard nice form: leaves and the root have empty bags; in between,
-    chains of introduce/forget nodes and binary joins."""
-    if g is not None:
-        d.validate(g)
-    parents: list = []
-    bags: list = []
-    kinds: list = []
-
-    def new_node(bag, kind) -> int:
-        parents.append(None)
-        bags.append(frozenset(bag))
-        kinds.append(kind)
-        return len(bags) - 1
-
-    def chain_up(top_of: int, from_bag: frozenset, to_bag: frozenset) -> int:
-        """Forget from_bag - to_bag one vertex at a time, then introduce
-        to_bag - from_bag; returns the topmost node id."""
-        node = top_of
-        bag = set(from_bag)
-        for v in sorted(from_bag - to_bag):
-            bag.discard(v)
-            nxt = new_node(bag, ("forget", v))
-            parents[node] = nxt
-            node = nxt
-        for v in sorted(to_bag - from_bag):
-            bag.add(v)
-            nxt = new_node(bag, ("intro", v))
-            parents[node] = nxt
-            node = nxt
-        return node
-
-    def build(t: int) -> int:
-        """Returns the id of a node whose bag equals d.bags[t]."""
-        target = d.bags[t]
-        kids = d.children[t]
-        if not kids:
-            leaf = new_node(frozenset(), ("leaf",))
-            return chain_up(leaf, frozenset(), target)
-        tops = [chain_up(build(c), d.bags[c], target) for c in kids]
-        node = tops[0]
-        for other in tops[1:]:
-            j = new_node(target, ("join",))
-            parents[node] = j
-            parents[other] = j
-            node = j
-        return node
-
-    top = build(d.root)
-    root = chain_up(top, d.bags[d.root], frozenset())
-    return NiceTreeDecomposition(parents, bags, root, kinds)
-
-
-# ---------------------------------------------------------------------------
-# width-2 normal form
-
-
-def normalize_width2(d: TreeDecomposition, g: Graph):
-    """Normal form for the matrix-multiplication counter.
-
-    Returns (Width2Decomposition, perm) where perm maps new vertex labels to
-    the original ones, and the decomposition is over the relabeled graph
-    g.relabel(inverse perm).  Eliminating every vertex at its topmost bag,
-    children before parents, leaves each vertex at most two later neighbors;
-    adding the vertices back in reverse order grows a 2-tree whose bags are
-    the normal form, and numbering them in that order makes every separator
-    the two smallest labels of its bag.
-    """
-    if d.width() > 2:
-        raise DecompositionError("decomposition width exceeds 2")
-    if g.n < 3 or not is_connected(g):
-        raise DecompositionError("width-2 normal form needs a connected graph on >= 3 vertices")
-    d.validate(g)
-    order = [
-        v for t in reversed(d.topological_order()) for v in sorted(d.bags[t] - d.sigma(t))
-    ]
-    later = _fill_in(g, order)
-    perm = order[::-1]
-    parents: list = [None]
-    bags = [frozenset(perm[:2])]
-    # edge -> a bag holding it; the root's edge moves to the root's only child
-    holder = {bags[0]: 0}
-    for v in perm[2:]:
-        edge = next(e for e in holder if e.issuperset(later[v]))
-        parents.append(holder[edge])
-        bags.append(edge | {v})
-        for pair in map(frozenset, itertools.combinations(bags[-1], 2)):
-            if holder.get(pair, 0) == 0:
-                holder[pair] = len(bags) - 1
-    label = {v: i for i, v in enumerate(perm)}
-    w2 = Width2Decomposition(parents, [[label[v] for v in b] for b in bags], 0)
-    w2.validate(g.relabel(label))
-    return w2, perm
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +370,3 @@ def massage_connected(d: TreeDecomposition, g: Graph):
     out = TreeDecomposition(parents, bags, 0)
     out.validate(g)
     return out, fmap
-
-
-# ---------------------------------------------------------------------------
-# dump format
-
-
-def dump_decomposition(d: TreeDecomposition) -> str:
-    lines = []
-    kinds = getattr(d, "kinds", None)
-    for t in range(d.node_count()):
-        p = d.parents[t]
-        bag = ",".join(str(v) for v in sorted(d.bags[t]))
-        if kinds is None:
-            kind = "plain"
-        else:
-            k = kinds[t]
-            kind = k[0] if len(k) == 1 else f"{k[0]}:{k[1]}"
-        lines.append(f"{t} parent={'-' if p is None else p} bag={{{bag}}} kind={kind}")
-    return "\n".join(lines) + "\n"

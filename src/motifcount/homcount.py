@@ -16,8 +16,7 @@ pattern component's vertex count.  Below 2^53 one float64 pass is exact;
 above, the factors are stacked residues modulo word-size primes (the
 FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
 remaindering in Python ints.  The order is the whole plan: neither engine
-needs decomp's nice or width-2 normal forms, which serve only `motifcount
-decompose`.
+builds a tree decomposition of its own.
 What count_hom_mm derives from one input alone is built once: per host
 (_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
 per pattern (_dense_shape) the largest component and the dense layers.  The

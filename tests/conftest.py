@@ -87,6 +87,16 @@ def star(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
+def prism(k: int) -> Graph:
+    """C_k x K2 on 2k vertices: cubic, and triangle-free for k >= 4."""
+    return Graph(
+        2 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)],
+    )
+
+
 def all_graphs_up_to(n_max: int):
     """One labeled representative per isomorphism class, for every vertex
     count 1..n_max."""

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (
-    CLI_MAIN, clique, matching, path, random_colored, random_graph, run_isolated, star,
+    CLI_MAIN, clique, matching, path, prism, random_colored, random_graph, run_isolated, star,
 )
 from motifcount import cli, motif
 from motifcount.cli import main
@@ -288,27 +288,25 @@ GUARDED_DUMPS = {
 
 class TestDecompose:
     def test_plain(self, capsys):
-        code, out, _ = run(["decompose", "Bw"], capsys)
-        assert code == 0
-        for line in out.strip().splitlines():
-            assert "parent=" in line and "bag={" in line and "kind=" in line
+        # the elimination plan the kernels run: width, order, and per vertex
+        # its message scope and its parent in the elimination forest
+        plans = {
+            "DDW": "width=1 order=0,1,3,2,4\n0 scope={3} parent=3\n1 scope={4} parent=4\n"
+                   "3 scope={2} parent=2\n2 scope={4} parent=4\n4 scope={} parent=-\n",
+            "Bw": "width=2 order=0,1,2\n0 scope={1,2} parent=1\n1 scope={2} parent=2\n"
+                  "2 scope={} parent=-\n",
+            "?": "width=-1 order=\n",
+            encode_graph6(matching(2)): "width=1 order=0,1,2,3\n0 scope={1} parent=1\n"
+                                        "1 scope={} parent=-\n2 scope={3} parent=3\n"
+                                        "3 scope={} parent=-\n",
+        }
+        for graph, want in plans.items():
+            assert run(["decompose", graph], capsys) == (0, want, ""), graph
 
-    def test_nice(self, capsys):
-        code, out, _ = run(["decompose", "DDW", "--nice"], capsys)
-        assert code == 0
-        kinds = [l.split("kind=")[1] for l in out.strip().splitlines()]
-        assert any(k.startswith("intro:") for k in kinds)
-        assert any(k.startswith("forget:") for k in kinds)
-
-    def test_width2(self, capsys):
-        code, out, _ = run(["decompose", "DDW", "--width2"], capsys)
-        assert code == 0
-        assert out == (
-            "0 parent=- bag={0,1} kind=plain\n"
-            "1 parent=0 bag={0,1,2} kind=plain\n"
-            "2 parent=1 bag={1,2,3} kind=plain\n"
-            "3 parent=2 bag={1,3,4} kind=plain\n"
-        )
+    @pytest.mark.parametrize("flag", ["--nice", "--width2"])
+    def test_removed_normal_forms_are_usage_errors(self, flag, capsys):
+        code, out, err = run(["decompose", "DDW", flag], capsys)
+        assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
 
     def test_guarded(self, tmp_path, capsys):
         for name, (source, want) in GUARDED_DUMPS.items():
@@ -369,7 +367,7 @@ class TestErrors:
         assert code == 1
         assert "supergraph enumeration capped" in err
 
-    @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval"])
+    @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval", "decompose"])
     def test_oversized_pattern_exit_1(self, tmp_path, command):
         big = encode_graph6(Graph(21))
         f = tmp_path / "p.motif"
@@ -378,6 +376,9 @@ class TestErrors:
             "count-sub": ["count", "--kind", "sub", "--pattern", big, "--host", "Bw"],
             "count-emb": ["count", "--kind", "emb", "--pattern", big, "--host", "Bw"],
             "eval": ["eval", "--param", str(f), "--host", "Bw"],
+            # cubic on 20 vertices: no reduction rule applies, so the one
+            # kernel component passes TREEWIDTH_GUARD
+            "decompose": ["decompose", encode_graph6(prism(10))],
         }[command]
         proc = run_isolated(CLI_MAIN, *argv)
         assert proc.returncode == 1

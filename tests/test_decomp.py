@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import clique, cycle, path, random_graph
+from conftest import clique, cycle, path, prism, random_graph
 from motifcount.decomp import (
     DecompositionError,
     TreeDecomposition,
@@ -13,22 +13,10 @@ from motifcount.decomp import (
     exact_treewidth,
     massage_connected,
     max_spasm_treewidth,
-    normalize_width2,
     support_treewidth,
-    to_nice,
 )
 from motifcount.graphs import Graph, adjacency, disjoint_union, is_connected
 from motifcount.partitions import CapacityError
-
-
-def prism(k: int) -> Graph:
-    """C_k x K2 on 2k vertices: cubic, and triangle-free for k >= 4."""
-    return Graph(
-        2 * k,
-        [(i, (i + 1) % k) for i in range(k)]
-        + [(k + i, k + (i + 1) % k) for i in range(k)]
-        + [(i, k + i) for i in range(k)],
-    )
 
 
 def partial_k_tree(rng: random.Random, n: int, k: int) -> Graph:
@@ -173,81 +161,6 @@ class TestValidation:
             d.validate(g)
 
 
-class TestNiceForm:
-    def test_structure_and_width(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(1, 8))
-            w, d = exact_treewidth(g)
-            nice = to_nice(d, g)
-            nice.validate(g)
-            assert nice.width() == max(w, 0) or g.n == 0
-            assert nice.bags[nice.root] == frozenset()
-            for t in range(nice.node_count()):
-                kind = nice.kinds[t]
-                assert kind[0] in ("leaf", "intro", "forget", "join")
-                if kind[0] == "join":
-                    assert len(nice.children[t]) == 2
-                    for c in nice.children[t]:
-                        assert nice.bags[c] == nice.bags[t]
-
-
-def connected_width2_graphs(rng, count):
-    out = []
-    while len(out) < count:
-        g = random_graph(rng, rng.randint(3, 8), 0.35)
-        if is_connected(g) and exact_treewidth(g)[0] <= 2:
-            out.append(g)
-    return out
-
-
-class TestWidth2Normalization:
-    def check_normal_form(self, d, g):
-        w2, perm = normalize_width2(d, g)
-        assert sorted(perm) == list(range(g.n))
-        inverse = [0] * g.n
-        for new, old in enumerate(perm):
-            inverse[old] = new
-        gg = g.relabel(inverse)
-        w2.validate(gg)
-        assert len(w2.bags[w2.root]) == 2
-        assert len(w2.children[w2.root]) == 1
-        for t in range(w2.node_count()):
-            if t != w2.root:
-                assert len(w2.bags[t]) == 3
-                assert w2.sigma(t) == frozenset(sorted(w2.bags[t])[:2])
-
-    def test_shape_invariants(self):
-        for g in connected_width2_graphs(random.Random(21), 20):
-            self.check_normal_form(exact_treewidth(g)[1], g)
-
-    def test_nice_and_massaged_inputs(self):
-        for g in connected_width2_graphs(random.Random(22), 20):
-            d = exact_treewidth(g)[1]
-            self.check_normal_form(to_nice(d, g), g)
-            self.check_normal_form(massage_connected(d, g)[0], g)
-
-    def test_trees(self):
-        rng = random.Random(23)
-        for n in range(3, 10):
-            g = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
-            w, d = exact_treewidth(g)
-            assert w == 1
-            self.check_normal_form(d, g)
-
-    def test_width_three_rejected(self):
-        g = clique(4)
-        with pytest.raises(DecompositionError, match="width exceeds 2"):
-            normalize_width2(exact_treewidth(g)[1], g)
-
-    @pytest.mark.parametrize(
-        "g", [Graph(4, [(0, 1), (2, 3)]), path(1), Graph(1)], ids=["disconnected", "K2", "K1"]
-    )
-    def test_disconnected_or_small_rejected(self, g):
-        with pytest.raises(DecompositionError, match="connected graph on >= 3"):
-            normalize_width2(exact_treewidth(g)[1], g)
-
-
 class TestMassage:
     def test_components_connected_and_tight(self):
         rng = random.Random(33)
@@ -278,7 +191,7 @@ class TestMassage:
                 for v in alpha:
                     neigh |= adj[v]
                 assert m.sigma(t) == frozenset(neigh - alpha)  # P5 tight
-                assert m.bags[t] <= m.bags[fmap[t]] | m.sigma(t) or True
+                assert m.bags[t] <= d.bags[fmap[t]]  # bags shrink within their source
             done += 1
 
     def test_bags_shrink_within_source(self):

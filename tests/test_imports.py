@@ -8,6 +8,9 @@
   `nonlocal` or `global` are exempt.
 - Every `from .m import name` names something module m defines, not
   something m imports from elsewhere.
+- Every module-level private name (`_x`, not a dunder) that a `def`, a
+  `class` or an assignment binds is read somewhere in the package: a
+  deletion leaves no orphaned helper behind.
 """
 
 import ast
@@ -95,16 +98,20 @@ def unused_locals(path: Path) -> list:
     return sorted(found)
 
 
-def _defined(path: Path) -> set:
-    """Names a module binds at top level other than by importing."""
-    names = set()
-    for node in ast.parse(path.read_text()).body:
+def _definitions(tree: ast.Module):
+    """(name, line) for each name a module binds at top level other than by
+    importing."""
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return names
+            yield from ((n.id, n.lineno) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _defined(path: Path) -> set:
+    return {name for name, _ in _definitions(ast.parse(path.read_text()))}
 
 
 def reexported_imports(package: Path) -> list:
@@ -155,3 +162,43 @@ def test_scan_finds_a_reexported_import(tmp_path):
 
 def test_package_imports_name_their_definitions():
     assert reexported_imports(SOURCE) == []
+
+
+def unread_private_names(package: Path) -> list:
+    """Module-level private names of the package's modules that no module
+    reads, as a name or as an attribute."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}:{line}: {private}"
+            for name, tree in trees.items()
+            for private, line in _definitions(tree)
+            if private.startswith("_") and not private.startswith("__")
+            and private not in read]
+
+
+def test_scan_finds_an_unread_private_name(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "_USED = 1\n"
+        "_DEAD = 2\n"
+        "__version__ = 3\n"
+        "_VIA_ATTRIBUTE = 4\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    _local = 5\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public(m):\n"
+        "    return _helper(), m._VIA_ATTRIBUTE\n"
+    )
+    assert unread_private_names(tmp_path) == ["m.py:2: _DEAD", "m.py:7: _orphan", "m.py:9: _Gone"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(SOURCE) == []
