@@ -9,28 +9,14 @@ from .graphs import (
     automorphism_count,
     canonical_form,
     colored_automorphism_count,
-    color_preserving_isomorphic,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
     quotient,
     tensor_product,
 )
-from .partitions import (
-    SetPartition,
-    coefficient,
-    coefficient_row,
-    colored_spasm,
-    enumerate_partitions,
-    spasm,
-    sub_to_hom_vector,
-)
-from .decomp import (
-    TreeDecomposition,
-    exact_treewidth,
-    massage_connected,
-    max_spasm_treewidth,
-)
+from .partitions import coefficient_row, colored_spasm, spasm
+from .decomp import TreeDecomposition, exact_treewidth, massage_connected
 from .homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from .motif import (
     MotifParameter,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: count, spasm, basis, eval, decompose, selftest (plus the
-colored-count alias for count --colored).  Graphs are given inline as
-graph6 or as @file paths; files hold either a graph6 line or the edge-list
-format, the latter optionally carrying vertex colors.
+Subcommands: count, colored-count, spasm, basis, eval, decompose, selftest.
+Graphs are given inline as graph6 or as @file paths; files hold either a
+graph6 line or the edge-list format, the latter optionally carrying vertex
+colors.
 """
 
 from __future__ import annotations
@@ -42,10 +42,12 @@ from .motif import (
     parse_motif_parameter,
 )
 from .oracle import BudgetExceeded, brute_count
-from .partitions import coefficient_row, sub_to_hom_vector
+from .partitions import coefficient_row
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
+# auto: the planner picks each term's kernel; brute: the reference oracle alone
+ENGINES = ("auto", "brute")
 
 
 class UsageError(Exception):
@@ -79,34 +81,34 @@ def _as_colored(g) -> ColoredGraph:
 
 
 def _cmd_count(args) -> int:
-    pattern = _load_source(args.pattern)
-    host = _load_source(args.host)
-    if args.colored:
-        if args.engine in ("dp", "mm"):
-            raise UsageError(f"--colored does not support --engine {args.engine}")
-        h, g = _as_colored(pattern), _as_colored(host)
-        if args.kind == "hom":
-            if args.engine == "brute":
-                value = brute_count("colored-hom", h, g)
-            else:
-                value = count_colored_hom(h, g)
-        elif args.kind in ("emb", "sub"):
-            if args.engine == "brute":
-                value = brute_count("colored-emb", h, g)
-                if args.kind == "sub":
-                    value //= colored_automorphism_count(h)
-            elif args.kind == "emb":
-                value = count_colored_embeddings(h, g)
-            else:
-                value = count_colored_sub(h, g)
-        else:
-            raise UsageError(f"--colored does not support kind {args.kind!r}")
+    h = _as_plain(_load_source(args.pattern))
+    g = _as_plain(_load_source(args.host))
+    if args.engine == "brute":
+        print(brute_count(args.kind, h, g))
     else:
-        h, g = _as_plain(pattern), _as_plain(host)
+        print(count_pattern(args.kind, h, g))
+    return 0
+
+
+def _cmd_colored_count(args) -> int:
+    h = _as_colored(_load_source(args.pattern))
+    g = _as_colored(_load_source(args.host))
+    if args.kind == "hom":
         if args.engine == "brute":
-            value = brute_count(args.kind, h, g)
+            value = brute_count("colored-hom", h, g)
         else:
-            value = count_pattern(args.kind, h, g, engine=args.engine)
+            value = count_colored_hom(h, g)
+    elif args.kind in ("emb", "sub"):
+        if args.engine == "brute":
+            value = brute_count("colored-emb", h, g)
+            if args.kind == "sub":
+                value //= colored_automorphism_count(h)
+        elif args.kind == "emb":
+            value = count_colored_embeddings(h, g)
+        else:
+            value = count_colored_sub(h, g)
+    else:
+        raise UsageError(f"colored-count does not support kind {args.kind!r}")
     print(value)
     return 0
 
@@ -114,7 +116,7 @@ def _cmd_count(args) -> int:
 def _cmd_spasm(args) -> int:
     h = _as_plain(_load_source(args.graph))
     for cf, coeff in sorted(
-        sub_to_hom_vector(h).items(), key=lambda kv: kv[0].key
+        coefficient_row("SurjInv", h).items(), key=lambda kv: kv[0].key
     ):
         print(f"{cf.key} {coeff}")
     return 0
@@ -137,7 +139,7 @@ def _cmd_eval(args) -> int:
         # the oracle on the parameter's own terms: no basis change, no kernel
         print(sum(c * brute_count(p.basis, cf.graph, g) for cf, c in p.terms))
     else:
-        print(evaluate(p, g, engine=args.engine))
+        print(evaluate(p, g))
     return 0
 
 
@@ -209,7 +211,7 @@ def _fixture_matrices() -> bool:
 
 
 def _fixture_expansion() -> bool:
-    vec = sub_to_hom_vector(parse_graph6("DBg"))
+    vec = coefficient_row("SurjInv", parse_graph6("DBg"))
     got = {cf.key: coeff for cf, coeff in vec.items()}
     return got == _FIXTURE_4PATH_EXPANSION
 
@@ -271,20 +273,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_count(name, colored_default):
+    for name, func in (("count", _cmd_count), ("colored-count", _cmd_colored_count)):
         p = sub.add_parser(name, help="count pattern occurrences in a host")
         p.add_argument("--kind", required=True, choices=BASES)
         p.add_argument("--pattern", required=True, metavar="G6|@FILE")
         p.add_argument("--host", required=True, metavar="G6|@FILE")
-        p.add_argument("--engine", default="auto", choices=("auto", "dp", "mm", "brute"))
-        if colored_default:
-            p.set_defaults(colored=True)
-        else:
-            p.add_argument("--colored", action="store_true")
-        p.set_defaults(func=_cmd_count)
-
-    add_count("count", colored_default=False)
-    add_count("colored-count", colored_default=True)
+        p.add_argument("--engine", default="auto", choices=ENGINES)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("spasm", help="spasm of a pattern with Sub-to-Hom coefficients")
     p.add_argument("graph", metavar="G6|@FILE")
@@ -299,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a motif-parameter file on a host")
     p.add_argument("--param", required=True)
     p.add_argument("--host", required=True, metavar="G6|@FILE")
-    p.add_argument("--engine", default="auto", choices=("auto", "dp", "mm", "brute"))
+    p.add_argument("--engine", default="auto", choices=ENGINES)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .graphs import CapacityError, Graph, adjacency, connected_components, is_connected
-from .partitions import spasm
 
 # largest kernel component the subset DP plans: 39 s for an irreducible
 # 19-vertex component, 70-77 s at 20 vertices (2-vCPU VM, Python 3.11)
@@ -311,10 +310,6 @@ def support_treewidth(graphs) -> int:
     """Max treewidth over an iterable of graphs (a hom-basis support), -1
     when it is empty."""
     return max((elimination_plan(f)[0] for f in graphs), default=-1)
-
-
-def max_spasm_treewidth(h: Graph) -> int:
-    return support_treewidth(cf.graph for cf in spasm(h))
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,13 @@ def tensor_product(g: Graph, x: Graph) -> Graph:
     return Graph(g.n * m, edges)
 
 
-def quotient(h: Graph, rho) -> QuotientGraph:
-    """Contract each block of the partition rho to a single vertex.
+def quotient(h: Graph, blocks) -> QuotientGraph:
+    """Contract each block of a partition of V(h), a sequence of vertex
+    collections, to a single vertex.
 
     A block that is not independent in h produces a loop; parallel edges
     between blocks are collapsed.
     """
-    blocks = rho.blocks if hasattr(rho, "blocks") else [sorted(b) for b in rho]
     block_of = {}
     for i, b in enumerate(blocks):
         for v in b:
@@ -325,10 +325,6 @@ def colored_canonical_key(h: ColoredGraph):
     perm, _ = _canonical_search(h.graph, h.colors)
     cols = tuple(h.colors[v] for v in perm)
     return cols, encode_graph6(_relabel_canonical(h.graph, perm))
-
-
-def color_preserving_isomorphic(h: ColoredGraph, g: ColoredGraph) -> bool:
-    return colored_canonical_key(h) == colored_canonical_key(g)
 
 
 def colored_automorphism_count(h: ColoredGraph) -> int:

@@ -37,7 +37,7 @@ from .decomp import DecompositionError, elimination_plan
 from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_components
 
 # count_hom_mm refuses hosts whose dense arrays it estimates above this;
-# motif's engine="auto" then counts with the dict DP
+# motif._hom_count then counts that term with the dict DP
 DENSE_BYTES_GUARD = 1 << 30
 # hosts whose edge arrays and degree count_hom_mm keeps between calls
 HOST_CACHE_SIZE = 32

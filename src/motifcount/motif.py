@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .decomp import elimination_plan, support_treewidth
-from .graphs import (CapacityError, Graph, _content_lines, canonical_form, graph_order_key,
-                     parse_graph6)
+from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines, canonical_form,
+                     graph_order_key, parse_graph6)
 from .homcount import count_hom_dp, count_hom_mm
 from .partitions import _canon, coefficient_row
 
@@ -111,37 +111,33 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
-def _hom_count(f: Graph, g: Graph, engine: str = "auto") -> int:
-    if engine == "dp":
-        return count_hom_dp(f, g)
-    if engine == "mm":
-        return count_hom_mm(f, g)
-    if engine == "auto":
-        if elimination_plan(f)[0] <= 2:
-            try:
-                return count_hom_mm(f, g)
-            except CapacityError:
-                pass  # refused before allocating: the dict factors need no n x n
-        return count_hom_dp(f, g)
-    raise ValueError(f"unknown engine {engine!r}")
+def _hom_count(f: Graph, g: Graph) -> int:
+    """Hom(f, g) by the kernel the plan picks: the matrix engine for
+    treewidth <= 2, unless it refuses the host, and the dict DP otherwise."""
+    if elimination_plan(f)[0] <= 2:
+        try:
+            return count_hom_mm(f, g)
+        except CapacityError:
+            pass  # refused before allocating: the dict factors need no n x n
+    return count_hom_dp(f, g)
 
 
-def evaluate(p: MotifParameter, g: Graph, engine: str = "auto") -> Fraction:
+def evaluate(p: MotifParameter, g: Graph) -> Fraction:
     """Exact value of the parameter on the host, via the Hom basis."""
     hom = change_basis(p, "hom")
     total = Fraction(0)
     for cf, c in hom.terms:
-        total += c * _hom_count(cf.graph, g, engine)
+        total += c * _hom_count(cf.graph, g)
     return total
 
 
-def count_pattern(kind: str, h: Graph, g: Graph, engine: str = "auto") -> int:
+def count_pattern(kind: str, h: Graph, g: Graph) -> int:
     """Convenience counter for a single pattern in any of the five count
     families: a hom count directly, uncanonicalised; any other kind as the
     one-term parameter in its own basis."""
     if kind == "hom":
-        return _hom_count(h, g, engine)
-    value = evaluate(MotifParameter(kind, {h: 1}), g, engine)
+        return _hom_count(h, g)
+    value = evaluate(MotifParameter(kind, {h: 1}), g)
     if value.denominator != 1:
         raise AssertionError("pattern count came out non-integral")
     return int(value)
@@ -196,9 +192,13 @@ def parse_motif_parameter(text: str) -> MotifParameter:
             raise ValueError(f"line {lineno}: expected `<rational> <graph6>`")
         try:
             coeff = Fraction(parts[0])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational {parts[0]!r}") from exc
-        terms.append((parse_graph6(parts[1]), coeff))
+        try:
+            graph = parse_graph6(parts[1])
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from exc
+        terms.append((graph, coeff))
     if basis is None:
         raise ValueError("missing `basis` line")
     return MotifParameter(basis, terms)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -31,7 +29,9 @@ from .graphs import (
     quotient,
 )
 
-PARTITION_GUARD = 14
+# Spasms canonicalise one quotient per partition, at ~0.3 ms each: the budget
+# allows ~40 s, and the spasm of P11 (115,975 partitions) takes 37 s (2-vCPU VM).
+PARTITION_BUDGET = 2**17
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
 # at ~0.5 ms and ~7 KiB of canonical-form cache each: 15-30 s and 0.2-0.4 GiB
 # at m = 15-16 (P7 has 15), but ~100 s and ~0.9 GiB at 17 and ~20 min at 21.
@@ -40,77 +40,35 @@ SUPERGRAPH_GUARD = 16
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {0..n-1}, canonically encoded as a restricted-growth
-    string: block indices appear in order of first occurrence."""
-
-    n: int
-    assignment: tuple
-
-    def __init__(self, n: int, assignment):
-        assignment = tuple(assignment)
-        if len(assignment) != n:
-            raise ValueError("assignment length must equal n")
-        seen = 0
-        for a in assignment:
-            if a > seen:
-                raise ValueError("not a restricted-growth string")
-            if a == seen:
-                seen += 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def blocks(self) -> list:
-        nblocks = max(self.assignment, default=-1) + 1
-        out = [[] for _ in range(nblocks)]
-        for v, b in enumerate(self.assignment):
-            out[b].append(v)
-        return out
-
-
-def enumerate_partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of {0..n-1} in restricted-growth lexicographic order."""
-    if n > PARTITION_GUARD:
-        raise CapacityError(
-            f"unpruned partition enumeration capped at n={PARTITION_GUARD}; "
-            "use the independent-blocks (spasm) filter for larger patterns"
-        )
-    yield from independent_partitions(Graph(n))
-
-
-def independent_partitions(
-    h: Graph, colors: Optional[tuple] = None
-) -> Iterator[SetPartition]:
+def independent_partitions(h: Graph, colors: Optional[tuple] = None) -> Iterator[list]:
     """Partitions of V(h) whose blocks are independent sets (and, when a
-    coloring is given, monochromatic), as restricted-growth strings in
-    lexicographic order."""
+    coloring is given, monochromatic), each as its list of sorted blocks in
+    order of least vertex; the partitions come in lexicographic order of
+    their restricted-growth strings.  Refuses to yield more than
+    PARTITION_BUDGET of them."""
     if h.n > PRUNED_GUARD:
         raise CapacityError(f"pruned partition enumeration capped at n={PRUNED_GUARD}")
-    if h.n > PARTITION_GUARD:
-        warnings.warn(
-            f"pruned partition enumeration on {h.n} vertices may be slow",
-            stacklevel=2,
-        )
     adj = adjacency(h)
-    assignment = [0] * h.n
     blocks: list = [[] for _ in range(h.n)]
 
     def rec(v: int, used: int):
         if v == h.n:
-            yield SetPartition(h.n, assignment)
+            yield [list(b) for b in blocks[:used]]
             return
         for b in range(used + 1):
             if b < used and (not adj[v].isdisjoint(blocks[b]) or (
                     colors is not None and colors[blocks[b][0]] != colors[v])):
                 continue
-            assignment[v] = b
             blocks[b].append(v)
             yield from rec(v + 1, used + (b == used))
             blocks[b].pop()
 
-    yield from rec(0, 0)
+    for count, rho in enumerate(rec(0, 0)):
+        if count == PARTITION_BUDGET:
+            raise CapacityError(
+                f"pruned partition enumeration capped at {PARTITION_BUDGET} partitions"
+            )
+        yield rho
 
 
 def spasm(h: Graph) -> list:
@@ -126,7 +84,7 @@ def colored_spasm(h: ColoredGraph) -> list:
     seen = {}
     for rho in independent_partitions(h.graph, h.colors):
         q = quotient(h.graph, rho)
-        block_colors = tuple(h.colors[b[0]] for b in rho.blocks)
+        block_colors = tuple(h.colors[b[0]] for b in rho)
         cg = ColoredGraph(q.graph, block_colors)
         seen[colored_canonical_key(cg)] = cg
     return [seen[k] for k in sorted(seen)]
@@ -150,7 +108,7 @@ def _quotient_tallies(hc: CanonicalForm):
         f = canonical_form(quotient(hc.graph, rho).graph)
         counts[f] = counts.get(f, 0) + 1
         w = 1
-        for b in rho.blocks:
+        for b in rho:
             w *= math.factorial(len(b) - 1)
         weights[f] = weights.get(f, 0) + w
     return counts, weights
@@ -206,14 +164,3 @@ def coefficient_row(kind: str, h) -> dict:
         )
         for f, t in _supergraph_tallies(hc).items()
     }
-
-
-def coefficient(kind: str, h, f) -> Fraction:
-    """The (h, f) entry of the named change-of-basis matrix."""
-    return coefficient_row(kind, h).get(_canon(f), Fraction(0))
-
-
-def sub_to_hom_vector(h: Graph) -> dict:
-    """Expansion of the subgraph count of h over homomorphism counts:
-    Sub(h, G) = sum of coeff[F] * Hom(F, G) with support exactly spasm(h)."""
-    return coefficient_row("SurjInv", h)

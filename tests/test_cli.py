@@ -1,5 +1,7 @@
 import io
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +32,9 @@ class TestCount:
         assert code == 0 and out.strip() == "5"
 
     def test_engines_agree(self, capsys):
+        # the planner's kernels and the oracle
         values = set()
-        for engine in ("auto", "dp", "mm", "brute"):
+        for engine in ("auto", "brute"):
             code, out, _ = run(
                 [
                     "count",
@@ -72,26 +75,6 @@ class TestCount:
         host.write_text("n 3\ne 0 1\ne 1 2\nc 0 1\nc 1 2\nc 2 1\n")
         code, out, _ = run(
             [
-                "count",
-                "--kind",
-                "emb",
-                "--pattern",
-                f"@{pat}",
-                "--host",
-                f"@{host}",
-                "--colored",
-            ],
-            capsys,
-        )
-        assert code == 0 and out.strip() == "2"
-
-    def test_colored_count_alias(self, tmp_path, capsys):
-        pat = tmp_path / "p.txt"
-        pat.write_text("n 2\ne 0 1\nc 0 1\nc 1 2\n")
-        host = tmp_path / "h.txt"
-        host.write_text("n 3\ne 0 1\ne 1 2\nc 0 1\nc 1 2\nc 2 1\n")
-        code, out, _ = run(
-            [
                 "colored-count",
                 "--kind",
                 "emb",
@@ -103,6 +86,13 @@ class TestCount:
             capsys,
         )
         assert code == 0 and out.strip() == "2"
+
+    def test_colored_count_alias(self, capsys):
+        # colored queries go through colored-count only
+        code, out, err = run(
+            ["count", "--kind", "emb", "--pattern", "A_", "--host", "A_", "--colored"], capsys
+        )
+        assert code == 2 and out == "" and "unrecognized arguments: --colored" in err
 
     def test_files_with_leading_comments(self, tmp_path, capsys):
         g6 = tmp_path / "k3.g6"
@@ -367,15 +357,21 @@ class TestErrors:
         assert code == 1
         assert "supergraph enumeration capped" in err
 
-    @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval", "decompose"])
+    @pytest.mark.parametrize("command", ["count-sub", "count-emb", "eval", "decompose",
+                                         "count-sub-13", "spasm-13"])
     def test_oversized_pattern_exit_1(self, tmp_path, command):
         big = encode_graph6(Graph(21))
+        # the edgeless 13-vertex graph: Bell(13) = 27,644,437 partitions, past
+        # the partition budget
+        edgeless13 = encode_graph6(Graph(13))
         f = tmp_path / "p.motif"
         f.write_text(f"basis sub\n1 {big}\n")
         argv = {
             "count-sub": ["count", "--kind", "sub", "--pattern", big, "--host", "Bw"],
             "count-emb": ["count", "--kind", "emb", "--pattern", big, "--host", "Bw"],
             "eval": ["eval", "--param", str(f), "--host", "Bw"],
+            "count-sub-13": ["count", "--kind", "sub", "--pattern", edgeless13, "--host", "Bw"],
+            "spasm-13": ["spasm", edgeless13],
             # cubic on 20 vertices: no reduction rule applies, so the one
             # kernel component passes TREEWIDTH_GUARD
             "decompose": ["decompose", encode_graph6(prism(10))],
@@ -390,20 +386,20 @@ class TestErrors:
         big = encode_graph6(Graph(21))
         host = tmp_path / "host.txt"
         host.write_text("n 1\n")
-        proc = run_isolated(CLI_MAIN, "count", "--colored", "--kind", "sub", "--engine", engine,
+        proc = run_isolated(CLI_MAIN, "colored-count", "--kind", "sub", "--engine", engine,
                             "--pattern", big, "--host", f"@{host}")
         assert proc.returncode == 1
         assert "capped" in proc.stderr
 
-    def test_dense_memory_guard_exit_1(self, tmp_path, capsys):
-        # 20000^2 float64 entries per factor: refused before allocating
+    def test_dense_memory_guard_falls_back(self, tmp_path, capsys):
+        # 20000^2 float64 entries per factor: the matrix engine refuses
+        # before allocating, and the dict DP answers
         host = tmp_path / "host.txt"
         host.write_text("n 20000\ne 0 1\n")
-        code, _, err = run(
-            ["count", "--kind", "hom", "--engine", "mm", "--pattern", "Bw", "--host", f"@{host}"],
-            capsys,
+        code, out, err = run(
+            ["count", "--kind", "hom", "--pattern", "Bw", "--host", f"@{host}"], capsys
         )
-        assert code == 1 and "dense factors need" in err
+        assert (code, out, err) == (0, "0\n", "")
 
     @pytest.mark.parametrize("exc", [AssertionError, MemoryError, RecursionError])
     def test_internal_failure_is_one_line(self, monkeypatch, capsys, exc):
@@ -416,30 +412,34 @@ class TestErrors:
         assert err == f"error: {exc.__name__}: boom\n"
 
     def test_colored_indsub_rejected(self, capsys):
-        code, _, _ = run(
-            [
-                "count",
-                "--kind",
-                "indsub",
-                "--pattern",
-                "A_",
-                "--host",
-                "A_",
-                "--colored",
-            ],
-            capsys,
+        code, out, err = run(
+            ["colored-count", "--kind", "indsub", "--pattern", "A_", "--host", "A_"], capsys
         )
-        assert code == 2
-
-    @pytest.mark.parametrize("command", ["count", "colored-count"])
-    @pytest.mark.parametrize("engine", ["dp", "mm"])
-    def test_colored_engine_rejected(self, capsys, command, engine):
-        argv = [command, "--kind", "sub", "--pattern", "A_", "--host", "A_", "--engine", engine]
-        if command == "count":
-            argv.append("--colored")
-        code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert err == f"error: --colored does not support --engine {engine}\n"
+        assert err == "error: colored-count does not support kind 'indsub'\n"
+
+    @pytest.mark.parametrize("command", ["count", "colored-count", "eval"])
+    @pytest.mark.parametrize("engine", ["dp", "mm"])
+    def test_removed_engines_are_usage_errors(self, tmp_path, capsys, command, engine):
+        # the planner picks each term's kernel; --engine keeps auto and brute
+        f = tmp_path / "p.motif"
+        f.write_text("basis sub\n1 A_\n")
+        source = ["--param", str(f)] if command == "eval" else [
+            "--kind", "sub", "--pattern", "A_"]
+        code, out, err = run([command, *source, "--host", "A_", "--engine", engine], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --engine: invalid choice: '{engine}'" in err
+
+    @pytest.mark.parametrize("term, message", [
+        ("1/0 A_", "line 3: bad rational '1/0'"),
+        ("1 A", "line 3: byte offset 1: "),
+    ])
+    def test_bad_motif_term_names_its_line(self, tmp_path, capsys, term, message):
+        f = tmp_path / "p.motif"
+        f.write_text(f"basis hom\n1 A_\n{term}\n")
+        code, out, err = run(["eval", "--param", str(f), "--host", "Bw"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestSelftest:
@@ -449,3 +449,15 @@ class TestSelftest:
         lines = out.strip().splitlines()
         assert len(lines) == 4
         assert all(l.startswith("PASS ") for l in lines)
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, capsys):
+        # every example of README's command-line block that needs no file
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                    if "@" not in line and ".motif" not in line]
+        assert len(examples) >= 4
+        for argv in examples:
+            assert run(argv, capsys)[0] == 0, argv

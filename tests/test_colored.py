@@ -446,9 +446,9 @@ def partition_reference(h: ColoredGraph, g: ColoredGraph) -> int:
     total = 0
     for rho in independent_partitions(h.graph, h.colors):
         weight = 1
-        for block in rho.blocks:
+        for block in rho:
             weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
-        f = ColoredGraph(quotient(h.graph, rho).graph, [h.colors[b[0]] for b in rho.blocks])
+        f = ColoredGraph(quotient(h.graph, rho).graph, [h.colors[b[0]] for b in rho])
         total += weight * count_colored_hom(f, g)
     return total
 

@@ -12,11 +12,10 @@ from motifcount.decomp import (
     elimination_plan,
     exact_treewidth,
     massage_connected,
-    max_spasm_treewidth,
     support_treewidth,
 )
 from motifcount.graphs import Graph, adjacency, disjoint_union, is_connected
-from motifcount.partitions import CapacityError
+from motifcount.partitions import CapacityError, spasm
 
 
 def partial_k_tree(rng: random.Random, n: int, k: int) -> Graph:
@@ -88,8 +87,8 @@ class TestExactTreewidth:
         assert d.node_count() == 1 and d.bags[d.root] == frozenset()
 
     def test_spasm_treewidth(self):
-        assert max_spasm_treewidth(path(4)) == 2
-        assert max_spasm_treewidth(path(6)) == 2
+        for h in (path(4), path(6)):
+            assert support_treewidth(cf.graph for cf in spasm(h)) == 2
 
     def test_support_treewidth(self):
         assert support_treewidth([]) == -1

@@ -40,9 +40,9 @@ class TestExtraction:
 
     def test_figure_fixture(self):
         # alpha = the Sub-to-Hom expansion of the 4-edge path
-        from motifcount.partitions import sub_to_hom_vector
+        from motifcount.partitions import coefficient_row
 
-        alpha = MotifParameter("hom", sub_to_hom_vector(path(4)))
+        alpha = MotifParameter("hom", coefficient_row("SurjInv", path(4)))
         oracle, calls = self._oracle_for(alpha)
         value = extract_hom_via_oracle(alpha, clique(3), clique(4), oracle)
         assert value == count_hom_dp(clique(3), clique(4)) == 24

@@ -6,7 +6,7 @@ import pytest
 from conftest import clique, cycle, path, random_graph, star
 from motifcount import homcount
 from motifcount.graphs import Graph, canonical_form, parse_graph6
-from motifcount.homcount import count_hom_dp
+from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.motif import (
     BASES,
     MotifParameter,
@@ -138,17 +138,23 @@ class TestCountPattern:
                 assert count_pattern(kind, h, g) == brute_count(kind, h, g)
 
     def test_engines_agree(self):
+        # the planner picks each term's kernel; both kernels agree on every
+        # term of the hom form
         h, g = path(3), random_graph(random.Random(51), 8)
-        values = {count_pattern("sub", h, g, engine=e) for e in ("auto", "dp", "mm")}
-        assert values == {brute_count("sub", h, g)}
+        hom = change_basis(MotifParameter("sub", {h: 1}), "hom")
+        for cf, _ in hom.terms:
+            assert count_hom_mm(cf.graph, g) == count_hom_dp(cf.graph, g)
+        assert count_pattern("sub", h, g) == brute_count("sub", h, g)
 
     def test_brute_is_not_a_library_engine(self):
-        with pytest.raises(ValueError):
+        # the library takes no engine at all; the oracle is brute_count
+        with pytest.raises(TypeError):
             evaluate(MotifParameter("sub", {path(2): 1}), path(3), engine="brute")
 
     def test_auto_falls_back_on_large_sparse_hosts(self):
         # one 12000 x 12000 float64 matrix exceeds DENSE_BYTES_GUARD, so the
-        # matrix engine refuses before allocating and auto takes the dict DP
+        # matrix engine refuses before allocating and the term goes to the
+        # dict DP
         n, rng = 12000, random.Random(59)
         edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
         g = Graph(n, edges)
@@ -157,7 +163,7 @@ class TestCountPattern:
             degrees[u] += 1
             degrees[v] += 1
         with pytest.raises(CapacityError):
-            count_pattern("hom", path(1), g, engine="mm")
+            count_hom_mm(path(1), g)
         assert count_pattern("hom", path(1), g) == 2 * len(edges)
         assert count_pattern("hom", path(2), g) == sum(d * d for d in degrees)
         assert count_pattern("sub", path(2), g) == sum(d * (d - 1) // 2 for d in degrees)
