@@ -70,19 +70,24 @@ def _load_source(src: str):
     return parse_graph6(src)
 
 
-def _as_plain(g) -> Graph:
-    return g.graph if isinstance(g, ColoredGraph) else g
-
-
-def _as_colored(g) -> ColoredGraph:
+def _load_plain(src: str) -> Graph:
+    g = _load_source(src)
     if isinstance(g, ColoredGraph):
-        return g
-    return ColoredGraph(g, [0] * g.n)
+        raise UsageError(
+            f"{src} is coloured; count it with colored-count or decompose it with "
+            "decompose --guarded"
+        )
+    return g
+
+
+def _load_colored(src: str) -> ColoredGraph:
+    g = _load_source(src)
+    return g if isinstance(g, ColoredGraph) else ColoredGraph(g, [0] * g.n)
 
 
 def _cmd_count(args) -> int:
-    h = _as_plain(_load_source(args.pattern))
-    g = _as_plain(_load_source(args.host))
+    h = _load_plain(args.pattern)
+    g = _load_plain(args.host)
     if args.engine == "brute":
         print(brute_count(args.kind, h, g))
     else:
@@ -91,8 +96,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_colored_count(args) -> int:
-    h = _as_colored(_load_source(args.pattern))
-    g = _as_colored(_load_source(args.host))
+    h = _load_colored(args.pattern)
+    g = _load_colored(args.host)
     if args.kind == "hom":
         if args.engine == "brute":
             value = brute_count("colored-hom", h, g)
@@ -114,7 +119,7 @@ def _cmd_colored_count(args) -> int:
 
 
 def _cmd_spasm(args) -> int:
-    h = _as_plain(_load_source(args.graph))
+    h = _load_plain(args.graph)
     for cf, coeff in sorted(
         coefficient_row("SurjInv", h).items(), key=lambda kv: kv[0].key
     ):
@@ -134,7 +139,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_eval(args) -> int:
     p = parse_motif_parameter(_read_text(args.param))
-    g = _as_plain(_load_source(args.host))
+    g = _load_plain(args.host)
     if args.engine == "brute":
         # the oracle on the parameter's own terms: no basis change, no kernel
         print(sum(c * brute_count(p.basis, cf.graph, g) for cf, c in p.terms))
@@ -147,13 +152,13 @@ def _cmd_decompose(args) -> int:
     if args.guarded is not None:
         if args.graph is not None:
             raise UsageError("decompose --guarded takes no graph argument")
-        h = _as_colored(_load_source(args.guarded))
+        h = _load_colored(args.guarded)
         gcd = build_guarded_decomposition(h)
         sys.stdout.write(gcd.dump())
         return 0
     if args.graph is None:
         raise UsageError("decompose needs a graph argument")
-    g = _as_plain(_load_source(args.graph))
+    g = _load_plain(args.graph)
     sys.stdout.write(format_plan(elimination_plan(g)))
     return 0
 

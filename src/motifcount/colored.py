@@ -14,7 +14,8 @@ packings are disjoint families of them, and a cover is a least vertex set
 meeting all of them.
 
 The outer layer grows each node's guard assignments with the dict DP's row
-builder (homcount._RowBuilder), joining the plain children's tables as
+builder (homcount._RowBuilder), built on the coloured pattern and host so
+that every image keeps its colour, joining the plain children's tables as
 factors and keeping images distinct.  The inner layer places the free bag
 vertices of each surviving row from the same host tables: its state holds
 one count per similarity class, the number of the class's members placed
@@ -70,28 +71,18 @@ def contract_colors(h: ColoredGraph) -> Graph:
     """One vertex per color class (in sorted class-id order); an edge iff
     some cross-class edge exists."""
     classes = h.color_classes()
-    return quotient(h.graph, [classes[c] for c in h.color_ids()]).graph
+    return quotient(h.graph, [classes[c] for c in h.color_ids()])
 
 
-def clique_saturate(h: ColoredGraph, except_class=None) -> Graph:
-    """The pattern with each color class made a clique, optionally keeping
-    one class (or a set of classes) untouched."""
-    if except_class is None:
-        excluded = frozenset()
-    elif isinstance(except_class, (set, frozenset, list, tuple)):
-        excluded = frozenset(except_class)
-    else:
-        excluded = frozenset((except_class,))
-    known = set(h.colors)
-    for c in excluded:
-        if c not in known:
-            raise ValueError(f"unknown class id {c}")
+def clique_saturate(h: ColoredGraph, keep=()) -> Graph:
+    """The pattern with each color class made a clique, except the classes
+    whose ids are in the collection keep."""
+    if unknown := set(keep) - set(h.colors):
+        raise ValueError(f"unknown class id {min(unknown)}")
     edges = set(h.graph.edges)
     for c, members in h.color_classes().items():
-        if c in excluded:
-            continue
-        for u, v in itertools.combinations(members, 2):
-            edges.add((u, v))
+        if c not in keep:
+            edges.update(itertools.combinations(members, 2))
     return Graph(h.n, edges)
 
 
@@ -302,7 +293,7 @@ def _class_paths(h: ColoredGraph, class_i: int) -> tuple:
     members = frozenset(v for v in range(h.n) if h.colors[v] == class_i)
     if not members:
         raise ValueError(f"unknown class id {class_i}")
-    return _minimal_a_paths(clique_saturate(h, except_class=class_i), members)
+    return _minimal_a_paths(clique_saturate(h, keep={class_i}), members)
 
 
 def find_flower(h: ColoredGraph, class_i: int, c: int) -> Optional[Flower]:
@@ -437,7 +428,7 @@ def _component_pipeline(hc: ColoredGraph, c: int):
     guard1 = []
     for t in range(td0.node_count()):
         hat_bag = {ids[i] for i in td_hat.bags[t]}
-        saturated = clique_saturate(hc, except_class=hat_bag)
+        saturated = clique_saturate(hc, keep=hat_bag)
         a_star, s_star = _restricted_cover(saturated, beta0[t], k, l)
         inside = s_star & td0.gamma(t)
         beta1.append(beta0[t] | inside)
@@ -506,10 +497,10 @@ def build_guarded_decomposition(h: ColoredGraph) -> GuardedCutvertexDecompositio
 # the two-layer ordered-embedding dynamic program
 
 
-def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
-                             gcd: GuardedCutvertexDecomposition) -> int:
-    """Number of color-preserving embeddings of h into g that are monotone
-    (in host vertex order) on each similarity class.
+def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph) -> int:
+    """Number of color-preserving embeddings of the decomposed pattern
+    gcd.h into g that are monotone (in host vertex order) on each
+    similarity class.
 
     homcount._eliminate runs the DP over the decomposition's nodes, children
     first, each sending its table over its sorted separator.  A node's guard
@@ -524,10 +515,8 @@ def count_ordered_embeddings(h: ColoredGraph, g: ColoredGraph,
     Each class's candidate hosts are computed once per row, and only their
     union is swept, each host taking at most one vertex; a child whose
     separator has one unguarded vertex weighs the host that vertex takes."""
-    if gcd.h is not h and gcd.h != h:
-        gcd = GuardedCutvertexDecomposition(h, gcd.td, gcd.guards)
     td = gcd.td
-    builder = _RowBuilder(h.graph, g.graph, g.colors, h.colors)
+    builder = _RowBuilder(gcd.h, g)
     class_of = {v: ci for ci, members in enumerate(gcd.similarity_partition())
                 for v in members}
 
@@ -611,7 +600,7 @@ def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
     """Color-preserving embedding count via the guarded decomposition and
     the ordered-embedding factorization."""
     gcd = build_guarded_decomposition(h)
-    ordered = count_ordered_embeddings(h, g, gcd)
+    ordered = count_ordered_embeddings(gcd, g)
     factor = 1
     for members in gcd.similarity_partition():
         factor *= math.factorial(len(members))

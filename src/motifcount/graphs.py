@@ -4,6 +4,9 @@ edge-list I/O.
 One backtracking search yields canonical forms, automorphism counts and
 colored isomorphism; plain graphs are searched with the all-zero coloring.
 It refuses graphs above PRUNED_GUARD vertices, whichever entry point calls it.
+A plain graph's search runs once per canonical_form cache miss, and its
+CanonicalForm keeps the automorphism count; a colored graph's search is not
+cached.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
@@ -76,22 +79,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class QuotientGraph:
-    """A quotient of a simple graph: simple edges plus a set of looped
-    vertices.  Parallel edges are always collapsed."""
-
-    graph: Graph
-    loop_vertices: frozenset
-
-    def __init__(self, graph: Graph, loop_vertices: Iterable = ()):
-        loops = frozenset(loop_vertices)
-        if not all(0 <= v < graph.n for v in loops):
-            raise ValueError("loop vertex out of range")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "loop_vertices", loops)
-
-
-@dataclass(frozen=True)
 class ColoredGraph:
     """A graph with one small-integer color per vertex.  The coloring need
     not be proper; color ids are significant and never canonicalized."""
@@ -128,11 +115,12 @@ class CanonicalForm:
 
     Two graphs are isomorphic iff their canonical forms are equal.  The key
     is the graph6 string of the representative, so keys are compact and
-    printable.
+    printable; aut is the class's automorphism count.
     """
 
     graph: Graph
     key: str
+    aut: int
 
     def __hash__(self):
         return hash(self.key)
@@ -163,7 +151,6 @@ def _upper_triangle_bits(g: Graph) -> tuple:
     return tuple(bits)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _canonical_search(g: Graph, colors: tuple) -> tuple:
     """(perm, aut): perm maps canonical position -> original vertex, aut
     counts the color-preserving automorphisms of g.
@@ -237,15 +224,15 @@ def _relabel_canonical(g: Graph, perm: tuple) -> Graph:
 @lru_cache(maxsize=CACHE_SIZE)
 def canonical_form(g: Graph) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
-    string as key."""
-    perm, _ = _canonical_search(g, (0,) * g.n)
+    string as key and its automorphism count."""
+    perm, aut = _canonical_search(g, (0,) * g.n)
     cg = _relabel_canonical(g, perm)
-    return CanonicalForm(cg, encode_graph6(cg))
+    return CanonicalForm(cg, encode_graph6(cg), aut)
 
 
 def automorphism_count(g: Graph) -> int:
     """Number of vertex permutations preserving the edge set."""
-    return _canonical_search(g, (0,) * g.n)[1]
+    return canonical_form(g).aut
 
 
 def tensor_product(g: Graph, x: Graph) -> Graph:
@@ -259,28 +246,18 @@ def tensor_product(g: Graph, x: Graph) -> Graph:
     return Graph(g.n * m, edges)
 
 
-def quotient(h: Graph, blocks) -> QuotientGraph:
+def quotient(h: Graph, blocks) -> Graph:
     """Contract each block of a partition of V(h), a sequence of vertex
-    collections, to a single vertex.
-
-    A block that is not independent in h produces a loop; parallel edges
-    between blocks are collapsed.
-    """
+    collections, to the vertex numbered by its position.  Edges inside a
+    block vanish; parallel edges between blocks are collapsed."""
     block_of = {}
     for i, b in enumerate(blocks):
         for v in b:
             block_of[v] = i
     if sorted(block_of) != list(range(h.n)):
         raise ValueError("partition does not cover the vertex set exactly")
-    edges = set()
-    loops = set()
-    for u, v in h.edges:
-        bu, bv = block_of[u], block_of[v]
-        if bu == bv:
-            loops.add(bu)
-        else:
-            edges.add((bu, bv))
-    return QuotientGraph(Graph(len(blocks), edges), loops)
+    return Graph(len(blocks), {(block_of[u], block_of[v]) for u, v in h.edges
+                               if block_of[u] != block_of[v]})
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -4,9 +4,10 @@ Both engines eliminate the pattern's vertices along the cached optimal
 order of decomp.elimination_plan, which also fixes each message's scope and
 the bucket it goes to: eliminating v multiplies the factors that mention v
 and sums v out, so a pattern of treewidth k costs n^(k+1).
-count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built
-by _RowBuilder: rows of host images grown one pattern vertex at a time
-through colour-restricted neighbourhoods, each message joined once its
+count_hom_dp and count_colored_hom keep factors as dicts keyed by
+host-vertex tuples, built by _RowBuilder: rows of host images grown one
+pattern vertex at a time through neighbourhoods, restricted to the right
+colour when the graphs are ColoredGraphs, each message joined once its
 scope is placed (the colored ordered-embedding DP grows its guard rows with
 the same builder, and runs _eliminate over its guarded decomposition).
 count_hom_mm keeps dense float64 matrices for treewidth <= 2, one BLAS
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional
 
 import numpy as np
 
@@ -81,23 +81,24 @@ class _RowBuilder:
     """Rows of host images, grown one pattern vertex at a time.
 
     A row is (key, count): key holds the images of a prefix of a placement
-    order.  A vertex's images are its candidate hosts (`hosts`, the host
-    vertices of its colour) or, once some pattern neighbour is placed, the
-    common neighbours of their images within that colour (`neighbours`)."""
+    order.  A vertex's images are its candidate hosts (`hosts`) or, once
+    some pattern neighbour is placed, the common neighbours of their images
+    (`neighbours`).  Pattern and host are both Graphs, or both ColoredGraphs,
+    and then a vertex's images keep its colour."""
 
-    def __init__(self, h: Graph, g: Graph, host_colors: Optional[tuple] = None,
-                 pattern_colors: Optional[tuple] = None):
-        self.adj = adjacency(h)
-        adj_g = adjacency(g)
-        if pattern_colors is None:
-            self.hosts = [range(g.n)] * h.n
-            self.neighbours = [adj_g] * h.n
-        else:
-            classes = {c: frozenset(x for x, cx in enumerate(host_colors) if cx == c)
-                       for c in set(pattern_colors)}
+    def __init__(self, h, g):
+        if isinstance(h, ColoredGraph):
+            adj_g = adjacency(g.graph)
+            classes = {c: frozenset(x for x, cx in enumerate(g.colors) if cx == c)
+                       for c in set(h.colors)}
             restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
-            self.hosts = [classes[c] for c in pattern_colors]
-            self.neighbours = [restricted[c] for c in pattern_colors]
+            self.hosts = [classes[c] for c in h.colors]
+            self.neighbours = [restricted[c] for c in h.colors]
+            h = h.graph
+        else:
+            self.hosts = [range(g.n)] * h.n
+            self.neighbours = [adjacency(g)] * h.n
+        self.adj = adjacency(h)
 
     def order(self, rest, placed=()) -> list:
         """`placed`, then `rest` with the vertex of most placed neighbours
@@ -145,11 +146,9 @@ class _RowBuilder:
             rows = grown
 
 
-def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
-                 pattern_colors: Optional[tuple] = None) -> int:
-    """Number of homomorphisms from h to g (color-preserving when colorings
-    are supplied)."""
-    builder = _RowBuilder(h, g, host_colors, pattern_colors)
+def _count_hom(builder: _RowBuilder, h: Graph) -> int:
+    """Homomorphisms from h whose images the builder allows, by elimination
+    along h's plan."""
 
     def step(v, later, factors):
         # seed from the largest message, then grow through the others
@@ -172,9 +171,14 @@ def count_hom_dp(h: Graph, g: Graph, host_colors: Optional[tuple] = None,
     return _eliminate(elimination_plan(h)[1:], step)
 
 
+def count_hom_dp(h: Graph, g: Graph) -> int:
+    """Number of homomorphisms from h to g."""
+    return _count_hom(_RowBuilder(h, g), h)
+
+
 def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
-    return count_hom_dp(h.graph, g.graph, host_colors=g.colors,
-                        pattern_colors=h.colors)
+    """Number of color-preserving homomorphisms from h to g."""
+    return _count_hom(_RowBuilder(h, g), h.graph)
 
 
 @lru_cache(maxsize=256)

@@ -2,14 +2,13 @@
 
 Everything here enumerates candidate maps directly from the definitions and
 is deliberately naive; the fast counting paths share no code with this
-module.  The enumeration budget defaults to 1e9 candidate maps and can be
-overridden with the MOTIF_BUDGET environment variable.
+module.  No count enumerates more than DEFAULT_BUDGET candidate maps; a
+larger one raises BudgetExceeded before it starts.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 from .graphs import ColoredGraph, Graph
 
@@ -32,20 +31,12 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def _budget() -> int:
-    raw = os.environ.get("MOTIF_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    return int(raw)
-
-
 def _check_budget(nh: int, ng: int):
     if ng == 0:
         return
-    if ng**nh > _budget():
+    if ng**nh > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"{ng}^{nh} candidate maps exceed the brute-force budget; "
-            "set MOTIF_BUDGET to raise it"
+            f"{ng}^{nh} candidate maps exceed the brute-force budget of {DEFAULT_BUDGET:,}"
         )
 
 
@@ -156,7 +147,7 @@ def _count_colorful(f: Graph, g: ColoredGraph) -> int:
     total = 1
     for cl in classes:
         total *= len(cl)
-    if total > _budget():
+    if total > DEFAULT_BUDGET:
         raise BudgetExceeded("colorful enumeration exceeds budget")
     count = 0
     for choice in itertools.product(*classes):

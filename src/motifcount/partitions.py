@@ -22,7 +22,6 @@ from .graphs import (
     ColoredGraph,
     Graph,
     adjacency,
-    automorphism_count,
     canonical_form,
     colored_canonical_key,
     graph_order_key,
@@ -83,9 +82,7 @@ def colored_spasm(h: ColoredGraph) -> list:
     block inherits its color.  Deduplicated by color-preserving isomorphism."""
     seen = {}
     for rho in independent_partitions(h.graph, h.colors):
-        q = quotient(h.graph, rho)
-        block_colors = tuple(h.colors[b[0]] for b in rho)
-        cg = ColoredGraph(q.graph, block_colors)
+        cg = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
         seen[colored_canonical_key(cg)] = cg
     return [seen[k] for k in sorted(seen)]
 
@@ -105,7 +102,7 @@ def _quotient_tallies(hc: CanonicalForm):
     counts: dict = {}
     weights: dict = {}
     for rho in independent_partitions(hc.graph):
-        f = canonical_form(quotient(hc.graph, rho).graph)
+        f = canonical_form(quotient(hc.graph, rho))
         counts[f] = counts.get(f, 0) + 1
         w = 1
         for b in rho:
@@ -141,26 +138,22 @@ def coefficient_row(kind: str, h) -> dict:
     hc = _canon(h)
     h = hc.graph
     if kind == "Iso":
-        return {hc: Fraction(automorphism_count(h))}
+        return {hc: Fraction(hc.aut)}
     if kind == "IsoInv":
-        return {hc: Fraction(1, automorphism_count(h))}
+        return {hc: Fraction(1, hc.aut)}
     if kind == "Surj":
         counts, _ = _quotient_tallies(hc)
-        return {f: Fraction(automorphism_count(f.graph) * c) for f, c in counts.items()}
-    aut = automorphism_count(h)
+        return {f: Fraction(f.aut * c) for f, c in counts.items()}
     if kind == "SurjInv":
         _, weights = _quotient_tallies(hc)
         return {
-            f: Fraction((-1) ** (h.n - f.graph.n) * w, aut)
+            f: Fraction((-1) ** (h.n - f.graph.n) * w, hc.aut)
             for f, w in weights.items()
         }
     # Ext(H, F) = T(F) Aut(F) / Aut(H): both sides count the bijections
     # V(H) -> V(F) that map E(H) into E(F)
     sign = -1 if kind == "ExtInv" else 1
     return {
-        f: Fraction(
-            sign ** (len(f.graph.edges) - len(h.edges)) * t * automorphism_count(f.graph),
-            aut,
-        )
+        f: Fraction(sign ** (len(f.graph.edges) - len(h.edges)) * t * f.aut, hc.aut)
         for f, t in _supergraph_tallies(hc).items()
     }

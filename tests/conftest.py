@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import motifcount
-from motifcount.graphs import ColoredGraph, Graph, canonical_form
+from motifcount.graphs import ColoredGraph, Graph, adjacency, canonical_form
 
 CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -108,3 +108,52 @@ def all_graphs_up_to(n_max: int):
             cf = canonical_form(g)
             classes.setdefault(cf.key, cf.graph)
     return list(classes.values())
+
+
+def has_a_path(g: Graph, a: set, removed) -> bool:
+    """Does some component of g - removed hold two a-vertices?"""
+    adj = adjacency(g)
+    seen = set(removed)
+    for s in range(g.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, hits = [s], 0
+        while stack:
+            u = stack.pop()
+            hits += u in a
+            for w in adj[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        if hits >= 2:
+            return True
+    return False
+
+
+def brute_attachment(g: Graph, v: int, a: frozenset) -> int:
+    """Maximum v-A path system sharing only v, by exhaustive search."""
+    adj = adjacency(g)
+    paths = []
+    stack = [(v, (v,))]
+    while stack:
+        u, p = stack.pop()
+        for w in sorted(adj[u]):
+            if w in p:
+                continue
+            if w in a and w != v:
+                paths.append(p + (w,))
+            else:
+                stack.append((w, p + (w,)))
+    best = 0
+
+    def rec(idx, count, used):
+        nonlocal best
+        best = max(best, count)
+        for j in range(idx, len(paths)):
+            body = frozenset(paths[j]) - {v}
+            if used & body:
+                continue
+            rec(j + 1, count + 1, used | body)
+
+    rec(0, 0, frozenset())
+    return best

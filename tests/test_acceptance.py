@@ -3,7 +3,6 @@
 import itertools
 import math
 import multiprocessing
-import os
 import random
 import time
 from fractions import Fraction
@@ -12,13 +11,16 @@ import numpy as np
 
 from conftest import (
     all_graphs_up_to,
+    brute_attachment,
     clique,
     cycle,
+    has_a_path,
     path,
     random_colored,
     random_graph,
     star,
 )
+from motifcount import oracle
 from motifcount.colored import (
     a_path_packing,
     a_path_packing_restricted,
@@ -32,7 +34,6 @@ from motifcount.extract import extract_hom_via_oracle, hom_closure
 from motifcount.graphs import (
     ColoredGraph,
     Graph,
-    adjacency,
     canonical_form,
     colored_automorphism_count,
     graph_order_key,
@@ -236,7 +237,7 @@ def test_criterion_09_colored_pipeline():
             ok = False
         gcd = build_guarded_decomposition(h)
         classes = [sorted(m) for m in gcd.similarity_partition()]
-        ordered = count_ordered_embeddings(h, g, gcd)
+        ordered = count_ordered_embeddings(gcd, g)
         factor = 1
         for members in classes:
             factor *= math.factorial(len(members))
@@ -262,51 +263,6 @@ def test_criterion_09_colored_pipeline():
     _report(9, "colored pipeline vs brute force", ok)
 
 
-def _has_a_path_brute(g: Graph, a: set, removed: set) -> bool:
-    remaining = set(range(g.n)) - removed
-    adj = adjacency(g)
-    live_a = [v for v in a if v in remaining]
-    for s in live_a:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen & set(live_a)) >= 2:
-            return True
-    return False
-
-
-def _brute_attachment(g: Graph, v: int, a: frozenset) -> int:
-    adj = adjacency(g)
-    paths = []
-    stack = [(v, (v,))]
-    while stack:
-        u, p = stack.pop()
-        for w in sorted(adj[u]):
-            if w in p:
-                continue
-            if w in a and w != v:
-                paths.append(p + (w,))
-            else:
-                stack.append((w, p + (w,)))
-    best = 0
-
-    def rec(idx, count, used):
-        nonlocal best
-        best = max(best, count)
-        for j in range(idx, len(paths)):
-            body = frozenset(paths[j]) - {v}
-            if not used & body:
-                rec(j + 1, count + 1, used | body)
-
-    rec(0, 0, frozenset())
-    return best
-
-
 def test_criterion_10_apath_guarantees():
     rng = random.Random(1010)
     ok = True
@@ -319,7 +275,7 @@ def test_criterion_10_apath_guarantees():
         result = a_path_packing(g, a, k)
         if result[0] == "cover":
             cover = result[1]
-            if len(cover) > 2 * k - 2 or _has_a_path_brute(g, a, set(cover)):
+            if len(cover) > 2 * k - 2 or has_a_path(g, a, set(cover)):
                 ok = False
         if is_connected(g):
             res = a_path_packing_restricted(g, a, k, 2 * k)
@@ -328,7 +284,7 @@ def test_criterion_10_apath_guarantees():
                 exhaustive = {
                     v
                     for v in range(n)
-                    if _brute_attachment(g, v, frozenset(a)) >= 2 * k
+                    if brute_attachment(g, v, frozenset(a)) >= 2 * k
                 }
                 if s_star != exhaustive:
                     ok = False
@@ -337,7 +293,7 @@ def test_criterion_10_apath_guarantees():
 
 
 def _brute_p7_subs(host_edges, host_n, out):
-    os.environ["MOTIF_BUDGET"] = str(10**18)
+    oracle.DEFAULT_BUDGET = 10**18
     p7 = Graph(7, [(i, i + 1) for i in range(6)])
     out.value = brute_count("sub", p7, Graph(host_n, host_edges))
 

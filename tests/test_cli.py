@@ -430,6 +430,25 @@ class TestErrors:
         assert code == 2 and out == ""
         assert f"argument --engine: invalid choice: '{engine}'" in err
 
+    @pytest.mark.parametrize("command", ["count", "eval", "spasm", "decompose"])
+    def test_coloured_file_to_a_plain_command_is_usage_error(self, tmp_path, capsys, command):
+        # P3 coloured (0, 1, 0) has no colour-respecting copy in K3, but 3
+        # uncoloured ones: a plain command must not drop the colours
+        pat = tmp_path / "p3.txt"
+        pat.write_text("n 3\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\n")
+        f = tmp_path / "p.motif"
+        f.write_text("basis sub\n1 BW\n")
+        argv = {
+            "count": ["count", "--kind", "sub", "--pattern", f"@{pat}", "--host", "Bw"],
+            "eval": ["eval", "--param", str(f), "--host", f"@{pat}"],
+            "spasm": ["spasm", f"@{pat}"],
+            "decompose": ["decompose", f"@{pat}"],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: @{pat} is coloured")
+        assert "colored-count" in err and "decompose --guarded" in err
+
     @pytest.mark.parametrize("term, message", [
         ("1/0 A_", "line 3: bad rational '1/0'"),
         ("1 A", "line 3: byte offset 1: "),

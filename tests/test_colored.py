@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CLI_MAIN,
+    brute_attachment,
     clique,
     cycle,
+    has_a_path,
     matching,
     path,
     random_colored,
@@ -54,55 +56,6 @@ def half_colorful_matching(k: int) -> ColoredGraph:
     for i in range(k):
         colors += [0, i + 1]
     return ColoredGraph(Graph(2 * k, edges), colors)
-
-
-def has_a_path(g: Graph, a: set, removed) -> bool:
-    """Does some component of g - removed hold two a-vertices?"""
-    adj = adjacency(g)
-    seen = set(removed)
-    for s in range(g.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        stack, hits = [s], 0
-        while stack:
-            u = stack.pop()
-            hits += u in a
-            for w in adj[u] - seen:
-                seen.add(w)
-                stack.append(w)
-        if hits >= 2:
-            return True
-    return False
-
-
-def brute_attachment(g: Graph, v: int, a: frozenset) -> int:
-    """Maximum v-A path system sharing only v, by exhaustive search."""
-    adj = adjacency(g)
-    paths = []
-    stack = [(v, (v,))]
-    while stack:
-        u, p = stack.pop()
-        for w in sorted(adj[u]):
-            if w in p:
-                continue
-            if w in a and w != v:
-                paths.append(p + (w,))
-            else:
-                stack.append((w, p + (w,)))
-    best = 0
-
-    def rec(idx, count, used):
-        nonlocal best
-        best = max(best, count)
-        for j in range(idx, len(paths)):
-            body = frozenset(paths[j]) - {v}
-            if used & body:
-                continue
-            rec(j + 1, count + 1, used | body)
-
-    rec(0, 0, frozenset())
-    return best
 
 
 @st.composite
@@ -156,7 +109,7 @@ class TestContractSaturate:
     def test_saturate_all_and_except(self):
         h = ColoredGraph(Graph(4), (0, 0, 1, 1))
         assert clique_saturate(h) == Graph(4, [(0, 1), (2, 3)])
-        assert clique_saturate(h, except_class=0) == Graph(4, [(2, 3)])
+        assert clique_saturate(h, keep={0}) == Graph(4, [(2, 3)])
 
 
 class TestAPaths:
@@ -349,7 +302,7 @@ class TestOrderedEmbeddings:
         h = ColoredGraph(clique(2), (1, 1))
         g = ColoredGraph(Graph(3, [(0, 1)]), (1, 1, 1))
         gcd = build_guarded_decomposition(h)
-        ordered = count_ordered_embeddings(h, g, gcd)
+        ordered = count_ordered_embeddings(gcd, g)
         classes = gcd.similarity_partition()
         factor = 1
         for members in classes:
@@ -366,7 +319,7 @@ class TestOrderedEmbeddings:
             g = random_colored(rng, rng.randint(1, 6), 3)
             gcd = build_guarded_decomposition(h)
             classes = [sorted(m) for m in gcd.similarity_partition()]
-            ordered = count_ordered_embeddings(h, g, gcd)
+            ordered = count_ordered_embeddings(gcd, g)
             assert ordered == brute_ordered_embeddings(h, g, classes)
             factor = 1
             for members in classes:
@@ -448,7 +401,7 @@ def partition_reference(h: ColoredGraph, g: ColoredGraph) -> int:
         weight = 1
         for block in rho:
             weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
-        f = ColoredGraph(quotient(h.graph, rho).graph, [h.colors[b[0]] for b in rho])
+        f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
         total += weight * count_colored_hom(f, g)
     return total
 
@@ -516,7 +469,7 @@ class TestColoredDifferential:
         gcd = build_guarded_decomposition(h)
         assert gcd.dump() == "0 parent=- bag={} guard={}\n"
         g = random_colored(random.Random(108), 5, 3)
-        assert count_ordered_embeddings(h, g, gcd) == 1
+        assert count_ordered_embeddings(gcd, g) == 1
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     @settings(max_examples=25, deadline=None)

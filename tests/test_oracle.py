@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import clique, path, random_graph
+from motifcount import oracle
 from motifcount.graphs import (
     ColoredGraph,
     Graph,
@@ -15,8 +17,8 @@ from motifcount.partitions import independent_partitions
 
 
 def quotient_matches(h, p, fc):
-    q = quotient(h, p)
-    return not q.loop_vertices and canonical_form(q.graph) == fc
+    independent = not any(h.has_edge(u, v) for b in p for u, v in itertools.combinations(b, 2))
+    return independent and canonical_form(quotient(h, p)) == fc
 
 
 class TestFixtures:
@@ -60,9 +62,9 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             brute_count("hom", clique(8), clique(20))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MOTIF_BUDGET", "10")
-        with pytest.raises(BudgetExceeded):
+    def test_budget_is_the_module_constant(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10)
+        with pytest.raises(BudgetExceeded, match="budget of 10$"):
             brute_count("hom", clique(2), clique(4))
 
     def test_colored_kinds(self):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import warnings
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_graphs_up_to, clique, cycle, path, random_graph, star
+from motifcount import graphs, partitions
 from motifcount.graphs import (
     ColoredGraph,
     Graph,
@@ -178,6 +180,24 @@ class TestCoefficients:
         k3 = canonical_form(clique(3))
         assert coefficient_row("Iso", k3) == {k3: 6}
         assert coefficient_row("IsoInv", k3) == {k3: Fraction(1, 6)}
+
+    def test_each_class_graph_is_searched_once(self, monkeypatch):
+        # the automorphism counts come with the canonical forms: from cold
+        # caches, a row runs the symmetry search once per canonical_form miss
+        for cache in (canonical_form, partitions._quotient_tallies,
+                      partitions._supergraph_tallies):
+            cache.cache_clear()
+        search = inspect.unwrap(graphs._canonical_search)
+        runs = 0
+
+        def counted(*args):
+            nonlocal runs
+            runs += 1
+            return search(*args)
+
+        monkeypatch.setattr(graphs, "_canonical_search", counted)
+        coefficient_row("Ext", path(4))
+        assert runs == canonical_form.cache_info().misses == 65
 
 
 class TestSubToHom:
