@@ -315,10 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about as much as a small query
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -10,26 +10,33 @@ pattern vertex at a time through neighbourhoods, restricted to the right
 colour when the graphs are ColoredGraphs, each message joined once its
 scope is placed (the colored ordered-embedding DP grows its guard rows with
 the same builder, and runs _eliminate over its guarded decomposition).
-count_hom_mm keeps dense float64 matrices for treewidth <= 2, one BLAS
-product per vertex.  Its arithmetic is exact by a certificate: no entry or
-partial sum exceeds D^(k-1), D the host's maximum degree and k the largest
-pattern component's vertex count.  Below 2^53 one float64 pass is exact;
-above, the factors are stacked residues modulo word-size primes (the
-FFLAS-FFPACK approach of Dumas, Giorgi and Pernet) rebuilt by Chinese
-remaindering in Python ints.  The order is the whole plan: neither engine
-builds a tree decomposition of its own.
+count_hom_mm keeps dense float64 arrays for treewidth <= 3: n x n
+matrices with one BLAS product per vertex while scopes hold at most two
+vertices, and n x n x n arrays for a three-vertex scope, each sum over x_v
+a batched BLAS product of two of them, or the slices of one.  Its
+arithmetic is exact by a certificate that holds for scopes of any size: no
+entry or partial sum exceeds D^(k-1), D the host's maximum degree and k the
+largest pattern component's vertex count.  Below 2^53 one float64 pass is
+exact; above, the factors are stacked residues modulo word-size primes (the
+FFLAS-FFPACK approach of Dumas, Giorgi and Pernet), reduced after every
+product of two, and rebuilt by Chinese remaindering in Python ints.  The
+order is the whole plan: neither engine builds a tree decomposition of its
+own.
 What count_hom_mm derives from one input alone is built once: per host
 (_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
-per pattern (_dense_shape) the largest component and the dense layers.  The
-n x n adjacency matrix is built on every call, after DENSE_BYTES_GUARD has
-passed, and no cache keeps it.
+per pattern (_dense_shape) the plan, the adjacency, the largest component,
+the dense layers and the step sizes that _predicted_work prices both
+kernels by.  The n x n adjacency matrix is built on every call, after
+DENSE_BYTES_GUARD has passed, and no cache keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +50,13 @@ DENSE_BYTES_GUARD = 1 << 30
 HOST_CACHE_SIZE = 32
 # float64 holds every integer below this exactly
 _EXACT = 2**53
+# rows per slice in a rank-3 step that multiplies three arrays
+_SLICE = 8
+# _predicted_work's weight on n^4, the work of a step over three later
+# vertices: it runs as slices of batched products and elementwise passes,
+# slower per n^4 than one BLAS product per n^3 (set with
+# motif.DENSE_WORK_RATIO, from the same timings)
+_RANK3_WORK = 3
 
 
 def _eliminate(forest: tuple, step) -> int:
@@ -216,25 +230,70 @@ def _crt_sum(residues: np.ndarray, primes: list) -> int:
                for col in zip(*rows))
 
 
+class _DenseShape(NamedTuple):
+    """What count_hom_mm and the kernel route derive from a pattern alone."""
+
+    forest: tuple  # (order, later, parent) of h's elimination plan
+    width: int
+    adj: tuple  # h's neighbour sets
+    k: int  # vertex count of h's largest component
+    layers: tuple  # (a, b): a step holds at most a + b*n arrays n x n per prime
+    steps: tuple  # (s, e, f, count): see _dense_shape
+
+
+def _rank3(later, factors) -> bool:
+    """Does this step need rank-3 arrays (a three-vertex scope in or out)?"""
+    return len(later) == 3 or any(len(scope) == 3 for scope, _ in factors)
+
+
 @lru_cache(maxsize=1024)
-def _dense_shape(h: Graph) -> tuple:
-    """(layers, k) for count_hom_mm: k is the vertex count of h's largest
-    component, and layers the most n x n arrays per prime held at once
-    besides the adjacency matrix: the two-vertex messages waiting in
-    buckets, plus four working arrays (two products, the vector-weighted
-    copy and the result) in a step that builds any; a step over one later
-    vertex with only one-vertex messages builds vectors alone."""
-    held = peak = 0
+def _dense_shape(h: Graph) -> _DenseShape:
+    """h's plan, adjacency, largest component, dense memory and work,
+    memoised per pattern.  `layers` bounds the n x n arrays per prime held at
+    once besides the adjacency matrix, an n x n x n array counting n: the
+    messages waiting in buckets, plus the arrays a step builds.  A step of
+    rank <= 2 builds four (two products, the vector-weighted copy and the
+    result), or none over one later vertex with only one-vertex messages; a
+    rank-3 step builds its result and one vector-weighted copy of the
+    adjacency matrix, and over three later vertices two slices of _SLICE
+    layers, its result multiplying into a waiting message over the same
+    scope if there is one.  `steps` counts the elimination steps by their
+    size s = |{v} + later[v]|, the number e of h's edges among those
+    vertices, and the number f of other pairs of them that a message into
+    the step joins."""
+    width, *forest = elimination_plan(h)
+    adj, parent = adjacency(h), forest[2]
+    held = [0, 0]  # waiting messages over two and over three vertices
+    waiting = set()  # (vertex, scope) of each three-vertex message sent
+    layers, steps = {(0, 0)}, {}
 
     def step(v, later, factors):
-        nonlocal held, peak
-        pairs = sum(len(scope) == 2 for scope, _ in factors)
-        peak = max(peak, held + 4 * (pairs > 0 or len(later) == 2))
-        held += (len(later) == 2) - pairs
-        return None if later else 1
+        members = sorted((v,) + later)
+        edges = {(a, b) for a, b in combinations(members, 2) if b in adj[a]}
+        joined = {p for scope, _ in factors for p in combinations(scope, 2)} - edges
+        key = (len(members), len(edges), len(joined))
+        steps[key] = steps.get(key, 0) + 1
+        new = len(later) == 3 and (parent[v], later) not in waiting
+        if len(later) == 3:
+            waiting.add((parent[v], later))
+            layers.add((held[0] + 2 * _SLICE + 1, held[1] + new))
+        elif _rank3(later, factors):
+            layers.add((held[0] + 2, held[1]))
+        elif len(later) == 2 or any(len(scope) == 2 for scope, _ in factors):
+            layers.add((held[0] + 4, held[1]))
+        for scope, built in factors:
+            if built:
+                held[len(scope) - 2] -= 1
+        held[0] += len(later) == 2
+        held[1] += new
+        # the table: whether the message is an array of its own, n x n or more
+        return len(later) == 2 or new if later else 1
 
-    _eliminate(elimination_plan(h)[1:], step)
-    return peak, max(map(len, connected_components(h)), default=1)
+    if width <= 3:  # count_hom_mm refuses wider patterns
+        _eliminate(tuple(forest), step)
+    return _DenseShape(tuple(forest), width, adj,
+                       max(map(len, connected_components(h)), default=1),
+                       tuple(layers), tuple(key + (m,) for key, m in steps.items()))
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
@@ -246,46 +305,70 @@ def _host_facts(g: Graph) -> tuple:
     return ends, int(np.bincount(ends.ravel(), minlength=1).max())
 
 
+def _predicted_work(h: Graph, g: Graph) -> tuple:
+    """(dense, rows) for a pattern of treewidth <= 3: the work of
+    count_hom_mm, the sum of n^s over h's elimination steps on s vertices
+    (_RANK3_WORK n^4 on four), and the rows of count_hom_dp, the sum of
+    n^s (D/n)^e min(1, D^2/n)^f over the same steps, D the host's maximum
+    degree (e and f as in _dense_shape).  A row extends through host
+    neighbourhoods and dies where a message has no entry, so a pair joined
+    by an edge keeps about D of the n images, and a pair joined only by a
+    message, through a path of two edges or more, about D^2."""
+    n, degree = g.n, _host_facts(g)[1]
+    dense = rows = 0
+    if n:
+        edge, message = degree / n, min(1, degree**2 / n)
+        for s, e, f, m in _dense_shape(h).steps:
+            dense += m * n**s * (_RANK3_WORK if s == 4 else 1)
+            rows += m * n**s * edge**e * message**f
+    return dense, rows
+
+
 def count_hom_mm(h: Graph, g: Graph) -> int:
-    """Homomorphism count for a treewidth-<=2 pattern with dense float64
+    """Homomorphism count for a treewidth-<=3 pattern with dense float64
     factors, exact in one pass under a degree bound and by residues modulo
     word-size primes above it.  Disconnected patterns multiply per
     component."""
     if h.n and not g.n:
         return 0
-    if elimination_plan(h)[0] > 2:
-        raise DecompositionError("count_hom_mm needs treewidth at most 2")
+    shape = _dense_shape(h)
+    if shape.width > 3:
+        raise DecompositionError("count_hom_mm needs treewidth at most 3")
     n = g.n
     ends, degree = _host_facts(g)
     # Certificate.  A factor entry counts the maps of the pattern vertices
-    # eliminated into its message, with the message's scope fixed; every
-    # partial sum inside `*`, `.sum` and `@` adds non-negative terms of such
-    # an entry, so none exceeds it.  An eliminated vertex's neighbours are
-    # eliminated or in the scope, and the eliminated vertices of a message
-    # form a connected subgraph (a subtree of the elimination tree) that
-    # touches its scope; at a component's last step they are the component
-    # less one fixed vertex.  Placed outward from the fixed vertices, each
-    # has at most D images once the neighbour it is reached from is placed,
-    # D the host's maximum degree, so no value exceeds D^(k-1) for k the
-    # largest component's vertex count.  Below 2^53 float64 is exact in any
-    # summation order; otherwise work modulo primes whose product exceeds it.
-    layers, k = _dense_shape(h)
-    bound = degree ** (k - 1)
+    # eliminated into its message, with the message's scope fixed, and a
+    # product of the factors a step multiplies counts the maps of the union
+    # of theirs, with the step's scope fixed; every partial sum inside `*`,
+    # `.sum` and `@` adds non-negative terms of such an entry, so none
+    # exceeds it.  This holds for scopes of any size.  An eliminated
+    # vertex's neighbours are eliminated or in the scope, and the eliminated
+    # vertices of a message form a connected subgraph (a subtree of the
+    # elimination tree) that touches its scope; at a component's last step
+    # they are the component less one fixed vertex.  Placed outward from the
+    # fixed vertices, each has at most D images once the neighbour it is
+    # reached from is placed, D the host's maximum degree, so no value
+    # exceeds D^(k-1) for k the largest component's vertex count.  Below
+    # 2^53 float64 is exact in any summation order; otherwise work modulo
+    # primes whose product exceeds it.
+    bound = degree ** (shape.k - 1)
     primes = _word_primes(n, bound) if bound >= _EXACT else []
     # the adjacency matrix is one layer, broadcast over the primes
+    layers = max(a + b * n for a, b in shape.layers)
     need = (1 + layers * max(len(primes), 1)) * n * n * 8
     if need > DENSE_BYTES_GUARD:
         raise CapacityError(
             f"dense factors need ~{need >> 20} MiB, capped at "
             f"{DENSE_BYTES_GUARD >> 20} MiB"
         )
-    adj_h = adjacency(h)
+    adj_h = shape.adj
     A = np.zeros((1, n, n))
     A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
     if primes:
         A = np.broadcast_to(A, (len(primes), n, n))
         moduli = np.array(primes, dtype=np.float64)
-        by_rank = {2: moduli[:, None], 3: moduli[:, None, None]}
+        by_rank = {2: moduli[:, None], 3: moduli[:, None, None],
+                   4: moduli[:, None, None, None]}
 
         def reduce(x):
             return np.fmod(x, by_rank[x.ndim], out=x)
@@ -325,4 +408,123 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
             first = reduce(first * vec[:, None, :])
         return reduce(first @ mats[later[1]].swapaxes(1, 2))
 
-    return _eliminate(elimination_plan(h)[1:], step)
+    # waiting[u][scope]: the three-vertex message over scope in u's bucket;
+    # another one bound there multiplies into it instead of taking n^3 more
+    waiting: dict = {}
+    parent = shape.forest[2]
+
+    def step3(v, later, factors):
+        # A step with a three-vertex scope in or out.  Each factor is viewed
+        # as [., *rest, x_v], rest its scope's later vertices, and multiplied
+        # into the group of its rest; each group then multiplies into one
+        # group whose rest contains its own.  A group is `owned` when this
+        # step may overwrite it: every message is used once, A never is.
+        waiting.pop(v, None)
+        groups: dict = {}
+        for scope, t in factors:
+            if t is not None:  # None: multiplied into a message over its scope
+                i = scope.index(v)
+                _fold(groups, scope[:i] + scope[i + 1:], np.moveaxis(t, i + 1, -1), True,
+                      reduce)
+        for u in later:
+            if u in adj_h[v]:
+                _fold(groups, (u,), A, False, reduce)
+        for rest in sorted(groups, key=len):
+            supersets = [r for r in groups if r != rest and set(rest) <= set(r)]
+            if supersets:
+                r = max(supersets, key=lambda r: groups[r][1])  # owned first
+                _fold(groups, r, _widen(groups.pop(rest)[0], rest, r), False, reduce)
+        if len(later) == 2:
+            # a three-vertex message over (v, *later) took in every factor
+            return reduce(groups[later][0].sum(axis=-1))
+        sent = waiting.setdefault(parent[v], {})
+        fresh = later not in sent
+        if fresh:
+            sent[later] = np.empty((max(len(primes), 1), n, n, n))
+        _contract3({rest: t for rest, (t, _) in groups.items()}, later, reduce, sent[later],
+                   fresh)
+        return sent[later] if fresh else None
+
+    if shape.width <= 2:
+        run = step
+    else:
+        def run(v, later, factors):
+            return (step3 if _rank3(later, factors) else step)(v, later, factors)
+
+    return _eliminate(shape.forest, run)
+
+
+def _fold(groups: dict, rest: tuple, t, owned: bool, reduce) -> None:
+    """Multiply the array t (indexed [., *rest, x_v]) into groups[rest], a
+    pair [array, owned], overwriting an owned array in place."""
+    if rest not in groups:
+        groups[rest] = [t, owned]
+        return
+    x, x_owned = groups[rest]
+    if not x_owned and owned and t.shape == np.broadcast_shapes(t.shape, x.shape):
+        x, t, x_owned = t, x, True
+    if x_owned:
+        reduce(np.multiply(x, t, out=x))
+    else:
+        x, x_owned = reduce(x * t), True
+    groups[rest] = [x, x_owned]
+
+
+def _widen(t, rest: tuple, wider: tuple):
+    """t, indexed [., *rest, x_v], as a view broadcast over `wider`, a tuple
+    holding rest in the same order."""
+    return t[(slice(None),) + tuple(slice(None) if u in rest else None for u in wider)]
+
+
+def _contract3(factors: dict, later: tuple, reduce, out, fresh: bool) -> None:
+    """Write (fresh) or multiply into out, an n x n x n array [., *later],
+    the sum over x_v of the product of the arrays factors[rest], each
+    indexed [., *rest, x_v]: the rests cover the three later vertices, none
+    holds another, and each has at most two.  Every sum runs over x_v alone,
+    of products of two arrays reduced as they are built, and out is filled
+    in slices of _SLICE rows, so that no array spans four vertices and the
+    slices are the only other arrays built."""
+    n = out.shape[-1]
+
+    def put(target, block):
+        if fresh:
+            target[...] = reduce(block)
+        else:
+            reduce(np.multiply(target, reduce(block), out=target))
+
+    def view(t, rest, axes):
+        # t as [., *axes, x_v], with a unit axis for a vertex not in rest
+        wider = tuple(sorted(axes))
+        return _widen(t, rest, wider).transpose(
+            (0,) + tuple(1 + wider.index(u) for u in axes) + (len(axes) + 1,))
+
+    if len(factors) == 2:
+        # out[w, r, q] = sum_v X[w, r, v] Y[w, q, v], batched over w: the
+        # vertex the two share, or else the first of the pair
+        (rx, x), (ry, y) = sorted(factors.items(), key=lambda f: -len(f[0]))
+        w = next((u for u in rx if u in ry), rx[0])
+        (r,) = [u for u in rx if u != w]
+        (q,) = [u for u in ry if u != w]
+        target = out.transpose((0,) + tuple(1 + later.index(u) for u in (w, r, q)))
+        left, right = view(x, rx, (w, r)), view(y, ry, (w, q)).swapaxes(-1, -2)
+        for lo in range(0, n, _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            put(target[:, rows], left[:, rows] @ (right[:, rows] if w in ry else right))
+    elif all(len(rest) == 1 for rest in factors):
+        # out[a, b, c] = sum_v A[a, v] B[b, v] C[c, v]
+        fa, fb, fc = (factors[u,] for u in later)
+        right = fc.swapaxes(-1, -2)[:, None]
+        for lo in range(0, n, _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            put(out[:, rows], reduce(fa[:, rows, None, :] * fb[:, None, :, :]) @ right)
+    else:
+        # three pairs: out[a, b, c] = sum_v X[a, b, v] Y[a, c, v] Z[b, c, v],
+        # in slices of b at each a; the sum runs over products of two
+        # residues, (X Y) reduced and Z
+        a, b, c = later
+        x, y, z = factors[a, b], factors[a, c], factors[b, c]
+        for i in range(n):
+            for lo in range(0, n, _SLICE):
+                rows = slice(lo, lo + _SLICE)
+                part = reduce(x[:, i, rows, None, :] * y[:, i, None, :, :])
+                put(out[:, i, rows], np.multiply(part, z[:, rows], out=part).sum(axis=-1))

@@ -8,6 +8,7 @@ running time; that conversion is the core of the whole engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -15,12 +16,25 @@ from functools import lru_cache
 from .decomp import elimination_plan, support_treewidth
 from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines, canonical_form,
                      graph_order_key, parse_graph6)
-from .homcount import count_hom_dp, count_hom_mm
+from .homcount import _predicted_work, count_hom_dp, count_hom_mm
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
 
 TREE_BUILDER_GUARD = 10
+
+# A hom term of treewidth <= 3 runs dense when homcount._predicted_work puts
+# count_hom_mm's work within this factor of count_hom_dp's rows.  Set, with
+# homcount._RANK3_WORK, from timings of both kernels on 107 (term, host)
+# pairs, 50 of them of treewidth 3: K4, K4 with a pendant path, C4, C5, the
+# 3x3 grid, and hom terms of Sub(P7) and of IndSub(P5) + IndSub(C5), on
+# G(n, m) and G(n, p) hosts of 40 to 4,500 vertices (2-vCPU VM, numpy with
+# OpenBLAS).  Treewidth-2 terms ran faster dense up to a ratio of 20,000
+# (C4 on G(2000, 8000), 1.09x) and 5x faster on the dict DP at 124,000 (C4
+# on G(4500, 13500)); treewidth-3 terms ran faster dense up to 7,200
+# (1.02-104x) and faster on the dict DP from 2,000 (1.0-234x).  At 8,000, 7
+# of the 107 took the slower kernel, by at most 1.48x (K4 on G(40, 117)).
+DENSE_WORK_RATIO = 8000
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,12 @@ class MotifParameter:
         )
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", ordered)
+        # hashed once: every memoised basis change and evaluation looks the
+        # parameter up, and hashing its Fractions costs ~1 us per term
+        object.__setattr__(self, "_hash", hash((basis, ordered)))
+
+    def __hash__(self):
+        return self._hash
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -112,23 +132,31 @@ def hom_support_treewidth(p: MotifParameter) -> int:
 
 
 def _hom_count(f: Graph, g: Graph) -> int:
-    """Hom(f, g) by the kernel the plan picks: the matrix engine for
-    treewidth <= 2, unless it refuses the host, and the dict DP otherwise."""
-    if elimination_plan(f)[0] <= 2:
-        try:
-            return count_hom_mm(f, g)
-        except CapacityError:
-            pass  # refused before allocating: the dict factors need no n x n
+    """Hom(f, g) by the kernel its predicted cost picks: the matrix engine
+    for treewidth <= 3 when its work is within DENSE_WORK_RATIO of the dict
+    DP's and it does not refuse the host, and the dict DP otherwise."""
+    if elimination_plan(f)[0] <= 3:
+        dense, rows = _predicted_work(f, g)
+        if dense <= DENSE_WORK_RATIO * rows:
+            try:
+                return count_hom_mm(f, g)
+            except CapacityError:
+                pass  # refused before allocating: the dict factors need no n x n
     return count_hom_dp(f, g)
+
+
+@lru_cache(maxsize=256)
+def _integer_terms(hom: MotifParameter) -> tuple:
+    """(d, ((graph, c * d), ...)): the terms over one common denominator d,
+    so that evaluation sums Python ints and divides once."""
+    d = math.lcm(*(c.denominator for _, c in hom.terms))
+    return d, tuple((cf.graph, c.numerator * (d // c.denominator)) for cf, c in hom.terms)
 
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
     """Exact value of the parameter on the host, via the Hom basis."""
-    hom = change_basis(p, "hom")
-    total = Fraction(0)
-    for cf, c in hom.terms:
-        total += c * _hom_count(cf.graph, g)
-    return total
+    d, terms = _integer_terms(change_basis(p, "hom"))
+    return Fraction(sum(c * _hom_count(f, g) for f, c in terms), d)
 
 
 def count_pattern(kind: str, h: Graph, g: Graph) -> int:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import functools
 import itertools
 import os
 import random
@@ -100,6 +101,11 @@ def prism(k: int) -> Graph:
 def all_graphs_up_to(n_max: int):
     """One labeled representative per isomorphism class, for every vertex
     count 1..n_max."""
+    return list(_graph_classes(n_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _graph_classes(n_max: int) -> tuple:
     classes = {}
     for n in range(1, n_max + 1):
         pairs = list(itertools.combinations(range(n), 2))
@@ -107,7 +113,7 @@ def all_graphs_up_to(n_max: int):
             g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             cf = canonical_form(g)
             classes.setdefault(cf.key, cf.graph)
-    return list(classes.values())
+    return tuple(classes.values())
 
 
 def has_a_path(g: Graph, a: set, removed) -> bool:

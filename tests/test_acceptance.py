@@ -161,6 +161,19 @@ def test_criterion_06_engine_agreement():
     _report(6, "matrix engine agreement", ok)
 
 
+def test_criterion_06_rank3_engine_agreement():
+    # criterion 06 for the matrix engine's three-vertex scopes
+    rng = random.Random(616)
+    patterns = [g for g in all_graphs_up_to(6) if exact_treewidth(g)[0] == 3]
+    hosts = [random_graph(rng, rng.randint(1, 10)) for _ in range(30)]
+    ok = len(patterns) == 60 and all(
+        count_hom_mm(h, g) == count_hom_dp(h, g)
+        for h in patterns
+        for g in hosts
+    )
+    _report(6, "matrix engine agreement at treewidth 3", ok)
+
+
 def test_criterion_07_extraction():
     rng = random.Random(707)
     pool = [g for g in all_graphs_up_to(4) if g.n >= 2 and g.edges]

@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from conftest import clique, cycle, matching, path, random_colored, random_graph, star
-from motifcount import homcount
-from motifcount.decomp import DecompositionError
-from motifcount.graphs import ColoredGraph, Graph, adjacency
+from motifcount import homcount, motif
+from motifcount.decomp import DecompositionError, elimination_plan
+from motifcount.graphs import ColoredGraph, Graph, adjacency, tensor_product
+from motifcount.motif import MotifParameter, build_tree_count_parameter, change_basis, evaluate
 from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
 from motifcount.partitions import CapacityError
@@ -19,6 +21,43 @@ def partial_2_tree(rng: random.Random, k: int) -> Graph:
         u, w = rng.choice(sorted(edges))
         edges |= {(u, v), (w, v)}
     return Graph(k, [e for e in edges if rng.random() < 0.8])
+
+
+def with_tail(h: Graph, t: int) -> Graph:
+    """h with a path of t more vertices hanging from its last vertex: the
+    treewidth stays, the largest component grows."""
+    return Graph(h.n + t, list(h.edges) + [(h.n - 1 + i, h.n + i) for i in range(t)])
+
+
+def with_tails(h: Graph, t: int) -> Graph:
+    """h with a path of t more vertices hanging from each of its vertices."""
+    edges = list(h.edges)
+    for u in range(h.n):
+        first = h.n + u * t
+        edges += [(u, first)] + [(first + i, first + i + 1) for i in range(t - 1)]
+    return Graph(h.n * (1 + t), edges)
+
+
+def gnm(rng: random.Random, n: int, m: int) -> Graph:
+    """m distinct edges drawn uniformly on n vertices."""
+    edges = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, edges)
+
+
+def word_primes_bounds(monkeypatch) -> list:
+    """The certificate bound of every call of _word_primes from now on: empty
+    while count_hom_mm stays in one float64 pass."""
+    bounds = []
+    word_primes = homcount._word_primes
+    monkeypatch.setattr(
+        homcount,
+        "_word_primes",
+        lambda n, bound: bounds.append(bound) or word_primes(n, bound),
+    )
+    return bounds
 
 
 class TestDynamicProgram:
@@ -68,7 +107,7 @@ class TestMatrixEngine:
 
     def test_rejects_high_treewidth(self):
         with pytest.raises(DecompositionError):
-            count_hom_mm(clique(4), clique(5))
+            count_hom_mm(clique(5), clique(5))
 
     def test_disconnected_pattern_multiplies(self):
         two_edges = Graph(4, [(0, 1), (2, 3)])
@@ -103,13 +142,7 @@ class TestMatrixEngine:
         # random treewidth-<=2 patterns against the dict DP and, while small
         # enough, the brute-force oracle; 12-vertex patterns on dense
         # 32-vertex hosts pass the certificate's 2^53 (degree 29 or more)
-        bounds = []
-        word_primes = homcount._word_primes
-        monkeypatch.setattr(
-            homcount,
-            "_word_primes",
-            lambda n, bound: bounds.append(bound) or word_primes(n, bound),
-        )
+        bounds = word_primes_bounds(monkeypatch)
         rng = random.Random(31)
         for _ in range(20):
             h = partial_2_tree(rng, rng.randint(1, 5))
@@ -151,6 +184,118 @@ class TestMatrixEngine:
         assert homcount._word_primes(120, 2**90) == trial_division(120, 2**90)
         assert homcount._word_primes(120, 2**53) == trial_division(120, 2**53)
         assert homcount._prime_at_most.cache_info().misses == misses
+
+
+# Treewidth-3 patterns whose plans reach each way the matrix engine sums a
+# vertex out of three-vertex arrays: three one-vertex factors (K4), a
+# two-vertex factor beside a one-vertex one, two sharing a vertex, three
+# pairwise sharing, and a second message over a scope already waiting
+RANK3 = {
+    "K4": clique(4),
+    "disjoint": Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]),
+    "shared": Graph(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4),
+                        (4, 5)]),
+    "pairs": Graph(7, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4),
+                       (2, 5), (2, 6), (3, 5), (3, 6), (4, 5)]),
+    "merged": Graph(8, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                        (1, 7), (2, 4), (2, 5), (3, 4), (3, 6), (4, 7)]),
+}
+
+
+class TestRank3:
+    @pytest.mark.parametrize("n", [60, 61, 110])
+    def test_machine_word_boundary(self, n, monkeypatch):
+        # K4 with a tail of six vertices: ten vertices, so the certificate is
+        # (n - 1)^9, below 2^53 on K_60 and above on K_61 and K_110; on
+        # K_110 the count also exceeds int64
+        bounds = word_primes_bounds(monkeypatch)
+        want = n * (n - 1) * (n - 2) * (n - 3) * (n - 1) ** 6
+        assert count_hom_mm(with_tail(clique(4), 6), clique(n)) == want
+        assert bool(bounds) == (n > 60)
+
+    def test_dense_estimate_counts_three_vertex_arrays(self, monkeypatch):
+        # ten n x n layers: a tree's steps hold none, a cycle's five, and
+        # K4's first step an n x n x n array
+        g = random_graph(random.Random(5), 40, 0.2)
+        monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", 8 * 40 * 40 * 10)
+        for h in (path(6), cycle(4)):
+            assert count_hom_mm(h, g) == count_hom_dp(h, g)
+        with pytest.raises(CapacityError):
+            count_hom_mm(clique(4), g)
+
+    def test_plans_reach_every_contraction(self, monkeypatch):
+        # the differential test below runs each way of summing out of
+        # three-vertex arrays, in both regimes
+        seen = set()
+        contract = homcount._contract3
+
+        def spy(factors, later, reduce, out, fresh):
+            seen.add((tuple(sorted(map(len, factors))), fresh))
+            return contract(factors, later, reduce, out, fresh)
+
+        monkeypatch.setattr(homcount, "_contract3", spy)
+        g = random_graph(random.Random(3), 8, 0.7)
+        for h in RANK3.values():
+            count_hom_mm(h, g)
+        # by the later vertices of each array summed: three single ones, a
+        # pair and a single one, two pairs, three pairs; and into a message
+        # already waiting
+        assert seen == {((1, 1, 1), True), ((1, 2), True), ((2, 2), True),
+                        ((2, 2, 2), True), ((1, 1, 1), False)}
+
+
+    @pytest.mark.parametrize("regime", ["float", "crt"])
+    @pytest.mark.parametrize("name", sorted(RANK3))
+    def test_tensor_product_multiplies(self, name, regime, monkeypatch):
+        # Hom(F, G x X) = Hom(F, G) Hom(F, X) on hosts beyond the oracle.  In
+        # the CRT regime a path of t vertices hangs from each vertex of F,
+        # with D^t >= 2^26 for D the product host's maximum degree, so that
+        # every message holds residues of counts far above the primes
+        rng = random.Random(f"tensor:{name}")
+        g, x = random_graph(rng, 9, 0.6), clique(4)
+        host = tensor_product(g, x)
+        h = RANK3[name]
+        if regime == "crt":
+            degree = max(map(len, adjacency(host)))
+            h = with_tails(h, next(t for t in range(1, 60) if degree**t >= 2**26))
+        assert elimination_plan(h)[0] == 3
+        bounds = word_primes_bounds(monkeypatch)
+        product = count_hom_mm(h, host)
+        assert bool(bounds) == (regime == "crt")
+        assert product == count_hom_mm(h, g) * count_hom_mm(h, x) > 0
+
+
+class TestKernelRoute:
+    # the route DENSE_WORK_RATIO gives on hosts of the benchmark's sizes
+    @staticmethod
+    def routes(monkeypatch, p, g) -> dict:
+        """Kernel per hom term of p on g, without counting."""
+        seen = {}
+        for kernel in ("count_hom_mm", "count_hom_dp"):
+            monkeypatch.setattr(motif, kernel,
+                                lambda f, g, kernel=kernel: seen.setdefault(f, kernel) and 0)
+        evaluate(p, g)
+        return {f: (elimination_plan(f)[0], kernel) for f, kernel in seen.items()}
+
+    def test_bench_terms_go_dense(self, monkeypatch):
+        rng = random.Random(19)
+        queries = [
+            (MotifParameter("sub", {path(6): 1}), gnm(rng, 120, 900)),
+            (MotifParameter("hom", {cycle(10): 1}), gnm(rng, 120, 900)),
+            (build_tree_count_parameter(6), gnm(rng, 40, 117)),
+            (MotifParameter("indsub", {path(4): 1, cycle(5): 1}), gnm(rng, 50, 245)),
+        ]
+        widths = []
+        for p, g in queries:
+            for width, kernel in self.routes(monkeypatch, p, g).values():
+                widths.append(width)
+                assert kernel == ("count_hom_mm" if width <= 3 else "count_hom_dp")
+        assert widths.count(3) == 5 and widths.count(4) == 1
+
+    def test_sparse_host_goes_to_the_dict_dp(self, monkeypatch):
+        g = gnm(random.Random(23), 4500, 13500)
+        routes = self.routes(monkeypatch, MotifParameter("hom", {cycle(4): 1}), g)
+        assert list(routes.values()) == [(2, "count_hom_dp")]
 
 
 class TestPatternsPastTheGuard:
