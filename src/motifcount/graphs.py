@@ -60,6 +60,15 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _normalize_edges(n, edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: list) -> "Graph":
+        """The graph on n vertices with these edges, each (u, v) with
+        0 <= u < v < n, distinct: no check, for decoders that produce them so."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", frozenset(edges))
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -385,7 +394,8 @@ def parse_graph6(text: str) -> Graph:
             edges.append((k - start, j))
             k = bits.find("1", k + 1, end)
         start = end
-    return Graph(n, edges)
+    # each edge is (i, j) with i < j < n, once: nothing to normalise
+    return Graph._trusted(n, edges)
 
 
 # ---------------------------------------------------------------------------

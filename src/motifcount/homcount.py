@@ -25,9 +25,16 @@ own.
 What count_hom_mm derives from one input alone is built once: per host
 (_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
 per pattern (_dense_shape) the plan, the adjacency, the largest component,
-the dense layers and the step sizes that _predicted_work prices both
-kernels by.  The n x n adjacency matrix is built on every call, after
-DENSE_BYTES_GUARD has passed, and no cache keeps it.
+the dense layers, the step sizes that _predicted_work prices both kernels
+by, and a structural key per message.  The hom terms of one evaluation are
+quotients of the same patterns, so their elimination forests repeat
+subtrees: equal keys give equal tables, and a store (_Messages) that lives
+for one evaluate call on one host holds each message over one or two
+vertices that a later term reads, read-only and per arithmetic regime,
+until its last reader has run (_message_plan).  The store also holds the
+n x n adjacency matrix, built after DENSE_BYTES_GUARD has passed, once per
+evaluation (once per call without a store); its tables count against the
+guard, and no cache keeps any of them.
 """
 
 from __future__ import annotations
@@ -59,15 +66,18 @@ _SLICE = 8
 _RANK3_WORK = 3
 
 
-def _eliminate(forest: tuple, step) -> int:
+def _eliminate(forest: tuple, step, given: dict = None) -> int:
     """Run bucket elimination over a forest (order, later, parent) on the
-    nodes 0..len(order)-1, children first, such as elimination_plan(h)[1:].
+    nodes 0..len(later)-1, children first, such as elimination_plan(h)[1:].
     step(v, later, factors) gets v, its scope later[v] and the (scope,
     table) factors in v's bucket, and returns the table over `later`, which
     goes to the bucket of v's parent; when `later` is empty that is an int,
-    the count of v's tree, and the trees' counts multiply."""
+    the count of v's tree, and the trees' counts multiply.  `given` maps a
+    node that order leaves out, with its subtree, to its table."""
     order, later, parent = forest
-    buckets: list = [[] for _ in order]
+    buckets: list = [[] for _ in later]
+    for v, table in (given or {}).items():
+        buckets[parent[v]].append((later[v], table))
     total = 1
     for v in order:
         factors, buckets[v] = buckets[v], None  # freed once v is eliminated
@@ -239,6 +249,7 @@ class _DenseShape(NamedTuple):
     k: int  # vertex count of h's largest component
     layers: tuple  # (a, b): a step holds at most a + b*n arrays n x n per prime
     steps: tuple  # (s, e, f, count): see _dense_shape
+    keys: tuple  # per vertex, the structural key of its message: see _dense_shape
 
 
 def _rank3(later, factors) -> bool:
@@ -260,12 +271,15 @@ def _dense_shape(h: Graph) -> _DenseShape:
     scope if there is one.  `steps` counts the elimination steps by their
     size s = |{v} + later[v]|, the number e of h's edges among those
     vertices, and the number f of other pairs of them that a message into
-    the step joins."""
+    the step joins.  The key of v's message is (len(later[v]), the slots of
+    later[v] adjacent to v, the sorted (key, slots of its scope in
+    (v,) + later[v]) of each message v takes in): the same key is the same
+    sum of products over the same host, so the same table, by induction."""
     width, *forest = elimination_plan(h)
     adj, parent = adjacency(h), forest[2]
     held = [0, 0]  # waiting messages over two and over three vertices
     waiting = set()  # (vertex, scope) of each three-vertex message sent
-    layers, steps = {(0, 0)}, {}
+    layers, steps, keys = {(0, 0)}, {}, [None] * h.n
 
     def step(v, later, factors):
         members = sorted((v,) + later)
@@ -281,19 +295,129 @@ def _dense_shape(h: Graph) -> _DenseShape:
             layers.add((held[0] + 2, held[1]))
         elif len(later) == 2 or any(len(scope) == 2 for scope, _ in factors):
             layers.add((held[0] + 4, held[1]))
-        for scope, built in factors:
+        for scope, (built, _) in factors:
             if built:
                 held[len(scope) - 2] -= 1
         held[0] += len(later) == 2
         held[1] += new
-        # the table: whether the message is an array of its own, n x n or more
-        return len(later) == 2 or new if later else 1
+        slots = (v,) + later
+        keys[v] = (len(later), tuple(i for i, u in enumerate(later) if u in adj[v]),
+                   tuple(sorted((k, tuple(map(slots.index, scope))) for scope, (_, k) in factors)))
+        # the table: whether the message is an array of its own, n x n or
+        # more, and its key
+        return (len(later) == 2 or new, keys[v]) if later else 1
 
     if width <= 3:  # count_hom_mm refuses wider patterns
         _eliminate(tuple(forest), step)
     return _DenseShape(tuple(forest), width, adj,
                        max(map(len, connected_components(h)), default=1),
-                       tuple(layers), tuple(key + (m,) for key, m in steps.items()))
+                       tuple(layers), tuple(key + (m,) for key, m in steps.items()),
+                       tuple(keys))
+
+
+class _TermPlan(NamedTuple):
+    """How one hom term shares messages with the others (_message_plan)."""
+
+    reads: tuple  # (v, id, v's subtree) per message read, none below another
+    keep: dict  # v -> id of each message of the term that a later term reads
+    drops: tuple  # the ids this term is the last to read
+
+
+def _message_plan(patterns) -> dict:
+    """pattern -> _TermPlan, for hom terms that count_hom_mm counts in this
+    order on one host.  Each distinct key of a message over one or two
+    vertices gets an id.  A term reads the topmost messages that an earlier
+    term computes and leaves their subtrees out of its elimination; it
+    keeps those of its messages that a later term reads, and drops the ids
+    it is the last to read.  Three-vertex messages are never shared: a step
+    multiplies them in place."""
+    ids: dict = {}
+    made, last, terms = set(), {}, []
+    for i, h in enumerate(patterns):
+        shape = _dense_shape(h)
+        if shape.width > 3:
+            continue
+        order, later, parent = shape.forest
+        below = {v: {v} for v in order}
+        for v in order:
+            if parent[v] is not None:
+                below[parent[v]] |= below[v]
+        mine = {v: ids.setdefault(shape.keys[v], len(ids))
+                for v in order if 1 <= len(later[v]) <= 2}
+        skip, reads = set(), []
+        for v in reversed(order):  # parents first
+            if parent[v] in skip:
+                skip.add(v)
+            elif v in mine and mine[v] in made:
+                reads.append((v, mine[v], frozenset(below[v])))
+                skip |= below[v]
+                last[mine[v]] = i
+        made.update(k for v, k in mine.items() if v not in skip)
+        terms.append((i, h, tuple(reads), mine))
+    return {h: _TermPlan(reads, {v: k for v, k in mine.items() if last.get(k, -1) > i},
+                         tuple(k for k, j in last.items() if j == i))
+            for i, h, reads, mine in terms}
+
+
+class _Messages:
+    """What the hom terms of one evaluate call share on one host in
+    count_hom_mm: the adjacency layer, built once, and the tables of
+    _message_plan's messages, read-only, per tuple of the primes their
+    residues are taken modulo (empty in the float64 regime), so that no
+    table crosses regimes; each is held from the term that computes it to
+    the last term that reads it."""
+
+    def __init__(self, plan: dict):
+        self.plan = plan
+        self.layer = None
+        self.tables: dict = {}  # id -> {primes: table}
+        self.nbytes = 0  # held by the tables
+
+    def shared(self, h: Graph, forest: tuple, primes: tuple, room: int, step) -> tuple:
+        """(forest, step, given) for h's elimination: the forest less the
+        subtrees whose messages h's plan reads and are held over these
+        primes, step holding each message a later term reads while the
+        tables take at most room bytes, and the messages read."""
+        plan = self.plan.get(h)
+        if plan is None:
+            return forest, step, None
+        given, skip = {}, set()
+        for v, k, below in plan.reads:
+            table = self.tables.get(k, {}).get(primes)
+            if table is not None:
+                given[v] = table
+                skip |= below
+        order, later, parent = forest
+        if skip:
+            forest = (tuple(v for v in order if v not in skip), later, parent)
+
+        def run(v, later, factors):
+            table = step(v, later, factors)
+            if v in plan.keep:
+                self.hold(plan.keep[v], primes, table, room)
+            return table
+
+        return forest, run, given
+
+    def hold(self, k: int, primes: tuple, table, room: int) -> None:
+        """Hold table as message k over these primes, unless one is held or
+        it would take the tables past room bytes."""
+        held = self.tables.setdefault(k, {})
+        if primes not in held and self.nbytes + table.nbytes <= room:
+            table.flags.writeable = False  # no step writes into a held table
+            held[primes] = table
+            self.nbytes += table.nbytes
+
+    def release(self, h: Graph) -> None:
+        """Drop the tables that h is the last term to read."""
+        plan = self.plan.get(h)
+        for k in plan.drops if plan is not None else ():
+            for table in self.tables.pop(k, {}).values():
+                self.nbytes -= table.nbytes
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.nbytes = 0
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
@@ -324,11 +448,12 @@ def _predicted_work(h: Graph, g: Graph) -> tuple:
     return dense, rows
 
 
-def count_hom_mm(h: Graph, g: Graph) -> int:
+def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
     """Homomorphism count for a treewidth-<=3 pattern with dense float64
     factors, exact in one pass under a degree bound and by residues modulo
     word-size primes above it.  Disconnected patterns multiply per
-    component."""
+    component.  `messages` holds what the hom terms of one evaluation share
+    on g (_Messages)."""
     if h.n and not g.n:
         return 0
     shape = _dense_shape(h)
@@ -353,7 +478,8 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
     # primes whose product exceeds it.
     bound = degree ** (shape.k - 1)
     primes = _word_primes(n, bound) if bound >= _EXACT else []
-    # the adjacency matrix is one layer, broadcast over the primes
+    # the adjacency matrix is one layer, broadcast over the primes; the
+    # tables that messages holds count too, and make way for the term's own
     layers = max(a + b * n for a, b in shape.layers)
     need = (1 + layers * max(len(primes), 1)) * n * n * 8
     if need > DENSE_BYTES_GUARD:
@@ -361,9 +487,17 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
             f"dense factors need ~{need >> 20} MiB, capped at "
             f"{DENSE_BYTES_GUARD >> 20} MiB"
         )
+    if messages is None:
+        messages = _Messages({})
+    elif need + messages.nbytes > DENSE_BYTES_GUARD:
+        messages.clear()
+    if messages.layer is None:
+        A = np.zeros((1, n, n))
+        A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
+        A.flags.writeable = False
+        messages.layer = A
+    A = messages.layer
     adj_h = shape.adj
-    A = np.zeros((1, n, n))
-    A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
     if primes:
         A = np.broadcast_to(A, (len(primes), n, n))
         moduli = np.array(primes, dtype=np.float64)
@@ -418,14 +552,15 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
         # as [., *rest, x_v], rest its scope's later vertices, and multiplied
         # into the group of its rest; each group then multiplies into one
         # group whose rest contains its own.  A group is `owned` when this
-        # step may overwrite it: every message is used once, A never is.
+        # step may overwrite it: a message is, unless it is held for other
+        # terms (read-only), and A never is.
         waiting.pop(v, None)
         groups: dict = {}
         for scope, t in factors:
             if t is not None:  # None: multiplied into a message over its scope
                 i = scope.index(v)
-                _fold(groups, scope[:i] + scope[i + 1:], np.moveaxis(t, i + 1, -1), True,
-                      reduce)
+                _fold(groups, scope[:i] + scope[i + 1:], np.moveaxis(t, i + 1, -1),
+                      t.flags.writeable, reduce)
         for u in later:
             if u in adj_h[v]:
                 _fold(groups, (u,), A, False, reduce)
@@ -451,7 +586,8 @@ def count_hom_mm(h: Graph, g: Graph) -> int:
         def run(v, later, factors):
             return (step3 if _rank3(later, factors) else step)(v, later, factors)
 
-    return _eliminate(shape.forest, run)
+    return _eliminate(*messages.shared(h, shape.forest, tuple(primes), DENSE_BYTES_GUARD - need,
+                                       run))
 
 
 def _fold(groups: dict, rest: tuple, t, owned: bool, reduce) -> None:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .decomp import elimination_plan, support_treewidth
 from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines, canonical_form,
                      graph_order_key, parse_graph6)
-from .homcount import _predicted_work, count_hom_dp, count_hom_mm
+from .homcount import _message_plan, _Messages, _predicted_work, count_hom_dp, count_hom_mm
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
@@ -131,7 +131,7 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
-def _hom_count(f: Graph, g: Graph) -> int:
+def _hom_count(f: Graph, g: Graph, messages: _Messages = None) -> int:
     """Hom(f, g) by the kernel its predicted cost picks: the matrix engine
     for treewidth <= 3 when its work is within DENSE_WORK_RATIO of the dict
     DP's and it does not refuse the host, and the dict DP otherwise."""
@@ -139,7 +139,7 @@ def _hom_count(f: Graph, g: Graph) -> int:
         dense, rows = _predicted_work(f, g)
         if dense <= DENSE_WORK_RATIO * rows:
             try:
-                return count_hom_mm(f, g)
+                return count_hom_mm(f, g, messages=messages)
             except CapacityError:
                 pass  # refused before allocating: the dict factors need no n x n
     return count_hom_dp(f, g)
@@ -147,16 +147,24 @@ def _hom_count(f: Graph, g: Graph) -> int:
 
 @lru_cache(maxsize=256)
 def _integer_terms(hom: MotifParameter) -> tuple:
-    """(d, ((graph, c * d), ...)): the terms over one common denominator d,
-    so that evaluation sums Python ints and divides once."""
+    """(d, ((graph, c * d), ...), plan): the terms over one common
+    denominator d, so that evaluation sums Python ints and divides once, and
+    the messages they share on a host (homcount._message_plan)."""
     d = math.lcm(*(c.denominator for _, c in hom.terms))
-    return d, tuple((cf.graph, c.numerator * (d // c.denominator)) for cf, c in hom.terms)
+    terms = tuple((cf.graph, c.numerator * (d // c.denominator)) for cf, c in hom.terms)
+    return d, terms, _message_plan([f for f, _ in terms])
 
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
-    """Exact value of the parameter on the host, via the Hom basis."""
-    d, terms = _integer_terms(change_basis(p, "hom"))
-    return Fraction(sum(c * _hom_count(f, g) for f, c in terms), d)
+    """Exact value of the parameter on the host, via the Hom basis.  One
+    store of dense messages serves all the terms, each table dropped after
+    the last term that reads it."""
+    d, terms, plan = _integer_terms(change_basis(p, "hom"))
+    messages, total = _Messages(plan), 0
+    for f, c in terms:
+        total += c * _hom_count(f, g, messages)
+        messages.release(f)
+    return Fraction(total, d)
 
 
 def count_pattern(kind: str, h: Graph, g: Graph) -> int:

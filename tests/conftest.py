@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import motifcount
+from motifcount import homcount
 from motifcount.graphs import ColoredGraph, Graph, adjacency, canonical_form
 
 CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -26,6 +27,19 @@ def run_isolated(code: str, *argv) -> subprocess.CompletedProcess:
         timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def word_primes_bounds(monkeypatch) -> list:
+    """The certificate bound of every call of _word_primes from now on: empty
+    while count_hom_mm stays in one float64 pass."""
+    bounds = []
+    word_primes = homcount._word_primes
+    monkeypatch.setattr(
+        homcount,
+        "_word_primes",
+        lambda n, bound: bounds.append(bound) or word_primes(n, bound),
+    )
+    return bounds
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

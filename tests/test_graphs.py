@@ -121,6 +121,18 @@ class TestGraph6:
                             text + chr(rng.randint(63, 126))):
                     assert decoded(parse_graph6, bad) == decoded(bit_list_parse_graph6, bad)
 
+    def test_seeded_round_trip_builds_a_checked_graph(self):
+        # the decoder builds its Graph without re-normalising the edges; the
+        # result must be the one the checking constructor gives
+        rng = random.Random(67)
+        for n in [0, 1, 2, 62, 63, 120] + [rng.randint(0, 80) for _ in range(40)]:
+            g = random_graph(rng, n, rng.random())
+            decoded_g = parse_graph6(encode_graph6(g))
+            assert decoded_g == g and hash(decoded_g) == hash(g)
+            assert type(decoded_g.edges) is frozenset
+            assert all(0 <= u < v < n for u, v in decoded_g.edges)
+            assert Graph(decoded_g.n, decoded_g.edges) == decoded_g
+
     def test_errors_name_byte_offsets(self):
         with pytest.raises(GraphFormatError, match="offset"):
             parse_graph6("B\x20")

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import clique, cycle, matching, path, random_colored, random_graph, star
+from conftest import (clique, cycle, matching, path, random_colored, random_graph, star,
+                      word_primes_bounds)
 from motifcount import homcount, motif
 from motifcount.decomp import DecompositionError, elimination_plan
 from motifcount.graphs import ColoredGraph, Graph, adjacency, tensor_product
@@ -45,19 +46,6 @@ def gnm(rng: random.Random, n: int, m: int) -> Graph:
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     return Graph(n, edges)
-
-
-def word_primes_bounds(monkeypatch) -> list:
-    """The certificate bound of every call of _word_primes from now on: empty
-    while count_hom_mm stays in one float64 pass."""
-    bounds = []
-    word_primes = homcount._word_primes
-    monkeypatch.setattr(
-        homcount,
-        "_word_primes",
-        lambda n, bound: bounds.append(bound) or word_primes(n, bound),
-    )
-    return bounds
 
 
 class TestDynamicProgram:
@@ -273,7 +261,8 @@ class TestKernelRoute:
         seen = {}
         for kernel in ("count_hom_mm", "count_hom_dp"):
             monkeypatch.setattr(motif, kernel,
-                                lambda f, g, kernel=kernel: seen.setdefault(f, kernel) and 0)
+                                lambda f, g, kernel=kernel, messages=None:
+                                seen.setdefault(f, kernel) and 0)
         evaluate(p, g)
         return {f: (elimination_plan(f)[0], kernel) for f, kernel in seen.items()}
 

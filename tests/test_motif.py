@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from conftest import clique, cycle, path, random_graph, star
-from motifcount import homcount
-from motifcount.graphs import Graph, canonical_form, parse_graph6
+from conftest import clique, cycle, path, random_graph, star, word_primes_bounds
+from motifcount import homcount, motif
+from motifcount.graphs import Graph, adjacency, canonical_form, parse_graph6
 from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.motif import (
     BASES,
@@ -114,13 +116,7 @@ class TestEvaluationState:
     def test_one_host_in_both_arithmetic_regimes(self, monkeypatch):
         # on K40 (degree 39) P3 runs in one float64 pass and P12 modulo
         # primes, since 39^11 >= 2^53; the shared host facts serve both
-        bounds = []
-        word_primes = homcount._word_primes
-        monkeypatch.setattr(
-            homcount,
-            "_word_primes",
-            lambda n, bound: bounds.append(bound) or word_primes(n, bound),
-        )
+        bounds = word_primes_bounds(monkeypatch)
         g = clique(40)
         terms = {path(2): Fraction(-3, 2), path(11): 5}
         want = sum(c * count_hom_dp(h, g) for h, c in terms.items())
@@ -215,3 +211,198 @@ class TestFileFormat:
         p = parse_motif_parameter("# walk counter\nbasis hom\n1 DBg\n")
         assert p.basis == "hom"
         assert len(p.terms) == 1
+
+
+# ---------------------------------------------------------------------------
+# messages shared between hom terms
+
+
+# the benchmark's supports: Sub(P7), all 6-vertex trees, IndSub(P5) + IndSub(C5)
+SUPPORTS = {
+    "sub-P7": MotifParameter("sub", {path(6): 1}),
+    "trees6": build_tree_count_parameter(6),
+    "indsub-P5-C5": MotifParameter("indsub", {path(4): 1, cycle(5): 1}),
+}
+
+
+def hom_sum(p: MotifParameter, g: Graph) -> Fraction:
+    """p on g as the sum of c * Hom(F, g) over its hom form, each term by the
+    dict DP alone."""
+    return sum(c * count_hom_dp(cf.graph, g) for cf, c in change_basis(p, "hom").terms)
+
+
+def with_leaf(h: Graph, v: int) -> Graph:
+    return Graph(h.n + 1, list(h.edges) + [(v, h.n)])
+
+
+class StoreReport:
+    """What one message store held: weak references to it and to each table,
+    the primes of each table, and the most bytes held at once."""
+
+    def __init__(self):
+        self.store = None
+        self.tables, self.regimes, self.peak = [], [], 0
+
+    def freed(self) -> bool:
+        gc.collect()
+        return self.store() is None and all(t() is None for t in self.tables)
+
+
+@pytest.fixture
+def stores(monkeypatch) -> list:
+    """A StoreReport per message store that evaluate makes from now on."""
+    reports = []
+
+    class Recording(homcount._Messages):
+        def __init__(self, plan):
+            self.report = StoreReport()
+            super().__init__(plan)
+            self.report.store = weakref.ref(self)
+            reports.append(self.report)
+
+        def hold(self, k, primes, table, room):
+            before = self.nbytes
+            super().hold(k, primes, table, room)
+            if self.nbytes > before:
+                self.report.tables.append(weakref.ref(table))
+                self.report.regimes.append(primes)
+                self.report.peak = max(self.report.peak, self.nbytes)
+
+    monkeypatch.setattr(motif, "_Messages", Recording)
+    return reports
+
+
+class TestSharedMessages:
+    @pytest.mark.parametrize("name", sorted(SUPPORTS))
+    def test_supports_match_the_dict_dp(self, name, stores, monkeypatch):
+        bounds = word_primes_bounds(monkeypatch)
+        rng = random.Random(f"shared:{name}")
+        for _ in range(3):
+            g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.2, 0.6))
+            assert evaluate(SUPPORTS[name], g) == hom_sum(SUPPORTS[name], g)
+        assert not bounds
+        assert len(stores) == 3 and all(r.tables for r in stores)
+        assert all(r.freed() for r in stores)
+
+    def test_both_regimes_on_one_host(self, stores, monkeypatch):
+        # on a host of maximum degree D, trees of k - 1 vertices run in one
+        # float64 pass and trees of k vertices modulo primes (D^(k-1) >=
+        # 2^53); each regime shares the branches of its own trees only
+        rng = random.Random(83)
+        g = random_graph(rng, 36, 0.9)
+        degree = max(map(len, adjacency(g)))
+        k = next(k for k in range(2, 40) if degree ** (k - 1) >= 2**53)
+        short = {path(k - 2): 3, with_leaf(path(k - 3), 1): Fraction(-1, 2)}
+        long = {path(k - 1): 1, with_leaf(path(k - 2), 1): 2, with_leaf(path(k - 2), 2): -5}
+        p = MotifParameter("hom", {**short, **long})
+        bounds = word_primes_bounds(monkeypatch)
+        assert evaluate(p, g) == hom_sum(p, g)
+        assert bounds == [degree ** (k - 1)] * len(long)
+        (report,) = stores
+        assert {bool(primes) for primes in report.regimes} == {False, True}
+        assert report.freed()
+
+    @pytest.mark.parametrize("first", [None, cycle(4)], ids=["rank3-writes", "rank3-reads"])
+    def test_a_held_message_feeds_rank_2_and_rank_3_steps(self, first, stores):
+        # in h, vertex 1 sends the common-neighbour matrix of its two
+        # neighbours into a rank-3 step, where the adjacency matrix of the
+        # same pair multiplies into it; C8 reads the same message into a
+        # rank-2 step after h, and C4, when present, computes it before h
+        h = Graph(6, [(0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+        terms = {h: 1, cycle(8): -2, **({first: 3} if first else {})}
+        p = MotifParameter("hom", terms)
+        _, _, plan = motif._integer_terms(p)
+        c8 = canonical_form(cycle(8)).graph
+        shared = {k for _, k, _ in plan[c8].reads}
+        hk = canonical_form(h).graph
+        assert shared & ({k for _, k, _ in plan[hk].reads} | set(plan[hk].keep.values()))
+        rng = random.Random(89)
+        for _ in range(4):
+            g = random_graph(rng, rng.randint(8, 16), 0.5)
+            assert evaluate(p, g) == hom_sum(p, g)
+        assert all(r.tables and r.freed() for r in stores)
+
+    def test_keys_tell_where_a_message_lands(self, stores):
+        # in both patterns vertex 3 is adjacent to its scope (4, 5) and takes
+        # in vertex 2's common-neighbour matrix, over (3, 5) in the first and
+        # over (3, 4) in the second: the messages of 3 differ only in where
+        # that one lands
+        first = Graph(6, [(0, 5), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
+        second = Graph(6, [(0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+        p = MotifParameter("hom", {first: 1, second: 1})
+        rng = random.Random(103)
+        for _ in range(3):
+            g = random_graph(rng, 12, 0.5)
+            assert evaluate(p, g) == hom_sum(p, g)
+
+    def test_a_pattern_with_equal_subtrees(self, stores):
+        # every leaf of a star sends the same message: the star reads the
+        # one that an earlier path computes, once per leaf
+        p = MotifParameter("hom", {path(2): 1, star(4): 2, with_leaf(star(3), 1): -1})
+        rng = random.Random(97)
+        for _ in range(4):
+            g = random_graph(rng, rng.randint(5, 15), 0.4)
+            assert evaluate(p, g) == hom_sum(p, g)
+        assert all(r.tables and r.freed() for r in stores)
+
+    def test_the_guard_counts_held_tables(self, stores, monkeypatch):
+        # tree terms hold just the adjacency matrix: with room for two
+        # vectors beside it some tables are held, at n^2 * 8 bytes none is
+        # and the trees still run dense, and one byte less refuses every
+        # term, which the dict DP then counts
+        p = SUPPORTS["trees6"]
+        g = random_graph(random.Random(101), 20, 0.4)
+        want = hom_sum(p, g)
+        matrix, vector = 20 * 20 * 8, 20 * 8
+        ran = dense_runs(monkeypatch)
+        for guard, held, runs in ((matrix + 2 * vector, True, True), (matrix, False, True),
+                                  (matrix - 1, False, False)):
+            monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", guard)
+            ran.clear()
+            assert evaluate(p, g) == want
+            report = stores[-1]
+            assert bool(report.tables) == held and report.peak <= max(guard - matrix, 0)
+            assert bool(ran) == runs
+            assert report.freed()
+
+    def test_a_term_that_needs_the_room_empties_the_store(self, monkeypatch):
+        # P3 holds its leaves' degree vector for P4 and the banner (C4 with a
+        # pendant vertex), which reads it last; with the guard at the
+        # banner's own need, the banner empties the store, so that its
+        # arrays and the held tables stay within the guard, and still runs
+        # dense instead of going to the dict DP
+        banner = canonical_form(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])).graph
+        p = MotifParameter("hom", {path(2): 1, path(3): 1, banner: 1})
+        g = random_graph(random.Random(107), 20, 0.4)
+        want = hom_sum(p, g)
+        matrix = 20 * 20 * 8
+        need = next(j * matrix for j in range(1, 40) if fits(banner, g, j * matrix, monkeypatch))
+        ran = dense_runs(monkeypatch)
+        monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", need)
+        assert evaluate(p, g) == want
+        assert ran[0][1] == ran[1][1] == 20 * 8 and ran[2] == (banner, 0)
+
+
+def dense_runs(monkeypatch) -> list:
+    """(term, bytes its store holds after it) for each hom term that
+    count_hom_mm counts in evaluate from now on; a refused term is left out."""
+    ran = []
+    dense = homcount.count_hom_mm
+
+    def spy(f, g, messages=None):
+        count = dense(f, g, messages=messages)  # raises when refused
+        ran.append((f, messages.nbytes))
+        return count
+
+    monkeypatch.setattr(motif, "count_hom_mm", spy)
+    return ran
+
+
+def fits(h: Graph, g: Graph, guard: int, monkeypatch) -> bool:
+    """Does count_hom_mm take h on g, alone, under this guard?"""
+    monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", guard)
+    try:
+        count_hom_mm(h, g)
+    except CapacityError:
+        return False
+    return True
