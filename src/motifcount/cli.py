@@ -102,7 +102,7 @@ def _cmd_colored_count(args) -> int:
         if args.engine == "brute":
             value = brute_count("colored-hom", h, g)
         else:
-            value = count_colored_hom(h, g)
+            value = count_pattern("hom", h, g)
     elif args.kind in ("emb", "sub"):
         if args.engine == "brute":
             value = brute_count("colored-emb", h, g)

@@ -1,12 +1,20 @@
 """Vertex-colored pattern counting.
 
-The pipeline: contract color classes and decompose the contracted graph;
-bound the flowers by one maximum packing of disjoint A-paths per class,
-in the pattern with every other class clique-saturated; grow bags and
-guards from attachment sets; massage the decomposition until components
-are connected and separators tight; then run a two-layer dynamic program
-counting ordered embeddings, from which embedding and subgraph counts
-follow by the similarity factorials.
+Colored embedding and subgraph counts of a pattern with at most
+SPASM_PARTITIONS partitions into monochromatic independent blocks are
+colored motif parameters: the Moebius-weighted sum of colour-preserving hom
+counts over the pattern's colored spasm, each term on the kernel that
+motif routes plain hom terms to, with one message store per query.  Above
+that constant, where the spasm costs a Bell number, the guarded DP below
+counts them.
+
+The guarded pipeline: contract color classes and decompose the contracted
+graph; bound the flowers by one maximum packing of disjoint A-paths per
+class, in the pattern with every other class clique-saturated; grow bags
+and guards from attachment sets; massage the decomposition until
+components are connected and separators tight; then run a two-layer
+dynamic program counting ordered embeddings, from which embedding and
+subgraph counts follow by the similarity factorials.
 
 Every A-path question is answered from one enumeration of the minimal
 A-paths that are induced paths (no internal vertex in A, no chord):
@@ -32,6 +40,7 @@ from typing import Optional
 
 from .decomp import DecompositionError, TreeDecomposition, exact_treewidth, massage_connected
 from .graphs import (
+    PRUNED_GUARD,
     ColoredGraph,
     Graph,
     adjacency,
@@ -41,9 +50,21 @@ from .graphs import (
     is_connected,
     quotient,
 )
-from .homcount import _eliminate, _RowBuilder, _projection, count_hom_dp
+from .homcount import _eliminate, _message_plan, _RowBuilder, _projection
+from .motif import _hom_count, _hom_sum
+from .partitions import _colored_tally
 
 FLOWER_CAP = 16
+# Colored counts take the colored spasm route for patterns with at most
+# this many partitions into monochromatic independent blocks, and the
+# guarded DP above it (_spasm_embeddings).  Neither route wins by partition
+# count alone: timed cold, the guarded DP passed 10 s on 21 of 24 pairs of
+# a star, path, cycle, matching or double star (203 to 41,209 partitions)
+# and a host, but beat the spasm route on an edge beside lone vertices of
+# one colour, by 2-5x at 877 partitions and 16-21x at 4,140.  The
+# constant caps the spasm's tally, 20-200 us per partition (2-vCPU VM), at
+# about 1 s, and admits K1,8 (Bell(8) = 4,140 partitions).
+SPASM_PARTITIONS = 5000
 
 
 class FlowerCapExceeded(RuntimeError):
@@ -596,9 +617,25 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
                        td.parents), step)
 
 
+def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
+    """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
+    over h's colored spasm (partitions._colored_tally), each term on the
+    kernel motif._hom_count picks and all of them through one message
+    store; None, before any quotient is built, when h has more than
+    SPASM_PARTITIONS partitions into monochromatic independent blocks or
+    more than PRUNED_GUARD vertices."""
+    if h.n > PRUNED_GUARD or (terms := _colored_tally(h, SPASM_PARTITIONS)) is None:
+        return None
+    return _hom_sum(terms, _message_plan([f for f, _ in terms]), g)
+
+
 def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
-    """Color-preserving embedding count via the guarded decomposition and
-    the ordered-embedding factorization."""
+    """Color-preserving embedding count over h's colored spasm when h has
+    few enough partitions (_spasm_embeddings), else via the guarded
+    decomposition and the ordered-embedding factorization."""
+    emb = _spasm_embeddings(h, g)
+    if emb is not None:
+        return emb
     gcd = build_guarded_decomposition(h)
     ordered = count_ordered_embeddings(gcd, g)
     factor = 1
@@ -635,7 +672,7 @@ def count_colorful_subgraphs_ie(f_pattern: Graph, g: Graph, coloring) -> int:
         for dropped in itertools.combinations(range(f_pattern.n), r):
             keep = [v for v in range(g.n) if coloring[v] not in dropped]
             sign = -1 if r % 2 else 1
-            total += sign * count_hom_dp(f_pattern, g.induced(keep))
+            total += sign * _hom_count(f_pattern, g.induced(keep))
     if total % aut:
         raise AssertionError("inclusion-exclusion sum not divisible by Aut")
     return total // aut

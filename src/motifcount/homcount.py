@@ -13,33 +13,39 @@ the same builder, and runs _eliminate over its guarded decomposition).
 count_hom_mm keeps dense float64 arrays for treewidth <= 3: n x n
 matrices with one BLAS product per vertex while scopes hold at most two
 vertices, and n x n x n arrays for a three-vertex scope, each sum over x_v
-a batched BLAS product of two of them, or the slices of one.  Its
-arithmetic is exact by a certificate that holds for scopes of any size: no
-entry or partial sum exceeds D^(k-1), D the host's maximum degree and k the
-largest pattern component's vertex count.  Below 2^53 one float64 pass is
-exact; above, the factors are stacked residues modulo word-size primes (the
-FFLAS-FFPACK approach of Dumas, Giorgi and Pernet), reduced after every
-product of two, and rebuilt by Chinese remaindering in Python ints.  The
-order is the whole plan: neither engine builds a tree decomposition of its
-own.
+a batched BLAS product of two of them, or the slices of one.  It counts
+colour-preserving maps between ColoredGraphs with the same steps: each
+vertex's host colour-class indicator is one more factor over that vertex
+alone, multiplied into its vector in a step of rank <= 2 and folded into a
+wider group in a rank-3 step.  Its arithmetic is exact by a certificate
+that holds for scopes of any size: no entry or partial sum exceeds
+D^(k-1), D the host's maximum degree and k the largest pattern component's
+vertex count.  Below 2^53 one float64 pass is exact; above, the factors are
+stacked residues modulo word-size primes (the FFLAS-FFPACK approach of
+Dumas, Giorgi and Pernet), reduced after every product of two, and rebuilt
+by Chinese remaindering in Python ints.  The order is the whole plan:
+neither engine builds a tree decomposition of its own.
 What count_hom_mm derives from one input alone is built once: per host
 (_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
 per pattern (_dense_shape) the plan, the adjacency, the largest component,
-the dense layers, the step sizes that _predicted_work prices both kernels
-by, and a structural key per message.  The hom terms of one evaluation are
-quotients of the same patterns, so their elimination forests repeat
-subtrees: equal keys give equal tables, and a store (_Messages) that lives
-for one evaluate call on one host holds each message over one or two
-vertices that a later term reads, read-only and per arithmetic regime,
-until its last reader has run (_message_plan).  The store also holds the
-n x n adjacency matrix, built after DENSE_BYTES_GUARD has passed, once per
-evaluation (once per call without a store); its tables count against the
-guard, and no cache keeps any of them.
+the dense layers, the step sizes and colours that _predicted_work prices
+both kernels by, and a structural key per message, which holds the colour
+of each eliminated vertex, so that only identically coloured subtrees share
+a table.  The hom terms of one evaluation are quotients of the same
+patterns, so their elimination forests repeat subtrees: equal keys give
+equal tables, and a store (_Messages) that lives for one evaluate call on
+one host holds each message over one or two vertices that a later term
+reads, read-only and per arithmetic regime, until its last reader has run
+(_message_plan).  The store also holds the n x n adjacency matrix, built
+after DENSE_BYTES_GUARD has passed, once per evaluation (once per call
+without a store); its tables count against the guard, and no cache keeps
+any of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -248,8 +254,9 @@ class _DenseShape(NamedTuple):
     adj: tuple  # h's neighbour sets
     k: int  # vertex count of h's largest component
     layers: tuple  # (a, b): a step holds at most a + b*n arrays n x n per prime
-    steps: tuple  # (s, e, f, count): see _dense_shape
+    steps: tuple  # (s, e, f, colours, count): see _dense_shape
     keys: tuple  # per vertex, the structural key of its message: see _dense_shape
+    colors: tuple  # a ColoredGraph's colours, None for a Graph
 
 
 def _rank3(later, factors) -> bool:
@@ -258,23 +265,28 @@ def _rank3(later, factors) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _dense_shape(h: Graph) -> _DenseShape:
+def _dense_shape(h) -> _DenseShape:
     """h's plan, adjacency, largest component, dense memory and work,
-    memoised per pattern.  `layers` bounds the n x n arrays per prime held at
-    once besides the adjacency matrix, an n x n x n array counting n: the
-    messages waiting in buckets, plus the arrays a step builds.  A step of
-    rank <= 2 builds four (two products, the vector-weighted copy and the
-    result), or none over one later vertex with only one-vertex messages; a
-    rank-3 step builds its result and one vector-weighted copy of the
-    adjacency matrix, and over three later vertices two slices of _SLICE
-    layers, its result multiplying into a waiting message over the same
-    scope if there is one.  `steps` counts the elimination steps by their
-    size s = |{v} + later[v]|, the number e of h's edges among those
-    vertices, and the number f of other pairs of them that a message into
-    the step joins.  The key of v's message is (len(later[v]), the slots of
-    later[v] adjacent to v, the sorted (key, slots of its scope in
-    (v,) + later[v]) of each message v takes in): the same key is the same
-    sum of products over the same host, so the same table, by induction."""
+    memoised per pattern, a Graph or a ColoredGraph.  `layers` bounds the
+    n x n arrays per prime held at once besides the adjacency matrix, an
+    n x n x n array counting n: the messages waiting in buckets, plus the
+    arrays a step builds.  A step of rank <= 2 builds four (two products,
+    the vector-weighted copy and the result), or none over one later vertex
+    with only one-vertex messages; a rank-3 step builds its result and one
+    vector-weighted copy of the adjacency matrix, and over three later
+    vertices two slices of _SLICE layers, its result multiplying into a
+    waiting message over the same scope if there is one.  `steps` counts the
+    elimination steps by their size s = |{v} + later[v]|, the number e of
+    h's edges among those vertices, the number f of other pairs of them that
+    a message into the step joins, and the sorted colours of those vertices
+    (None for a Graph).  The key of v's message is (len(later[v]), the slots
+    of later[v] adjacent to v, the sorted (key, slots of its scope in
+    (v,) + later[v]) of each message v takes in, v's colour or None): the
+    same key is the same sum of products over the same host, so the same
+    table, by induction."""
+    colors = h.colors if isinstance(h, ColoredGraph) else None
+    if colors is not None:
+        h = h.graph
     width, *forest = elimination_plan(h)
     adj, parent = adjacency(h), forest[2]
     held = [0, 0]  # waiting messages over two and over three vertices
@@ -285,7 +297,8 @@ def _dense_shape(h: Graph) -> _DenseShape:
         members = sorted((v,) + later)
         edges = {(a, b) for a, b in combinations(members, 2) if b in adj[a]}
         joined = {p for scope, _ in factors for p in combinations(scope, 2)} - edges
-        key = (len(members), len(edges), len(joined))
+        key = (len(members), len(edges), len(joined),
+               None if colors is None else tuple(sorted(colors[u] for u in members)))
         steps[key] = steps.get(key, 0) + 1
         new = len(later) == 3 and (parent[v], later) not in waiting
         if len(later) == 3:
@@ -302,7 +315,8 @@ def _dense_shape(h: Graph) -> _DenseShape:
         held[1] += new
         slots = (v,) + later
         keys[v] = (len(later), tuple(i for i, u in enumerate(later) if u in adj[v]),
-                   tuple(sorted((k, tuple(map(slots.index, scope))) for scope, (_, k) in factors)))
+                   tuple(sorted((k, tuple(map(slots.index, scope))) for scope, (_, k) in factors)),
+                   None if colors is None else colors[v])
         # the table: whether the message is an array of its own, n x n or
         # more, and its key
         return (len(later) == 2 or new, keys[v]) if later else 1
@@ -312,7 +326,7 @@ def _dense_shape(h: Graph) -> _DenseShape:
     return _DenseShape(tuple(forest), width, adj,
                        max(map(len, connected_components(h)), default=1),
                        tuple(layers), tuple(key + (m,) for key, m in steps.items()),
-                       tuple(keys))
+                       tuple(keys), colors)
 
 
 class _TermPlan(NamedTuple):
@@ -429,7 +443,7 @@ def _host_facts(g: Graph) -> tuple:
     return ends, int(np.bincount(ends.ravel(), minlength=1).max())
 
 
-def _predicted_work(h: Graph, g: Graph) -> tuple:
+def _predicted_work(h, g) -> tuple:
     """(dense, rows) for a pattern of treewidth <= 3: the work of
     count_hom_mm, the sum of n^s over h's elimination steps on s vertices
     (_RANK3_WORK n^4 on four), and the rows of count_hom_dp, the sum of
@@ -437,26 +451,38 @@ def _predicted_work(h: Graph, g: Graph) -> tuple:
     degree (e and f as in _dense_shape).  A row extends through host
     neighbourhoods and dies where a message has no entry, so a pair joined
     by an edge keeps about D of the n images, and a pair joined only by a
-    message, through a path of two edges or more, about D^2."""
+    message, through a path of two edges or more, about D^2.  For
+    ColoredGraphs a vertex's images are its host colour class, so a step's
+    n^s in the rows is the product of its vertices' class sizes; the dense
+    work does not shrink."""
+    shape = _dense_shape(h)
+    if shape.colors is not None:
+        sizes, g = Counter(g.colors), g.graph
     n, degree = g.n, _host_facts(g)[1]
     dense = rows = 0
     if n:
         edge, message = degree / n, min(1, degree**2 / n)
-        for s, e, f, m in _dense_shape(h).steps:
+        for s, e, f, colours, m in shape.steps:
             dense += m * n**s * (_RANK3_WORK if s == 4 else 1)
-            rows += m * n**s * edge**e * message**f
+            images = n**s if colours is None else math.prod(sizes[c] for c in colours)
+            rows += m * images * edge**e * message**f
     return dense, rows
 
 
-def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
+def count_hom_mm(h, g, messages: _Messages = None) -> int:
     """Homomorphism count for a treewidth-<=3 pattern with dense float64
     factors, exact in one pass under a degree bound and by residues modulo
     word-size primes above it.  Disconnected patterns multiply per
-    component.  `messages` holds what the hom terms of one evaluation share
-    on g (_Messages)."""
+    component.  Pattern and host are both Graphs, or both ColoredGraphs, and
+    then each vertex's images keep its colour: the indicator vector of its
+    host colour class multiplies in as one more factor over that vertex
+    alone.  `messages` holds what the hom terms of one evaluation share on g
+    (_Messages)."""
+    pattern, shape = h, _dense_shape(h)
+    if shape.colors is not None:
+        h, host_colors, g = h.graph, g.colors, g.graph
     if h.n and not g.n:
         return 0
-    shape = _dense_shape(h)
     if shape.width > 3:
         raise DecompositionError("count_hom_mm needs treewidth at most 3")
     n = g.n
@@ -475,7 +501,8 @@ def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
     # reached from is placed, D the host's maximum degree, so no value
     # exceeds D^(k-1) for k the largest component's vertex count.  Below
     # 2^53 float64 is exact in any summation order; otherwise work modulo
-    # primes whose product exceeds it.
+    # primes whose product exceeds it.  A colour mask only zeroes terms, so
+    # the bound holds for colour-preserving maps too.
     bound = degree ** (shape.k - 1)
     primes = _word_primes(n, bound) if bound >= _EXACT else []
     # the adjacency matrix is one layer, broadcast over the primes; the
@@ -498,6 +525,16 @@ def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
         messages.layer = A
     A = messages.layer
     adj_h = shape.adj
+    # masks[v]: the indicator of v's host colour class, over the primes as
+    # a step's one-vertex factors are, so that a component of one vertex sums
+    # it to its class size like any last vector
+    masks = None
+    if shape.colors is not None:
+        host_colors = np.array(host_colors)
+        in_class = {c: np.broadcast_to((host_colors == c).astype(np.float64),
+                                       (max(len(primes), 1), n))
+                    for c in set(shape.colors)}
+        masks = [in_class[c] for c in shape.colors]
     if primes:
         A = np.broadcast_to(A, (len(primes), n, n))
         moduli = np.array(primes, dtype=np.float64)
@@ -514,7 +551,7 @@ def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
         # factors are stacked over the primes (one layer without them); those
         # over (v,) multiply into vec, those over (u, v) into mats[u], indexed
         # [., x_u, x_v] and C-contiguous so that products run along rows
-        vec = None
+        vec = None if masks is None else masks[v]
         mats = {u: A for u in later if u in adj_h[v]}
         for scope, t in factors:
             if len(scope) == 1:
@@ -564,6 +601,8 @@ def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
         for u in later:
             if u in adj_h[v]:
                 _fold(groups, (u,), A, False, reduce)
+        if masks is not None:
+            _fold(groups, (), masks[v], False, reduce)
         for rest in sorted(groups, key=len):
             supersets = [r for r in groups if r != rest and set(rest) <= set(r)]
             if supersets:
@@ -586,8 +625,8 @@ def count_hom_mm(h: Graph, g: Graph, messages: _Messages = None) -> int:
         def run(v, later, factors):
             return (step3 if _rank3(later, factors) else step)(v, later, factors)
 
-    return _eliminate(*messages.shared(h, shape.forest, tuple(primes), DENSE_BYTES_GUARD - need,
-                                       run))
+    return _eliminate(*messages.shared(pattern, shape.forest, tuple(primes),
+                                       DENSE_BYTES_GUARD - need, run))
 
 
 def _fold(groups: dict, rest: tuple, t, owned: bool, reduce) -> None:

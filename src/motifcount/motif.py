@@ -14,9 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .decomp import elimination_plan, support_treewidth
-from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines, canonical_form,
-                     graph_order_key, parse_graph6)
-from .homcount import _message_plan, _Messages, _predicted_work, count_hom_dp, count_hom_mm
+from .graphs import (CapacityError, ColoredGraph, Graph, GraphFormatError, _content_lines,
+                     canonical_form, graph_order_key, parse_graph6)
+from .homcount import (_message_plan, _Messages, _predicted_work, count_colored_hom, count_hom_dp,
+                       count_hom_mm)
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
@@ -131,18 +132,32 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
-def _hom_count(f: Graph, g: Graph, messages: _Messages = None) -> int:
+def _hom_count(f, g, messages: _Messages = None) -> int:
     """Hom(f, g) by the kernel its predicted cost picks: the matrix engine
     for treewidth <= 3 when its work is within DENSE_WORK_RATIO of the dict
-    DP's and it does not refuse the host, and the dict DP otherwise."""
-    if elimination_plan(f)[0] <= 3:
+    DP's and it does not refuse the host, and the dict DP otherwise.  f and
+    g are both Graphs, or both ColoredGraphs for colour-preserving maps."""
+    colored = isinstance(f, ColoredGraph)
+    if elimination_plan(f.graph if colored else f)[0] <= 3:
         dense, rows = _predicted_work(f, g)
         if dense <= DENSE_WORK_RATIO * rows:
             try:
                 return count_hom_mm(f, g, messages=messages)
             except CapacityError:
                 pass  # refused before allocating: the dict factors need no n x n
-    return count_hom_dp(f, g)
+    return count_colored_hom(f, g) if colored else count_hom_dp(f, g)
+
+
+def _hom_sum(terms, plan: dict, g) -> int:
+    """The sum of c * Hom(f, g) over the (f, c) terms, c integers, with one
+    store of dense messages for them all (plan: their
+    homcount._message_plan), each table dropped after the last term that
+    reads it."""
+    messages, total = _Messages(plan), 0
+    for f, c in terms:
+        total += c * _hom_count(f, g, messages)
+        messages.release(f)
+    return total
 
 
 @lru_cache(maxsize=256)
@@ -156,21 +171,17 @@ def _integer_terms(hom: MotifParameter) -> tuple:
 
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
-    """Exact value of the parameter on the host, via the Hom basis.  One
-    store of dense messages serves all the terms, each table dropped after
-    the last term that reads it."""
+    """Exact value of the parameter on the host, via the Hom basis, its
+    terms sharing one store of dense messages (_hom_sum)."""
     d, terms, plan = _integer_terms(change_basis(p, "hom"))
-    messages, total = _Messages(plan), 0
-    for f, c in terms:
-        total += c * _hom_count(f, g, messages)
-        messages.release(f)
-    return Fraction(total, d)
+    return Fraction(_hom_sum(terms, plan, g), d)
 
 
 def count_pattern(kind: str, h: Graph, g: Graph) -> int:
     """Convenience counter for a single pattern in any of the five count
-    families: a hom count directly, uncanonicalised; any other kind as the
-    one-term parameter in its own basis."""
+    families: a hom count directly, uncanonicalised (of a ColoredGraph into
+    a ColoredGraph too); any other kind as the one-term parameter in its own
+    basis."""
     if kind == "hom":
         return _hom_count(h, g)
     value = evaluate(MotifParameter(kind, {h: 1}), g)

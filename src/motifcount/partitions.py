@@ -4,7 +4,10 @@ The four nontrivial families (Surj, SurjInv, Ext, ExtInv) mediate every
 basis change between homomorphism, subgraph, and induced-subgraph counts.
 Each family's row for a pattern is read off one cached tally of that
 pattern (its quotients, or its same-size supergraphs); all coefficients are
-exact rationals.
+exact rationals.  A colored pattern has one cached tally too, of its
+quotients over monochromatic independent blocks with their Moebius
+weights: colored_spasm reads its classes, and the colored counts its
+weights (colored embeddings as colored hom counts).
 """
 
 from __future__ import annotations
@@ -79,12 +82,36 @@ def spasm(h: Graph) -> list:
 
 def colored_spasm(h: ColoredGraph) -> list:
     """Colored variant: quotients over monochromatic independent blocks; each
-    block inherits its color.  Deduplicated by color-preserving isomorphism."""
-    seen = {}
+    block inherits its color.  Deduplicated by color-preserving isomorphism,
+    in order of colored canonical key."""
+    return [f for f, _ in _colored_tally(h)]
+
+
+@lru_cache(maxsize=256)
+def _colored_tally(h: ColoredGraph, limit: int = PARTITION_BUDGET) -> Optional[tuple]:
+    """h's colored quotients, one (F, w) per color-preserving isomorphism
+    class in order of colored canonical key: F a quotient h/rho of the class
+    (each block keeps its color), w the sum over the partitions rho into
+    monochromatic independent blocks with h/rho in the class of
+    prod_B (-1)^(|B|-1) (|B|-1)!.  So Emb_col(h, G) = sum w Hom_col(F, G).
+    None when h has more than `limit` such partitions, counted before any
+    quotient is built.  A class's quotients have one vertex count, so its
+    weights share the sign (-1)^(|V(h)|-|V(F)|) and no w is zero."""
+    if sum(1 for _ in itertools.islice(independent_partitions(h.graph, h.colors),
+                                       limit + 1)) > limit:
+        return None
+    keys: dict = {}  # labelled quotient -> class key: partitions repeat quotients
+    classes: dict = {}
     for rho in independent_partitions(h.graph, h.colors):
-        cg = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
-        seen[colored_canonical_key(cg)] = cg
-    return [seen[k] for k in sorted(seen)]
+        f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
+        if (key := keys.get(f)) is None:
+            key = keys[f] = colored_canonical_key(f)
+        w = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in rho)
+        if key in classes:
+            classes[key][1] += w
+        else:
+            classes[key] = [f, w]
+    return tuple((f, w) for _, (f, w) in sorted(classes.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,222 @@
+"""The two routes of the colored counts, tested against each other, against
+the oracle and against exact identities.
+
+The spasm route sums Moebius-weighted colour-preserving hom counts over the
+pattern's colored spasm (colored._spasm_embeddings); the guarded route runs
+the ordered-embedding DP over a guarded decomposition.  Both are called
+explicitly here, whichever one count_colored_embeddings picks.
+"""
+
+import math
+import random
+
+import pytest
+
+from conftest import (
+    CLI_MAIN,
+    clique,
+    matching,
+    path,
+    random_colored,
+    random_graph,
+    run_isolated,
+    word_primes_bounds,
+)
+from test_colored import PATTERNS
+from motifcount.colored import (
+    FLOWER_CAP,
+    SPASM_PARTITIONS,
+    _spasm_embeddings,
+    build_guarded_decomposition,
+    count_colored_embeddings,
+    count_colored_sub,
+    count_ordered_embeddings,
+)
+from motifcount.decomp import elimination_plan
+from motifcount.graphs import (
+    ColoredGraph,
+    Graph,
+    adjacency,
+    colored_automorphism_count,
+    disjoint_union,
+    encode_graph6,
+    tensor_product,
+)
+from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
+from motifcount.oracle import brute_count
+from motifcount.partitions import _colored_tally, independent_partitions
+
+
+def guarded_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
+    """Colored embeddings by the guarded decomposition's ordered-embedding
+    DP and the similarity factorials."""
+    gcd = build_guarded_decomposition(h)
+    factor = math.prod(math.factorial(len(m)) for m in gcd.similarity_partition())
+    return count_ordered_embeddings(gcd, g) * factor
+
+
+def spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
+    emb = _spasm_embeddings(h, g)
+    assert emb is not None, "pattern above the partition constant"
+    return emb
+
+
+def colored_tensor(g: ColoredGraph, x: Graph) -> ColoredGraph:
+    """G x X, vertex (v, w) numbered v * |V(X)| + w and coloured as v."""
+    return ColoredGraph(tensor_product(g.graph, x), [c for c in g.colors for _ in range(x.n)])
+
+
+def colored_star(m: int) -> ColoredGraph:
+    """K1,m with centre colour 0 and leaves colour 1."""
+    return ColoredGraph(Graph(m + 1, [(0, i) for i in range(1, m + 1)]), [0] + [1] * m)
+
+
+# K4 with vertex 3 split in two: 3 sees 0 and 1, 4 sees 2; merging the two
+# (same colour, not adjacent) gives K4, a treewidth-3 quotient
+SPLIT_K4 = ColoredGraph(Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]),
+                        (0, 1, 2, 1, 1))
+
+
+class TestRoutesAgree:
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_patterns_on_large_hosts(self, name):
+        # 100 vertices in three colour classes: far beyond brute force
+        h = PATTERNS[name]
+        rng = random.Random(f"routes:{name}")
+        g = random_colored(rng, 100, 3, 0.08)
+        emb = spasm_embeddings(h, g)
+        assert emb == guarded_embeddings(h, g) > 0
+        assert count_colored_embeddings(h, g) == emb
+
+    def test_random_patterns_on_large_hosts(self):
+        rng = random.Random(211)
+        nonzero = 0
+        for _ in range(20):
+            h = random_colored(rng, rng.randint(2, 6), rng.randint(1, 3), 0.4)
+            g = random_colored(rng, 100, 3, 0.05)
+            emb = spasm_embeddings(h, g)
+            assert emb == guarded_embeddings(h, g)
+            nonzero += emb > 0
+        assert nonzero >= 10
+
+    def test_both_match_brute_on_small_hosts(self):
+        rng = random.Random(223)
+        for _ in range(40):
+            h = random_colored(rng, rng.randint(1, 6), rng.randint(1, 3))
+            g = random_colored(rng, rng.randint(1, 8), 3, 0.7)
+            want = brute_count("colored-emb", h, g)
+            assert spasm_embeddings(h, g) == guarded_embeddings(h, g) == want
+            assert count_colored_sub(h, g) == want // colored_automorphism_count(h)
+
+    def test_treewidth3_quotient(self):
+        tally = _colored_tally(SPLIT_K4)
+        assert max(elimination_plan(f.graph)[0] for f, _ in tally) == 3
+        rng = random.Random(227)
+        for _ in range(10):
+            g = random_colored(rng, 8, 3, 0.8)
+            want = brute_count("colored-emb", SPLIT_K4, g)
+            assert spasm_embeddings(SPLIT_K4, g) == guarded_embeddings(SPLIT_K4, g) == want
+        g = random_colored(rng, 60, 3, 0.3)
+        assert spasm_embeddings(SPLIT_K4, g) == guarded_embeddings(SPLIT_K4, g) > 0
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS) + ["split-K4"])
+    def test_colour_absent_from_host(self, name):
+        h = PATTERNS.get(name, SPLIT_K4)
+        rng = random.Random(f"routes-absent:{name}")
+        for missing in sorted(set(h.colors)):
+            kept = sorted({0, 1, 2, 3} - {missing})
+            g = random_graph(rng, 30, 0.5)
+            g = ColoredGraph(g, [rng.choice(kept) for _ in range(g.n)])
+            assert spasm_embeddings(h, g) == guarded_embeddings(h, g) == 0
+
+
+class TestPartitionConstant:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_stars_below_the_constant(self, m):
+        # K1,m on G(40, 0.5) with three centres of colour 0: below the
+        # attachment threshold the guarded DP places every leaf as a guard
+        # (m = 5 took minutes); the spasm route has m terms
+        rng = random.Random(1)
+        g = random_graph(rng, 40)
+        colors = [0] * 3 + [1] * 37
+        rng.shuffle(colors)
+        adj = adjacency(g)
+        want = sum(math.perm(sum(colors[y] == 1 for y in adj[x]), m)
+                   for x in range(40) if colors[x] == 0)
+        h = colored_star(m)
+        assert len(_colored_tally(h, SPASM_PARTITIONS)) == m
+        assert count_colored_embeddings(h, ColoredGraph(g, colors)) == want > 0
+
+    def test_large_stars_take_the_guarded_dp(self):
+        # K1,19 has Bell(19) partitions of its leaves, counted only up to the
+        # constant; K1,20 has more vertices than PRUNED_GUARD
+        assert _colored_tally(colored_star(19), SPASM_PARTITIONS) is None
+        g = random_colored(random.Random(5), 10, 2)
+        for m in (19, 20):
+            assert _spasm_embeddings(colored_star(m), g) is None
+
+    def test_bell_eight_is_under_the_constant(self):
+        # the constant admits K1,8, whose leaves have Bell(8) partitions
+        h = colored_star(8)
+        assert sum(1 for _ in independent_partitions(h.graph, h.colors)) == 4140
+        assert 4140 <= SPASM_PARTITIONS
+
+    def test_flower_cap_pattern_exits_1(self):
+        # 2 * FLOWER_CAP vertices of one colour, matched: past the partition
+        # constant and past PRUNED_GUARD, so the guarded DP refuses it
+        pattern = encode_graph6(matching(FLOWER_CAP))
+        proc = run_isolated(CLI_MAIN, "colored-count", "--kind", "emb", "--pattern", pattern,
+                            "--host", "Bw")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: class 0 still carries a {FLOWER_CAP}-flower; "
+            "pattern is outside the tractable regime\n"
+        )
+
+
+def colored_pattern(h: Graph, rng: random.Random, ncolors: int) -> ColoredGraph:
+    return ColoredGraph(h, [rng.randrange(ncolors) for _ in range(h.n)])
+
+
+class TestColoredHomKernel:
+    def test_matches_the_dict_dp(self):
+        rng = random.Random(229)
+        for h in (path(4), clique(3), clique(4), SPLIT_K4.graph, Graph(1), Graph(3, [(0, 1)])):
+            for _ in range(3):
+                f = colored_pattern(h, rng, 3)
+                g = random_colored(rng, 30, 3, 0.4)
+                assert count_hom_mm(f, g) == count_colored_hom(f, g)
+
+    @pytest.mark.parametrize("regime", ["float", "crt"])
+    def test_tensor_product_multiplies(self, regime, monkeypatch):
+        # Hom_col(F, G x X) = Hom_col(F, G) Hom(F, X), G x X coloured by its
+        # first factor.  In the CRT regime F is a coloured 11-vertex path
+        # beside a triangle and one lone vertex, whose last vector is its
+        # colour mask alone
+        rng = random.Random(f"colored-tensor:{regime}")
+        if regime == "float":
+            f = colored_pattern(disjoint_union(path(3), clique(3)), rng, 2)
+            g = random_colored(rng, 12, 2, 0.5)
+        else:
+            shape = disjoint_union(disjoint_union(path(10), clique(3)), Graph(1))
+            f = ColoredGraph(shape, [v % 2 for v in range(11)] + [0, 1, 0, 1])
+            g = random_colored(rng, 60, 2, 0.6)
+        x = clique(3)
+        bounds = word_primes_bounds(monkeypatch)
+        alone = count_hom_mm(f, g)
+        assert bool(bounds) == (regime == "crt")
+        assert alone == count_colored_hom(f, g) > 0
+        product = count_hom_mm(f, colored_tensor(g, x))
+        assert product == alone * count_hom_dp(f.graph, x) > 0
+
+    @pytest.mark.parametrize("colour", [0, 1])
+    def test_lone_vertex_in_the_crt_regime(self, colour, monkeypatch):
+        # a coloured path pushes the certificate past 2^53; the lone vertex
+        # then counts its colour class
+        rng = random.Random(233)
+        g = random_colored(rng, 60, 2, 0.6)
+        p = ColoredGraph(path(10), [v % 2 for v in range(11)])
+        f = ColoredGraph(disjoint_union(p.graph, Graph(1)), p.colors + (colour,))
+        bounds = word_primes_bounds(monkeypatch)
+        assert count_hom_mm(f, g) == count_hom_mm(p, g) * g.colors.count(colour) > 0
+        assert bounds
