@@ -17,7 +17,7 @@ from .graphs import (
 )
 from .partitions import coefficient_row, colored_spasm, spasm
 from .decomp import TreeDecomposition, exact_treewidth, massage_connected
-from .homcount import count_colored_hom, count_hom_dp, count_hom_mm
+from .homcount import count_hom_dp, count_hom_mm
 from .motif import (
     MotifParameter,
     build_tree_count_parameter,

@@ -31,7 +31,7 @@ from .graphs import (
 )
 # count_hom_mm is re-exported: the benchmark's self-test checks that its span
 # recorder wraps this import site
-from .homcount import count_colored_hom, count_hom_dp, count_hom_mm  # noqa: F401
+from .homcount import count_hom_dp, count_hom_mm  # noqa: F401
 from .motif import (
     BASES,
     MotifParameter,

@@ -4,12 +4,12 @@ Both engines eliminate the pattern's vertices along the cached optimal
 order of decomp.elimination_plan, which also fixes each message's scope and
 the bucket it goes to: eliminating v multiplies the factors that mention v
 and sums v out, so a pattern of treewidth k costs n^(k+1).
-count_hom_dp and count_colored_hom keep factors as dicts keyed by
-host-vertex tuples, built by _RowBuilder: rows of host images grown one
-pattern vertex at a time through neighbourhoods, restricted to the right
-colour when the graphs are ColoredGraphs, each message joined once its
-scope is placed (the colored ordered-embedding DP grows its guard rows with
-the same builder, and runs _eliminate over its guarded decomposition).
+count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built by
+_RowBuilder: rows of host images grown one pattern vertex at a time
+through neighbourhoods, restricted to the right colour when the graphs
+are ColoredGraphs, each message joined once its scope is placed (the
+colored ordered-embedding DP grows its guard rows with the same builder,
+and runs _eliminate over its guarded decomposition).
 count_hom_mm keeps dense float64 arrays for treewidth <= 3: n x n
 matrices with one BLAS product per vertex while scopes hold at most two
 vertices, and n x n x n arrays for a three-vertex scope, each sum over x_v
@@ -33,10 +33,11 @@ both kernels by, and a structural key per message, which holds the colour
 of each eliminated vertex, so that only identically coloured subtrees share
 a table.  The hom terms of one evaluation are quotients of the same
 patterns, so their elimination forests repeat subtrees: equal keys give
-equal tables, and a store (_Messages) that lives for one evaluate call on
-one host holds each message over one or two vertices that a later term
-reads, read-only and per arithmetic regime, until its last reader has run
-(_message_plan).  The store also holds the n x n adjacency matrix, built
+equal tables.  A store (_Messages) that lives for one evaluate call on one
+host holds, read-only and per arithmetic regime, each message over one or
+two vertices whose key more than one term sends (_shared_keys), and a
+term reads the topmost held messages of its forest instead of eliminating
+their subtrees.  The store also holds the n x n adjacency matrix, built
 after DENSE_BYTES_GUARD has passed, once per evaluation (once per call
 without a store); its tables count against the guard, and no cache keeps
 any of them.
@@ -176,9 +177,13 @@ class _RowBuilder:
             rows = grown
 
 
-def _count_hom(builder: _RowBuilder, h: Graph) -> int:
-    """Homomorphisms from h whose images the builder allows, by elimination
-    along h's plan."""
+def count_hom_dp(h, g) -> int:
+    """Number of homomorphisms from h to g, by elimination along h's plan
+    with dict factors: both Graphs, or both ColoredGraphs for
+    colour-preserving maps."""
+    builder = _RowBuilder(h, g)
+    if isinstance(h, ColoredGraph):
+        h = h.graph
 
     def step(v, later, factors):
         # seed from the largest message, then grow through the others
@@ -199,16 +204,6 @@ def _count_hom(builder: _RowBuilder, h: Graph) -> int:
         return out if later else out.get((), 0)
 
     return _eliminate(elimination_plan(h)[1:], step)
-
-
-def count_hom_dp(h: Graph, g: Graph) -> int:
-    """Number of homomorphisms from h to g."""
-    return _count_hom(_RowBuilder(h, g), h)
-
-
-def count_colored_hom(h: ColoredGraph, g: ColoredGraph) -> int:
-    """Number of color-preserving homomorphisms from h to g."""
-    return _count_hom(_RowBuilder(h, g), h.graph)
 
 
 @lru_cache(maxsize=256)
@@ -329,105 +324,60 @@ def _dense_shape(h) -> _DenseShape:
                        tuple(keys), colors)
 
 
-class _TermPlan(NamedTuple):
-    """How one hom term shares messages with the others (_message_plan)."""
-
-    reads: tuple  # (v, id, v's subtree) per message read, none below another
-    keep: dict  # v -> id of each message of the term that a later term reads
-    drops: tuple  # the ids this term is the last to read
-
-
-def _message_plan(patterns) -> dict:
-    """pattern -> _TermPlan, for hom terms that count_hom_mm counts in this
-    order on one host.  Each distinct key of a message over one or two
-    vertices gets an id.  A term reads the topmost messages that an earlier
-    term computes and leaves their subtrees out of its elimination; it
-    keeps those of its messages that a later term reads, and drops the ids
-    it is the last to read.  Three-vertex messages are never shared: a step
-    multiplies them in place."""
-    ids: dict = {}
-    made, last, terms = set(), {}, []
-    for i, h in enumerate(patterns):
-        shape = _dense_shape(h)
-        if shape.width > 3:
-            continue
-        order, later, parent = shape.forest
-        below = {v: {v} for v in order}
-        for v in order:
-            if parent[v] is not None:
-                below[parent[v]] |= below[v]
-        mine = {v: ids.setdefault(shape.keys[v], len(ids))
-                for v in order if 1 <= len(later[v]) <= 2}
-        skip, reads = set(), []
-        for v in reversed(order):  # parents first
-            if parent[v] in skip:
-                skip.add(v)
-            elif v in mine and mine[v] in made:
-                reads.append((v, mine[v], frozenset(below[v])))
-                skip |= below[v]
-                last[mine[v]] = i
-        made.update(k for v, k in mine.items() if v not in skip)
-        terms.append((i, h, tuple(reads), mine))
-    return {h: _TermPlan(reads, {v: k for v, k in mine.items() if last.get(k, -1) > i},
-                         tuple(k for k, j in last.items() if j == i))
-            for i, h, reads, mine in terms}
+def _shared_keys(patterns) -> frozenset:
+    """The keys of the messages over one or two vertices that more than one
+    of these hom terms sends: the messages that one evaluation's store holds
+    (_Messages).  Three-vertex messages are never shared: a step multiplies
+    them in place."""
+    sent = Counter()
+    for h in patterns:  # keys are None above treewidth 3
+        sent.update({k for k in _dense_shape(h).keys if k and 1 <= k[0] <= 2})
+    return frozenset(key for key, terms in sent.items() if terms > 1)
 
 
 class _Messages:
     """What the hom terms of one evaluate call share on one host in
-    count_hom_mm: the adjacency layer, built once, and the tables of
-    _message_plan's messages, read-only, per tuple of the primes their
-    residues are taken modulo (empty in the float64 regime), so that no
-    table crosses regimes; each is held from the term that computes it to
-    the last term that reads it."""
+    count_hom_mm: the adjacency layer, built once, and the tables of the
+    messages whose keys are in `shared`, read-only, per key and tuple of
+    the primes their residues are taken modulo (empty in the float64
+    regime), so that no table crosses regimes."""
 
-    def __init__(self, plan: dict):
-        self.plan = plan
+    def __init__(self, shared: frozenset = frozenset()):
+        self.shared = shared
         self.layer = None
-        self.tables: dict = {}  # id -> {primes: table}
+        self.tables: dict = {}  # (key, primes) -> table
         self.nbytes = 0  # held by the tables
 
-    def shared(self, h: Graph, forest: tuple, primes: tuple, room: int, step) -> tuple:
-        """(forest, step, given) for h's elimination: the forest less the
-        subtrees whose messages h's plan reads and are held over these
-        primes, step holding each message a later term reads while the
-        tables take at most room bytes, and the messages read."""
-        plan = self.plan.get(h)
-        if plan is None:
-            return forest, step, None
+    def reuse(self, shape: _DenseShape, primes: tuple, room: int, step) -> tuple:
+        """(forest, step, given) for the elimination of shape's pattern:
+        given maps each topmost vertex of its forest whose message is held
+        over these primes to that table, the forest leaves out their
+        subtrees, and step holds each message whose key is shared while the
+        tables take at most room bytes."""
+        order, later, parent = shape.forest
         given, skip = {}, set()
-        for v, k, below in plan.reads:
-            table = self.tables.get(k, {}).get(primes)
-            if table is not None:
+        for v in reversed(order):  # parents first
+            if parent[v] in skip:
+                skip.add(v)
+            elif (table := self.tables.get((shape.keys[v], primes))) is not None:
                 given[v] = table
-                skip |= below
-        order, later, parent = forest
-        if skip:
-            forest = (tuple(v for v in order if v not in skip), later, parent)
+                skip.add(v)
 
         def run(v, later, factors):
             table = step(v, later, factors)
-            if v in plan.keep:
-                self.hold(plan.keep[v], primes, table, room)
+            if shape.keys[v] in self.shared:
+                self.hold(shape.keys[v], primes, table, room)
             return table
 
-        return forest, run, given
+        return (tuple(v for v in order if v not in skip), later, parent), run, given
 
-    def hold(self, k: int, primes: tuple, table, room: int) -> None:
-        """Hold table as message k over these primes, unless one is held or
-        it would take the tables past room bytes."""
-        held = self.tables.setdefault(k, {})
-        if primes not in held and self.nbytes + table.nbytes <= room:
+    def hold(self, key: tuple, primes: tuple, table, room: int) -> None:
+        """Hold table as message key over these primes, unless one is held
+        or it would take the tables past room bytes."""
+        if (key, primes) not in self.tables and self.nbytes + table.nbytes <= room:
             table.flags.writeable = False  # no step writes into a held table
-            held[primes] = table
+            self.tables[key, primes] = table
             self.nbytes += table.nbytes
-
-    def release(self, h: Graph) -> None:
-        """Drop the tables that h is the last term to read."""
-        plan = self.plan.get(h)
-        for k in plan.drops if plan is not None else ():
-            for table in self.tables.pop(k, {}).values():
-                self.nbytes -= table.nbytes
 
     def clear(self) -> None:
         self.tables.clear()
@@ -478,7 +428,7 @@ def count_hom_mm(h, g, messages: _Messages = None) -> int:
     host colour class multiplies in as one more factor over that vertex
     alone.  `messages` holds what the hom terms of one evaluation share on g
     (_Messages)."""
-    pattern, shape = h, _dense_shape(h)
+    shape = _dense_shape(h)
     if shape.colors is not None:
         h, host_colors, g = h.graph, g.colors, g.graph
     if h.n and not g.n:
@@ -515,7 +465,7 @@ def count_hom_mm(h, g, messages: _Messages = None) -> int:
             f"{DENSE_BYTES_GUARD >> 20} MiB"
         )
     if messages is None:
-        messages = _Messages({})
+        messages = _Messages()
     elif need + messages.nbytes > DENSE_BYTES_GUARD:
         messages.clear()
     if messages.layer is None:
@@ -625,8 +575,7 @@ def count_hom_mm(h, g, messages: _Messages = None) -> int:
         def run(v, later, factors):
             return (step3 if _rank3(later, factors) else step)(v, later, factors)
 
-    return _eliminate(*messages.shared(pattern, shape.forest, tuple(primes),
-                                       DENSE_BYTES_GUARD - need, run))
+    return _eliminate(*messages.reuse(shape, tuple(primes), DENSE_BYTES_GUARD - need, run))
 
 
 def _fold(groups: dict, rest: tuple, t, owned: bool, reduce) -> None:

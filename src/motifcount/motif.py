@@ -16,8 +16,7 @@ from functools import lru_cache
 from .decomp import elimination_plan, support_treewidth
 from .graphs import (CapacityError, ColoredGraph, Graph, GraphFormatError, _content_lines,
                      canonical_form, graph_order_key, parse_graph6)
-from .homcount import (_message_plan, _Messages, _predicted_work, count_colored_hom, count_hom_dp,
-                       count_hom_mm)
+from .homcount import _Messages, _predicted_work, _shared_keys, count_hom_dp, count_hom_mm
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
@@ -137,44 +136,39 @@ def _hom_count(f, g, messages: _Messages = None) -> int:
     for treewidth <= 3 when its work is within DENSE_WORK_RATIO of the dict
     DP's and it does not refuse the host, and the dict DP otherwise.  f and
     g are both Graphs, or both ColoredGraphs for colour-preserving maps."""
-    colored = isinstance(f, ColoredGraph)
-    if elimination_plan(f.graph if colored else f)[0] <= 3:
+    if elimination_plan(f.graph if isinstance(f, ColoredGraph) else f)[0] <= 3:
         dense, rows = _predicted_work(f, g)
         if dense <= DENSE_WORK_RATIO * rows:
             try:
                 return count_hom_mm(f, g, messages=messages)
             except CapacityError:
                 pass  # refused before allocating: the dict factors need no n x n
-    return count_colored_hom(f, g) if colored else count_hom_dp(f, g)
+    return count_hom_dp(f, g)
 
 
-def _hom_sum(terms, plan: dict, g) -> int:
+def _hom_sum(terms, shared: frozenset, g) -> int:
     """The sum of c * Hom(f, g) over the (f, c) terms, c integers, with one
-    store of dense messages for them all (plan: their
-    homcount._message_plan), each table dropped after the last term that
-    reads it."""
-    messages, total = _Messages(plan), 0
-    for f, c in terms:
-        total += c * _hom_count(f, g, messages)
-        messages.release(f)
-    return total
+    store of dense messages for them all, which holds the messages whose
+    keys are in shared (their homcount._shared_keys)."""
+    messages = _Messages(shared)
+    return sum(c * _hom_count(f, g, messages) for f, c in terms)
 
 
 @lru_cache(maxsize=256)
 def _integer_terms(hom: MotifParameter) -> tuple:
-    """(d, ((graph, c * d), ...), plan): the terms over one common
+    """(d, ((graph, c * d), ...), shared): the terms over one common
     denominator d, so that evaluation sums Python ints and divides once, and
-    the messages they share on a host (homcount._message_plan)."""
+    the keys of the messages they share on a host (homcount._shared_keys)."""
     d = math.lcm(*(c.denominator for _, c in hom.terms))
     terms = tuple((cf.graph, c.numerator * (d // c.denominator)) for cf, c in hom.terms)
-    return d, terms, _message_plan([f for f, _ in terms])
+    return d, terms, _shared_keys([f for f, _ in terms])
 
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
     """Exact value of the parameter on the host, via the Hom basis, its
     terms sharing one store of dense messages (_hom_sum)."""
-    d, terms, plan = _integer_terms(change_basis(p, "hom"))
-    return Fraction(_hom_sum(terms, plan, g), d)
+    d, terms, shared = _integer_terms(change_basis(p, "hom"))
+    return Fraction(_hom_sum(terms, shared, g), d)
 
 
 def count_pattern(kind: str, h: Graph, g: Graph) -> int:

@@ -43,7 +43,7 @@ from motifcount.graphs import (
     encode_graph6,
     quotient,
 )
-from motifcount.homcount import count_colored_hom
+from motifcount.homcount import count_hom_dp
 from motifcount.oracle import brute_count
 from motifcount.partitions import independent_partitions
 
@@ -402,7 +402,7 @@ def partition_reference(h: ColoredGraph, g: ColoredGraph) -> int:
         for block in rho:
             weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
         f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
-        total += weight * count_colored_hom(f, g)
+        total += weight * count_hom_dp(f, g)
     return total
 
 

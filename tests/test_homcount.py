@@ -10,7 +10,7 @@ from motifcount import homcount, motif
 from motifcount.decomp import DecompositionError, elimination_plan
 from motifcount.graphs import ColoredGraph, Graph, adjacency, tensor_product
 from motifcount.motif import MotifParameter, build_tree_count_parameter, change_basis, evaluate
-from motifcount.homcount import count_colored_hom, count_hom_dp, count_hom_mm
+from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
 from motifcount.partitions import CapacityError
 
@@ -308,9 +308,9 @@ class TestColoredHom:
         for _ in range(30):
             h = random_colored(rng, rng.randint(1, 4), 3)
             g = random_colored(rng, rng.randint(1, 6), 3)
-            assert count_colored_hom(h, g) == brute_count("colored-hom", h, g)
+            assert count_hom_dp(h, g) == brute_count("colored-hom", h, g)
 
     def test_color_filter(self):
         h = ColoredGraph(clique(2), (0, 1))
         g = ColoredGraph(clique(2), (0, 0))
-        assert count_colored_hom(h, g) == 0
+        assert count_hom_dp(h, g) == 0

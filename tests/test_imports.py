@@ -11,6 +11,9 @@
 - Every module-level private name (`_x`, not a dunder) that a `def`, a
   `class` or an assignment binds is read somewhere in the package: a
   deletion leaves no orphaned helper behind.
+- Every method and class-level annotated field of a package class (dunders
+  exempt) is read somewhere in the package as an attribute or a name: a
+  deletion leaves no orphaned member behind either.
 """
 
 import ast
@@ -202,3 +205,52 @@ def test_scan_finds_an_unread_private_name(tmp_path):
 
 def test_every_private_name_is_read():
     assert unread_private_names(SOURCE) == []
+
+
+def unread_members(package: Path) -> list:
+    """Methods and class-level annotated fields (dunders aside) of the
+    package's classes that no module reads, as an attribute or a name."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    found = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    member = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    member = node.target.id
+                else:
+                    continue
+                if not member.startswith("__") and member not in read:
+                    found.append(f"{name}:{node.lineno}: {cls.name}.{member}")
+    return found
+
+
+def test_scan_finds_an_unread_member(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Shape(NamedTuple):\n"
+        "    used: int\n"
+        "    dead: int\n"
+        "class Store:\n"
+        "    limit: int = 0\n"
+        "    def __init__(self):\n"
+        "        self.dead = 1\n"
+        "    def read(self):\n"
+        "        return self.limit\n"
+        "    def release(self):\n"
+        "        pass\n"
+        "print(Shape(1, 2).used, Store().read())\n"
+    )
+    assert unread_members(tmp_path) == ["m.py:4: Shape.dead", "m.py:11: Store.release"]
+
+
+def test_every_member_is_read():
+    assert unread_members(SOURCE) == []

@@ -254,9 +254,9 @@ def stores(monkeypatch) -> list:
     reports = []
 
     class Recording(homcount._Messages):
-        def __init__(self, plan):
+        def __init__(self, shared):
             self.report = StoreReport()
-            super().__init__(plan)
+            super().__init__(shared)
             self.report.store = weakref.ref(self)
             reports.append(self.report)
 
@@ -311,11 +311,9 @@ class TestSharedMessages:
         h = Graph(6, [(0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
         terms = {h: 1, cycle(8): -2, **({first: 3} if first else {})}
         p = MotifParameter("hom", terms)
-        _, _, plan = motif._integer_terms(p)
-        c8 = canonical_form(cycle(8)).graph
-        shared = {k for _, k, _ in plan[c8].reads}
-        hk = canonical_form(h).graph
-        assert shared & ({k for _, k, _ in plan[hk].reads} | set(plan[hk].keep.values()))
+        _, _, shared = motif._integer_terms(p)
+        c8, hk = (homcount._dense_shape(canonical_form(f).graph).keys for f in (cycle(8), h))
+        assert shared & set(c8) & set(hk)
         rng = random.Random(89)
         for _ in range(4):
             g = random_graph(rng, rng.randint(8, 16), 0.5)
@@ -344,6 +342,22 @@ class TestSharedMessages:
             g = random_graph(rng, rng.randint(5, 15), 0.4)
             assert evaluate(p, g) == hom_sum(p, g)
         assert all(r.tables and r.freed() for r in stores)
+
+    @pytest.mark.parametrize("p, steps", [
+        (SUPPORTS["sub-P7"], 46), (SUPPORTS["trees6"], 34),
+        (MotifParameter("sub", {cycle(8): 1}), 66)], ids=["sub-P7", "trees6", "sub-C8"])
+    def test_a_warm_evaluate_reads_held_subtrees(self, p, steps, monkeypatch):
+        # every term runs dense, and a subtree whose message an earlier term
+        # holds is read instead of eliminated again (without the reads the
+        # terms run 149, 104 and 183 steps); run cold, _dense_shape would
+        # add eliminations of its own
+        g = random_graph(random.Random(109), 16, 0.5)
+        want = hom_sum(p, g)
+        evaluate(p, g)
+        ran, counted = dense_runs(monkeypatch), elimination_steps(monkeypatch)
+        assert evaluate(p, g) == want
+        assert len(ran) == len(change_basis(p, "hom").terms)
+        assert counted == [steps]
 
     def test_the_guard_counts_held_tables(self, stores, monkeypatch):
         # tree terms hold just the adjacency matrix: with room for two
@@ -406,3 +420,19 @@ def fits(h: Graph, g: Graph, guard: int, monkeypatch) -> bool:
     except CapacityError:
         return False
     return True
+
+
+def elimination_steps(monkeypatch) -> list:
+    """[n]: n counts the elimination steps that homcount runs from now on."""
+    counted = [0]
+    eliminate = homcount._eliminate
+
+    def counting(forest, step, given=None):
+        def run(v, later, factors):
+            counted[0] += 1
+            return step(v, later, factors)
+
+        return eliminate(forest, run, given)
+
+    monkeypatch.setattr(homcount, "_eliminate", counting)
+    return counted
