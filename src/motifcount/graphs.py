@@ -1,8 +1,9 @@
 """Loop-free simple graphs, colored graphs, canonical labeling, graph6 and
 edge-list I/O.
 
-One backtracking search yields canonical forms, automorphism counts and
-colored isomorphism; plain graphs are searched with the all-zero coloring.
+One backtracking search, pruned by twins and by the automorphisms it finds,
+yields canonical forms, automorphism counts and colored isomorphism; plain
+graphs are searched with the all-zero coloring.
 It refuses graphs above PRUNED_GUARD vertices, whichever entry point calls it.
 A plain graph's search runs once per canonical_form cache miss, and its
 CanonicalForm keeps the automorphism count; a colored graph's search is not
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 # Bound of the per-graph caches, which would otherwise keep every host and
 # every canonicalised supergraph for the life of the process.
@@ -61,9 +62,9 @@ class Graph:
         object.__setattr__(self, "edges", _normalize_edges(n, edges))
 
     @classmethod
-    def _trusted(cls, n: int, edges: list) -> "Graph":
+    def _trusted(cls, n: int, edges: Iterable) -> "Graph":
         """The graph on n vertices with these edges, each (u, v) with
-        0 <= u < v < n, distinct: no check, for decoders that produce them so."""
+        0 <= u < v < n, distinct: no check, for builders that produce them so."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", frozenset(edges))
@@ -151,77 +152,111 @@ def adjacency(g: Graph) -> tuple:
     return tuple(frozenset(s) for s in adj)
 
 
-def _upper_triangle_bits(g: Graph) -> tuple:
-    """Adjacency bits in graph6 order: columns j=1..n-1, rows i=0..j-1."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
-    return tuple(bits)
-
-
 def _canonical_search(g: Graph, colors: tuple) -> tuple:
     """(perm, aut): perm maps canonical position -> original vertex, aut
     counts the color-preserving automorphisms of g.
 
-    Canonical positions are filled one at a time; position k contributes
-    (colors[v], adjacency of v to positions 0..k-1), packed into one integer
-    as the color followed by k bits, and a labeling's key is the sequence of
-    these.  perm is a labeling with the least key.  A branch is abandoned
-    only when its key prefix exceeds the best complete key found so far, so
-    no labeling reaching the final minimum is ever cut off.  Those labelings
-    form one coset of the automorphism group; aut is their number.
+    Canonical positions are filled one at a time.  The vertex placed at
+    position k contributes its part, (colors[v], adjacency of v to positions
+    0..k-1) packed into one integer as the color followed by k bits, and a
+    labeling's key is the sequence of parts.  perm is a labeling with the
+    least key; the labelings reaching it form one coset of the automorphism
+    group, and aut is their number.  Parts are kept up to date as vertices
+    are placed.  Only candidates with the least part can lead to the least
+    key, so only they are expanded, and a node is abandoned once that part
+    exceeds the best key's at its position.
 
-    Twins (same color, and the same open or the same closed neighborhood)
-    are placed once: swapping two unplaced twins is an automorphism fixing
-    the placed prefix, so only the least unplaced member of a twin class is
-    tried, its ties counting once per unplaced member.  The skipped subtrees
-    repeat its keys later in the search, so perm and aut do not change.
+    Symmetry prunes the search without changing perm or aut.  Twins (same
+    color, and the same open or the same closed neighborhood) are placed
+    once: swapping two unplaced twins is an automorphism fixing the placed
+    prefix, so only the least unplaced member of a twin class is tried, its
+    ties counting once per unplaced member.  A leaf that ties the best key
+    gives the automorphism mapping the best labeling onto it.  Those found
+    so far that fix a node's placed prefix pointwise carry a candidate's
+    subtree, keys and all, onto the subtree of each candidate in its orbit,
+    so one candidate per orbit is expanded (McKay and Piperno, Practical
+    Graph Isomorphism II, 2014); a skipped one counts the ties of its
+    expanded orbit-mate, or none if the best key has changed since.
     """
     n = g.n
     if n > PRUNED_GUARD:
         raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
-    adj = adjacency(g)
-    # v's least twin: no vertex has twins of both kinds, so classes partition V
-    twin = [next(u for u in range(v + 1) if colors[u] == colors[v]
-                 and (adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v}))
-            for v in range(n)]
-    best_key: Optional[tuple] = None
-    best_perm: tuple = ()
-    ties = 0
+    mask = [0] * n
+    for u, v in g.edges:
+        mask[u] |= 1 << v
+        mask[v] |= 1 << u
+    # twin classes (no vertex has twins of both kinds, so they partition V),
+    # keyed by their greatest member u, least_of[u] their least: members are
+    # placed in increasing order, after[v] after v, left[v] counts v and later
+    after, left, least_of, twin = [-1] * n, [1] * n, {}, {}
+    for v in reversed(range(n)):
+        u = twin.setdefault((colors[v], mask[v]), v)  # open twins
+        if u == v:
+            u = twin.setdefault((colors[v], ~(mask[v] | 1 << v)), v)  # closed
+        if u != v:
+            after[v] = least_of[u]
+            left[v] += left[after[v]]
+        least_of[u] = v
+    best, best_perm = [], ()  # the least key found, and a labeling reaching it
+    ties = version = 0  # version counts the changes of best
+    auts = []  # (fixed-point mask, map) of each automorphism found
+    key, perm = [], []
 
-    def extend(assigned, used, key, weight):
-        nonlocal best_key, best_perm, ties
-        k = len(assigned)
-        if k == n:
-            # pruning below guarantees key <= best_key here
-            if best_key is None or key < best_key:
-                best_key, best_perm, ties = key, tuple(assigned), weight
-            else:
-                ties += weight
-            return
-        unplaced: dict = {}  # twin class -> its unplaced members
-        for v in range(n):
-            if v not in used:
-                unplaced.setdefault(twin[v], []).append(v)
-        candidates = []
-        for members in unplaced.values():
-            v = members[0]
-            part = colors[v]
-            for u in assigned:
-                part = part << 1 | (u in adj[v])
-            candidates.append((part, v, len(members)))
-        for part, v, size in sorted(candidates):
-            new_key = key + (part,)
-            if best_key is not None and new_key > best_key[: k + 1]:
+    def extend(parts, placed, weight, tight):
+        # parts: each unplaced class's least member -> its part; tight: the
+        # placed prefix's key equals best's, else it is smaller
+        nonlocal best, best_perm, ties, version
+        k = len(perm)
+        least = min(parts.values())
+        if tight and least != best[k]:
+            if least > best[k]:
+                return
+            tight = False
+        key.append(least)
+        done = []  # (candidate, its ties, version after it) of each expanded one
+        orbit = None  # orbit labels under the automorphisms that fix the prefix
+        for c, part in parts.items():
+            if part != least:
                 continue
-            assigned.append(v)
-            used.add(v)
-            extend(assigned, used, new_key, weight * size)
-            assigned.pop()
-            used.remove(v)
+            if done and auts:
+                if orbit is None:
+                    orbit, seen = list(range(n)), 0
+                for fixed, gamma in auts[seen:]:
+                    if fixed & placed == placed:
+                        for v, w in enumerate(gamma):
+                            if orbit[v] != orbit[w]:
+                                a, b = orbit[v], orbit[w]
+                                orbit = [a if o == b else o for o in orbit]
+                seen = len(auts)
+                mate = next((d for d in done if orbit[d[0]] == orbit[c]), None)
+                if mate is not None:
+                    ties += mate[1] if mate[2] == version else 0
+                    continue
+            perm.append(c)
+            before, then = ties, version
+            if k + 1 < n:
+                m = mask[c]
+                child = {d: p << 1 | (m >> d & 1) for d, p in parts.items() if d != c}
+                if after[c] >= 0:  # c's twins share its part
+                    child[after[c]] = part << 1 | (m >> after[c] & 1)
+                extend(child, placed | 1 << c, weight * left[c], tight)
+            elif tight:  # a leaf that ties best
+                ties += weight
+                gamma, fixed = [0] * n, 0
+                for b, p in zip(best_perm, perm):
+                    gamma[b] = p
+                    fixed |= (b == p) << b
+                auts.append((fixed, gamma))
+            else:
+                best, best_perm, ties, version = key[:], tuple(perm), weight, version + 1
+            perm.pop()
+            done.append((c, ties - (before if version == then else 0), version))
+            tight = True  # the first candidate's subtree set best's prefix
+        key.pop()
 
-    extend([], set(), (), 1)
+    if not n:
+        return (), 1
+    extend({v: colors[v] for v in sorted(least_of.values())}, 0, 1, False)
     return best_perm, ties
 
 
@@ -265,8 +300,8 @@ def quotient(h: Graph, blocks) -> Graph:
             block_of[v] = i
     if sorted(block_of) != list(range(h.n)):
         raise ValueError("partition does not cover the vertex set exactly")
-    return Graph(len(blocks), {(block_of[u], block_of[v]) for u, v in h.edges
-                               if block_of[u] != block_of[v]})
+    return Graph._trusted(len(blocks), {(a, b) if a < b else (b, a) for u, v in h.edges
+                                        if (a := block_of[u]) != (b := block_of[v])})
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -332,16 +367,11 @@ def _g6_size_prefix(n: int) -> str:
 def encode_graph6(g: Graph) -> str:
     """Bit-exact graph6: size prefix, then upper-triangle bits column-major,
     packed big-endian into 6-bit characters offset by 63."""
-    bits = _upper_triangle_bits(g)
-    out = [_g6_size_prefix(g.n)]
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        val <<= 6 - len(chunk)
-        out.append(chr(val + 63))
-    return "".join(out)
+    body = [0] * ((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:  # (i, j), i < j, is bit j(j-1)/2 + i
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return _g6_size_prefix(g.n) + "".join(chr(b + 63) for b in body)
 
 
 # a character outside graph6's range 63..126 ('?'..'~')

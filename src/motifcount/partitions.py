@@ -31,12 +31,12 @@ from .graphs import (
     quotient,
 )
 
-# Spasms canonicalise one quotient per partition, at ~0.3 ms each: the budget
-# allows ~40 s, and the spasm of P11 (115,975 partitions) takes 37 s (2-vCPU VM).
+# Spasms canonicalise one quotient per partition, at ~0.1 ms each: the budget
+# allows ~13 s, and the spasm of P11 (115,975 partitions) takes 12 s (2-vCPU VM).
 PARTITION_BUDGET = 2**17
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
-# at ~0.5 ms and ~7 KiB of canonical-form cache each: 15-30 s and 0.2-0.4 GiB
-# at m = 15-16 (P7 has 15), but ~100 s and ~0.9 GiB at 17 and ~20 min at 21.
+# at ~0.17 ms each, with the canonical-form cache bounded: 5-10 s and 54 MiB
+# peak RSS at m = 15-16 (P7 has 15); extrapolated, ~20 s at 17, ~6 min at 21.
 SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from conftest import (
     all_graphs_up_to,
     clique,
     cycle,
+    matching,
     path,
+    prism,
     random_colored,
     random_graph,
     run_isolated,
@@ -24,6 +27,7 @@ from motifcount.graphs import (
     colored_automorphism_count,
     colored_canonical_key,
     connected_components,
+    disjoint_union,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
@@ -166,7 +170,63 @@ class TestCanonicalForm:
             assert canonical_form(g.relabel(perm)).key == least
 
 
+def least_relabeling(h: ColoredGraph) -> tuple:
+    """(least (colors, graph6) over all relabelings of h, number of
+    relabelings reaching it), straight from the definitions: a relabeling
+    p puts vertex p[i] at position i."""
+    n = h.n
+    adj = [[h.graph.has_edge(u, v) for v in range(n)] for u in range(n)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    reached = Counter(
+        (tuple(h.colors[v] for v in p), "".join("01"[adj[p[i]][p[j]]] for i, j in pairs))
+        for p in itertools.permutations(range(n))
+    )
+    (colors, bits), count = min(reached.items())
+    bits += "0" * (-len(bits) % 6)
+    g6 = chr(63 + n) + "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
+    return (colors, g6), count
+
+
+def symmetric_unions() -> list:
+    """6-vertex graphs whose automorphisms move more than twins, numbered
+    piece by piece, so that v % 2 colors copies of a 2-vertex piece alike
+    and v % 3 copies of a 3-vertex one."""
+    p3, k1 = path(2), Graph(1)
+    pendant = disjoint_union(disjoint_union(matching(1), p3), k1)  # 2M2, a pendant on one edge, K1
+    return [
+        disjoint_union(clique(3), clique(3)),
+        matching(3),
+        disjoint_union(p3, p3),
+        disjoint_union(matching(1), cycle(4)),
+        disjoint_union(k1, cycle(5)),
+        pendant,
+        cycle(6),
+        prism(3),
+    ]
+
+
 class TestAutomorphisms:
+    def test_key_and_aut_match_the_definition(self):
+        # pins the least key and the tie count through twin, least-part and
+        # automorphism pruning on every 6-vertex case, colored or not
+        rng = random.Random(29)
+        cases = [random_colored(rng, 6, rng.randint(1, 3)) for _ in range(16)]
+        cases += [twin_rich(rng, 6, rng.randint(1, 3)) for _ in range(16)]
+        for g in symmetric_unions():
+            for colors in ([0] * 6, [v % 2 for v in range(6)], [v % 3 for v in range(6)]):
+                perm = list(range(6))
+                rng.shuffle(perm)
+                relabeled = [0] * 6
+                for v in range(6):
+                    relabeled[perm[v]] = colors[v]
+                cases.append(ColoredGraph(g.relabel(perm), relabeled))
+        for h in cases:
+            key, aut = least_relabeling(h)
+            assert (colored_canonical_key(h), colored_automorphism_count(h)) == (key, aut), h
+            if not any(h.colors):
+                cf = canonical_form(h.graph)
+                assert (cf.key, cf.aut) == (key[1], aut), h
+
     def test_known_groups(self):
         assert automorphism_count(clique(3)) == 6
         assert automorphism_count(path(4)) == 2
@@ -187,12 +247,14 @@ class TestAutomorphisms:
             assert automorphism_count(g) == brute
 
     def test_closed_forms_up_to_the_cap(self):
-        # twin classes make these quick; a separate process, so that a hang
-        # fails the test at its timeout
+        # twin classes and the automorphisms found at tied leaves make these
+        # quick; a separate process, so that a hang fails the test at its
+        # timeout
         proc = run_isolated(
             "from math import factorial as f\n"
-            "from conftest import clique, matching, star\n"
-            "from motifcount.graphs import Graph, automorphism_count as aut\n"
+            "from conftest import clique, cycle, matching, star\n"
+            "from motifcount.graphs import ColoredGraph, Graph, automorphism_count as aut\n"
+            "from motifcount.graphs import colored_automorphism_count, disjoint_union\n"
             "for n in range(21):\n"
             "    assert aut(Graph(n)) == aut(clique(n)) == f(n), n\n"
             "    if n > 2:\n"
@@ -200,9 +262,18 @@ class TestAutomorphisms:
             "    for a in range(1, n // 2 + 1):\n"
             "        kab = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])\n"
             "        assert aut(kab) == f(a) * f(n - a) * (2 if 2 * a == n else 1), (a, n)\n"
-            # the edges of kM2 are not twins: the search is exponential in k
-            "for k in range(8):\n"
+            "for k in range(11):\n"
             "    assert aut(matching(k)) == 2**k * f(k), k\n"
+            "copies = Graph(0)\n"
+            "for k in range(1, 6):\n"
+            "    copies = disjoint_union(copies, cycle(4))\n"
+            "    assert aut(copies) == 8**k * f(k), k\n"
+            "copies = Graph(0)\n"
+            "for k in range(1, 5):\n"
+            "    copies = disjoint_union(copies, cycle(5))\n"
+            "    assert aut(copies) == 10**k * f(k), k\n"
+            # each edge's ends coloured apart: only whole edges move
+            "assert colored_automorphism_count(ColoredGraph(matching(10), [0, 1] * 10)) == f(10)\n"
         )
         assert proc.returncode == 0, proc.stderr
 
