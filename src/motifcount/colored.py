@@ -50,7 +50,7 @@ from .graphs import (
     is_connected,
     quotient,
 )
-from .homcount import _eliminate, _projection, _RowBuilder, _shared_keys
+from .homcount import _eliminate, _program, _projection, _RowBuilder
 from .motif import _hom_count, _hom_sum
 from .partitions import _colored_tally
 
@@ -619,15 +619,14 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
 
 def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
     """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
-    over h's colored spasm (partitions._colored_tally), each term on the
-    kernel motif._hom_count picks and all of them through one message
-    store, which holds the messages that more than one term sends
-    (homcount._shared_keys); None, before any quotient is built, when h has
-    more than SPASM_PARTITIONS partitions into monochromatic independent
-    blocks or more than PRUNED_GUARD vertices."""
+    over h's colored spasm (partitions._colored_tally), its terms compiled
+    into one evaluation program (homcount._program, motif._hom_sum); None,
+    before any quotient is built, when h has more than SPASM_PARTITIONS
+    partitions into monochromatic independent blocks or more than
+    PRUNED_GUARD vertices."""
     if h.n > PRUNED_GUARD or (terms := _colored_tally(h, SPASM_PARTITIONS)) is None:
         return None
-    return _hom_sum(terms, _shared_keys([f for f, _ in terms]), g)
+    return _hom_sum(_program(terms), g)
 
 
 def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:

@@ -25,22 +25,22 @@ stacked residues modulo word-size primes (the FFLAS-FFPACK approach of
 Dumas, Giorgi and Pernet), reduced after every product of two, and rebuilt
 by Chinese remaindering in Python ints.  The order is the whole plan:
 neither engine builds a tree decomposition of its own.
-What count_hom_mm derives from one input alone is built once: per host
-(_host_facts) the read-only edge-index arrays and the maximum degree, O(m);
-per pattern (_dense_shape) the plan, the adjacency, the largest component,
-the dense layers, the step sizes and colours that _predicted_work prices
-both kernels by, and a structural key per message, which holds the colour
-of each eliminated vertex, so that only identically coloured subtrees share
-a table.  The hom terms of one evaluation are quotients of the same
-patterns, so their elimination forests repeat subtrees: equal keys give
-equal tables.  A store (_Messages) that lives for one evaluate call on one
-host holds, read-only and per arithmetic regime, each message over one or
-two vertices whose key more than one term sends (_shared_keys), and a
-term reads the topmost held messages of its forest instead of eliminating
-their subtrees.  The store also holds the n x n adjacency matrix, built
-after DENSE_BYTES_GUARD has passed, once per evaluation (once per call
-without a store); its tables count against the guard, and no cache keeps
-any of them.
+What the dense kernel derives from one input alone is built once: per
+host (_host_facts) the read-only edge-index arrays and the maximum degree,
+O(m); per pattern (_dense_shape) the plan, the largest component, the step
+sizes and colours that _predicted_work prices both kernels by, and a
+structural key per message, which holds the colour of each eliminated
+vertex, so that only identically coloured subtrees share a table.  The hom
+terms of one evaluation are quotients of the same patterns, so their
+elimination forests repeat subtrees: equal keys give equal tables.  Per
+hom form, _program compiles one evaluation program, the FAQ approach of
+Abo Khamis, Ngo and Rudra: its nodes are the distinct keys, each one
+elimination step however many terms, or vertices of one term, send it.
+count_hom_mm is a one-term program.  Per host, _run groups the terms by
+arithmetic regime, checks each regime's tables (_schedule) against
+DENSE_BYTES_GUARD before it builds the n x n adjacency matrix, and runs
+each node once over one value table, freeing each table after its last
+reader; no cache keeps any of them.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ import numpy as np
 from .decomp import DecompositionError, elimination_plan
 from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_components
 
-# count_hom_mm refuses hosts whose dense arrays it estimates above this;
-# motif._hom_count then counts that term with the dict DP
+# the dense kernel refuses hosts whose tables it estimates above this (_run);
+# motif._hom_sum then counts the terms one at a time, and a refused term
+# with the dict DP
 DENSE_BYTES_GUARD = 1 << 30
 # hosts whose edge arrays and degree count_hom_mm keeps between calls
 HOST_CACHE_SIZE = 32
@@ -73,18 +74,15 @@ _SLICE = 8
 _RANK3_WORK = 3
 
 
-def _eliminate(forest: tuple, step, given: dict = None) -> int:
+def _eliminate(forest: tuple, step) -> int:
     """Run bucket elimination over a forest (order, later, parent) on the
     nodes 0..len(later)-1, children first, such as elimination_plan(h)[1:].
     step(v, later, factors) gets v, its scope later[v] and the (scope,
     table) factors in v's bucket, and returns the table over `later`, which
     goes to the bucket of v's parent; when `later` is empty that is an int,
-    the count of v's tree, and the trees' counts multiply.  `given` maps a
-    node that order leaves out, with its subtree, to its table."""
+    the count of v's tree, and the trees' counts multiply."""
     order, later, parent = forest
     buckets: list = [[] for _ in later]
-    for v, table in (given or {}).items():
-        buckets[parent[v]].append((later[v], table))
     total = 1
     for v in order:
         factors, buckets[v] = buckets[v], None  # freed once v is eliminated
@@ -229,6 +227,31 @@ def _word_primes(n: int, bound: int) -> list:
     return primes
 
 
+def _reducer(primes):
+    """x -> x reduced in place modulo the primes, x a float64 array of
+    integers in [0, 2^53) stacked over them (the identity without primes),
+    as r = x - q*p for q = floor(x*c), c = fl((1 - 2^-50)/p): six passes
+    over x, 9 ns per element against 140 for np.fmod (2-vCPU VM).  Exact
+    for p > 16: with u = 2^-53, c is (1 - 8u)/p within a factor 1 +- u, and
+    x*c rounds within 1 +- u more, so x*c lies in [Q(1 - 16u), Q) for
+    Q = x/p, and 16uQ < 16/p < 1.  So q is floor(Q) or one less, never
+    more: q*p <= x < 2^53 is exact, and so is r, in [0, 2p), from which one
+    subtraction of p where r >= p leaves the residue."""
+    if not primes:
+        return lambda x: x
+    moduli = np.array(primes, dtype=np.float64)
+    by_rank = {d: (moduli.reshape(shape), ((1 - 2.0**-50) / moduli).reshape(shape))
+               for d in (2, 3, 4) for shape in [(-1,) + (1,) * (d - 1)]}
+
+    def reduce(x):
+        p, c = by_rank[x.ndim]
+        q = np.multiply(x, c)
+        x -= np.multiply(np.floor(q, out=q), p, out=q)
+        return np.subtract(x, p, out=x, where=x >= p)
+
+    return reduce
+
+
 def _crt_sum(residues: np.ndarray, primes: list) -> int:
     """Sum of the integers below prod(primes) whose residues modulo
     primes[i] are the entries of residues[i] (Chinese remaindering)."""
@@ -242,51 +265,34 @@ def _crt_sum(residues: np.ndarray, primes: list) -> int:
 
 
 class _DenseShape(NamedTuple):
-    """What count_hom_mm and the kernel route derive from a pattern alone."""
+    """What the evaluation program and the kernel route derive from a
+    pattern alone."""
 
     forest: tuple  # (order, later, parent) of h's elimination plan
     width: int
-    adj: tuple  # h's neighbour sets
     k: int  # vertex count of h's largest component
-    layers: tuple  # (a, b): a step holds at most a + b*n arrays n x n per prime
     steps: tuple  # (s, e, f, colours, count): see _dense_shape
     keys: tuple  # per vertex, the structural key of its message: see _dense_shape
-    colors: tuple  # a ColoredGraph's colours, None for a Graph
-
-
-def _rank3(later, factors) -> bool:
-    """Does this step need rank-3 arrays (a three-vertex scope in or out)?"""
-    return len(later) == 3 or any(len(scope) == 3 for scope, _ in factors)
 
 
 @lru_cache(maxsize=1024)
 def _dense_shape(h) -> _DenseShape:
-    """h's plan, adjacency, largest component, dense memory and work,
-    memoised per pattern, a Graph or a ColoredGraph.  `layers` bounds the
-    n x n arrays per prime held at once besides the adjacency matrix, an
-    n x n x n array counting n: the messages waiting in buckets, plus the
-    arrays a step builds.  A step of rank <= 2 builds four (two products,
-    the vector-weighted copy and the result), or none over one later vertex
-    with only one-vertex messages; a rank-3 step builds its result and one
-    vector-weighted copy of the adjacency matrix, and over three later
-    vertices two slices of _SLICE layers, its result multiplying into a
-    waiting message over the same scope if there is one.  `steps` counts the
-    elimination steps by their size s = |{v} + later[v]|, the number e of
-    h's edges among those vertices, the number f of other pairs of them that
-    a message into the step joins, and the sorted colours of those vertices
-    (None for a Graph).  The key of v's message is (len(later[v]), the slots
-    of later[v] adjacent to v, the sorted (key, slots of its scope in
-    (v,) + later[v]) of each message v takes in, v's colour or None): the
-    same key is the same sum of products over the same host, so the same
-    table, by induction."""
+    """h's plan, largest component, step sizes and message keys, memoised
+    per pattern, a Graph or a ColoredGraph.  `steps` counts the elimination
+    steps by their size s = |{v} + later[v]|, the number e of h's edges
+    among those vertices, the number f of other pairs of them that a
+    message into the step joins, and the sorted colours of those vertices
+    (None for a Graph).  The key of v's message is (len(later[v]), the
+    slots adjacent to v, the sorted (key, slots of its scope) of each
+    message v takes in, v's colour or None), where the slots number
+    (v,) + later[v] from 0: the same key is the same sum of products over
+    the same host, so the same table, by induction."""
     colors = h.colors if isinstance(h, ColoredGraph) else None
     if colors is not None:
         h = h.graph
     width, *forest = elimination_plan(h)
-    adj, parent = adjacency(h), forest[2]
-    held = [0, 0]  # waiting messages over two and over three vertices
-    waiting = set()  # (vertex, scope) of each three-vertex message sent
-    layers, steps, keys = {(0, 0)}, {}, [None] * h.n
+    adj = adjacency(h)
+    steps, keys = {}, [None] * h.n
 
     def step(v, later, factors):
         members = sorted((v,) + later)
@@ -295,93 +301,98 @@ def _dense_shape(h) -> _DenseShape:
         key = (len(members), len(edges), len(joined),
                None if colors is None else tuple(sorted(colors[u] for u in members)))
         steps[key] = steps.get(key, 0) + 1
-        new = len(later) == 3 and (parent[v], later) not in waiting
-        if len(later) == 3:
-            waiting.add((parent[v], later))
-            layers.add((held[0] + 2 * _SLICE + 1, held[1] + new))
-        elif _rank3(later, factors):
-            layers.add((held[0] + 2, held[1]))
-        elif len(later) == 2 or any(len(scope) == 2 for scope, _ in factors):
-            layers.add((held[0] + 4, held[1]))
-        for scope, (built, _) in factors:
-            if built:
-                held[len(scope) - 2] -= 1
-        held[0] += len(later) == 2
-        held[1] += new
         slots = (v,) + later
-        keys[v] = (len(later), tuple(i for i, u in enumerate(later) if u in adj[v]),
-                   tuple(sorted((k, tuple(map(slots.index, scope))) for scope, (_, k) in factors)),
+        keys[v] = (len(later), tuple(i for i, u in enumerate(slots) if u in adj[v]),
+                   tuple(sorted((k, tuple(map(slots.index, scope))) for scope, k in factors)),
                    None if colors is None else colors[v])
-        # the table: whether the message is an array of its own, n x n or
-        # more, and its key
-        return (len(later) == 2 or new, keys[v]) if later else 1
+        return keys[v] if later else 1
 
-    if width <= 3:  # count_hom_mm refuses wider patterns
+    if width <= 3:  # the dense kernel takes no wider pattern
         _eliminate(tuple(forest), step)
-    return _DenseShape(tuple(forest), width, adj,
-                       max(map(len, connected_components(h)), default=1),
-                       tuple(layers), tuple(key + (m,) for key, m in steps.items()),
-                       tuple(keys), colors)
+    return _DenseShape(tuple(forest), width, max(map(len, connected_components(h)), default=1),
+                       tuple(key + (m,) for key, m in steps.items()), tuple(keys))
 
 
-def _shared_keys(patterns) -> frozenset:
-    """The keys of the messages over one or two vertices that more than one
-    of these hom terms sends: the messages that one evaluation's store holds
-    (_Messages).  Three-vertex messages are never shared: a step multiplies
-    them in place."""
-    sent = Counter()
-    for h in patterns:  # keys are None above treewidth 3
-        sent.update({k for k in _dense_shape(h).keys if k and 1 <= k[0] <= 2})
-    return frozenset(key for key, terms in sent.items() if terms > 1)
+class _Term(NamedTuple):
+    """A hom term c * Hom(f, *) of a program."""
+
+    f: object  # a Graph, or a ColoredGraph
+    c: int
+    shape: _DenseShape
+    roots: tuple  # the nodes of its components' last steps
 
 
-class _Messages:
-    """What the hom terms of one evaluate call share on one host in
-    count_hom_mm: the adjacency layer, built once, and the tables of the
-    messages whose keys are in `shared`, read-only, per key and tuple of
-    the primes their residues are taken modulo (empty in the float64
-    regime), so that no table crosses regimes."""
+class _Program:
+    """A hom form compiled once (_program); hashed by identity, so that
+    _schedule memoises per program without hashing its nodes."""
 
-    def __init__(self, shared: frozenset = frozenset()):
-        self.shared = shared
-        self.layer = None
-        self.tables: dict = {}  # (key, primes) -> table
-        self.nbytes = 0  # held by the tables
+    def __init__(self, nodes: tuple, terms: tuple):
+        self.nodes = nodes  # per node (r, adjacent slots, ((node, slots), ...), colour)
+        self.terms = terms  # per term a _Term
 
-    def reuse(self, shape: _DenseShape, primes: tuple, room: int, step) -> tuple:
-        """(forest, step, given) for the elimination of shape's pattern:
-        given maps each topmost vertex of its forest whose message is held
-        over these primes to that table, the forest leaves out their
-        subtrees, and step holds each message whose key is shared while the
-        tables take at most room bytes."""
-        order, later, parent = shape.forest
-        given, skip = {}, set()
-        for v in reversed(order):  # parents first
-            if parent[v] in skip:
-                skip.add(v)
-            elif (table := self.tables.get((shape.keys[v], primes))) is not None:
-                given[v] = table
-                skip.add(v)
 
-        def run(v, later, factors):
-            table = step(v, later, factors)
-            if shape.keys[v] in self.shared:
-                self.hold(shape.keys[v], primes, table, room)
-            return table
+@lru_cache(maxsize=256)
+def _program(terms: tuple) -> _Program:
+    """The hom terms ((f, c), ...) compiled into one evaluation program.
+    Its nodes are the distinct message keys of the terms' forests
+    (_dense_shape), children first, each the key with every input's key
+    replaced by that input's node: equal subtrees, in one term or across
+    terms, are one node.  A term's roots are the nodes of its components'
+    last steps, whose counts multiply (none above treewidth 3, which the
+    dense kernel refuses)."""
+    index, nodes, compiled = {}, [], []
+    for f, c in terms:
+        shape = _dense_shape(f)
+        order, later, _ = shape.forest
+        for v in order if shape.width <= 3 else ():
+            if (key := shape.keys[v]) not in index:
+                index[key] = len(nodes)
+                nodes.append((key[0], key[1], tuple((index[k], s) for k, s in key[2]), key[3]))
+        roots = tuple(index[shape.keys[v]] for v in order if not later[v] and shape.width <= 3)
+        compiled.append(_Term(f, c, shape, roots))
+    return _Program(tuple(nodes), tuple(compiled))
 
-        return (tuple(v for v in order if v not in skip), later, parent), run, given
 
-    def hold(self, key: tuple, primes: tuple, table, room: int) -> None:
-        """Hold table as message key over these primes, unless one is held
-        or it would take the tables past room bytes."""
-        if (key, primes) not in self.tables and self.nbytes + table.nbytes <= room:
-            table.flags.writeable = False  # no step writes into a held table
-            self.tables[key, primes] = table
-            self.nbytes += table.nbytes
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.nbytes = 0
+@lru_cache(maxsize=1024)
+def _schedule(program: _Program, chosen: tuple) -> tuple:
+    """(steps, profiles) that run the chosen terms of program over one value
+    table.  steps, one per node that their roots read, directly or not, in
+    node order: (node index, node, rank3, shared, last), rank3 when a
+    three-vertex scope goes in or out, shared when more than one step reads
+    the node's table (which is then read-only), last the inputs that no
+    later step reads, freed after this one.  profiles: per step, the arrays
+    alive while it runs, as counts of n x n and n x n x n arrays per prime
+    (vectors are not counted): the tables not yet freed, its own, and what
+    it builds besides: up to five n x n arrays (two products, a
+    vector-weighted copy, the result and the quotient array of a modular
+    reduction), or in a rank-3 step two slices of _SLICE layers and, where
+    a three-vertex message goes into a step over three later vertices, two
+    n x n x n arrays."""
+    nodes = program.nodes
+    reads, need = [0] * len(nodes), {x for t in chosen for x in program.terms[t].roots}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in need:
+            for j, _ in nodes[i][2]:
+                need.add(j)
+                reads[j] += 1
+    steps, profiles, live, left = [], set(), [0] * 4, reads.copy()
+    for i in sorted(need):
+        r, _, inputs, _ = node = nodes[i]
+        wide = max((len(slots) for _, slots in inputs), default=0)
+        if r == 3 or wide == 3:
+            build = (2 * _SLICE + 2, 2 if r == wide == 3 else 0)
+        else:
+            build = (5 if max(r, wide) == 2 else 0, 0)
+        profiles.add((live[2] + build[0] + (r == 2), live[3] + build[1] + (r == 3)))
+        live[r] += 1
+        last = []
+        for j, _ in inputs:
+            left[j] -= 1
+            if not left[j]:
+                last.append(j)
+                live[nodes[j][0]] -= 1
+        steps.append((i, node, r == 3 or wide == 3, reads[i] > 1, tuple(last)))
+    return tuple(steps), tuple(profiles)
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
@@ -393,189 +404,195 @@ def _host_facts(g: Graph) -> tuple:
     return ends, int(np.bincount(ends.ravel(), minlength=1).max())
 
 
-def _predicted_work(h, g) -> tuple:
-    """(dense, rows) for a pattern of treewidth <= 3: the work of
-    count_hom_mm, the sum of n^s over h's elimination steps on s vertices
-    (_RANK3_WORK n^4 on four), and the rows of count_hom_dp, the sum of
-    n^s (D/n)^e min(1, D^2/n)^f over the same steps, D the host's maximum
-    degree (e and f as in _dense_shape).  A row extends through host
-    neighbourhoods and dies where a message has no entry, so a pair joined
-    by an edge keeps about D of the n images, and a pair joined only by a
-    message, through a path of two edges or more, about D^2.  For
+def _predicted_work(program: _Program, g) -> list:
+    """Per term of program, (dense, rows) when it has treewidth <= 3: the
+    work of the dense kernel, the sum of n^s over its elimination steps on s
+    vertices (_RANK3_WORK n^4 on four), and the rows of count_hom_dp, the
+    sum of n^s (D/n)^e min(1, D^2/n)^f over the same steps, D the host's
+    maximum degree (e and f as in _dense_shape).  A row extends through
+    host neighbourhoods and dies where a message has no entry, so a pair
+    joined by an edge keeps about D of the n images, and a pair joined only
+    by a message, through a path of two edges or more, about D^2.  For
     ColoredGraphs a vertex's images are its host colour class, so a step's
     n^s in the rows is the product of its vertices' class sizes; the dense
     work does not shrink."""
-    shape = _dense_shape(h)
-    if shape.colors is not None:
+    if isinstance(g, ColoredGraph):
         sizes, g = Counter(g.colors), g.graph
     n, degree = g.n, _host_facts(g)[1]
-    dense = rows = 0
-    if n:
-        edge, message = degree / n, min(1, degree**2 / n)
-        for s, e, f, colours, m in shape.steps:
+    if not n:
+        return [(0, 0)] * len(program.terms)
+    edge, message = degree / n, min(1, degree**2 / n)
+    work = []
+    for term in program.terms:
+        dense = rows = 0
+        for s, e, f, colours, m in term.shape.steps:
             dense += m * n**s * (_RANK3_WORK if s == 4 else 1)
             images = n**s if colours is None else math.prod(sizes[c] for c in colours)
             rows += m * images * edge**e * message**f
-    return dense, rows
+        work.append((dense, rows))
+    return work
 
 
-def count_hom_mm(h, g, messages: _Messages = None) -> int:
-    """Homomorphism count for a treewidth-<=3 pattern with dense float64
-    factors, exact in one pass under a degree bound and by residues modulo
-    word-size primes above it.  Disconnected patterns multiply per
-    component.  Pattern and host are both Graphs, or both ColoredGraphs, and
-    then each vertex's images keep its colour: the indicator vector of its
-    host colour class multiplies in as one more factor over that vertex
-    alone.  `messages` holds what the hom terms of one evaluation share on g
-    (_Messages)."""
-    shape = _dense_shape(h)
-    if shape.colors is not None:
-        h, host_colors, g = h.graph, g.colors, g.graph
-    if h.n and not g.n:
-        return 0
-    if shape.width > 3:
-        raise DecompositionError("count_hom_mm needs treewidth at most 3")
+def _run(program: _Program, chosen: tuple, g) -> dict:
+    """{t: Hom(f, g)} for the chosen terms t of program, each of
+    treewidth <= 3, with dense float64 tables.  The terms are grouped by
+    arithmetic regime, each regime's nodes run over one value table
+    (_schedule), and each table is freed after its last reader.  Raises
+    CapacityError, before allocating, when one regime's tables and the
+    n x n adjacency matrix would pass DENSE_BYTES_GUARD.
+
+    Certificate.  A table entry counts the maps of the pattern vertices
+    eliminated into its message, with the message's scope fixed, and a
+    product of the factors a step multiplies counts the maps of the union of
+    theirs, with the step's scope fixed; every partial sum inside `*`,
+    `.sum` and `@` adds non-negative terms of such an entry, so none exceeds
+    it.  This holds for scopes of any size.  An eliminated vertex's
+    neighbours are eliminated or in the scope, and the eliminated vertices
+    of a message form a connected subgraph (a subtree of the elimination
+    tree) that touches its scope; at a component's last step they are the
+    component less one fixed vertex.  Placed outward from the fixed
+    vertices, each has at most D images once the neighbour it is reached
+    from is placed, D the host's maximum degree, so no value exceeds
+    D^(k-1) for k the term's largest component's vertex count.  Below 2^53
+    float64 is exact in any summation order; otherwise work modulo primes
+    whose product exceeds it.  A colour mask only zeroes terms, so the bound
+    holds for colour-preserving maps too."""
+    colors = None
+    if isinstance(g, ColoredGraph):
+        colors, g = np.array(g.colors), g.graph
     n = g.n
+    if not n or not chosen:
+        return {t: int(not program.terms[t].f.n) for t in chosen}
     ends, degree = _host_facts(g)
-    # Certificate.  A factor entry counts the maps of the pattern vertices
-    # eliminated into its message, with the message's scope fixed, and a
-    # product of the factors a step multiplies counts the maps of the union
-    # of theirs, with the step's scope fixed; every partial sum inside `*`,
-    # `.sum` and `@` adds non-negative terms of such an entry, so none
-    # exceeds it.  This holds for scopes of any size.  An eliminated
-    # vertex's neighbours are eliminated or in the scope, and the eliminated
-    # vertices of a message form a connected subgraph (a subtree of the
-    # elimination tree) that touches its scope; at a component's last step
-    # they are the component less one fixed vertex.  Placed outward from the
-    # fixed vertices, each has at most D images once the neighbour it is
-    # reached from is placed, D the host's maximum degree, so no value
-    # exceeds D^(k-1) for k the largest component's vertex count.  Below
-    # 2^53 float64 is exact in any summation order; otherwise work modulo
-    # primes whose product exceeds it.  A colour mask only zeroes terms, so
-    # the bound holds for colour-preserving maps too.
-    bound = degree ** (shape.k - 1)
-    primes = _word_primes(n, bound) if bound >= _EXACT else []
-    # the adjacency matrix is one layer, broadcast over the primes; the
-    # tables that messages holds count too, and make way for the term's own
-    layers = max(a + b * n for a, b in shape.layers)
-    need = (1 + layers * max(len(primes), 1)) * n * n * 8
+    regimes: dict = {}
+    for t in chosen:
+        bound = degree ** (program.terms[t].shape.k - 1)
+        regimes.setdefault(tuple(_word_primes(n, bound)) if bound >= _EXACT else (), []).append(t)
+    runs = [(primes, terms, _schedule(program, tuple(terms))) for primes, terms in regimes.items()]
+    need = 8 * n * n * max((1 + max(len(primes), 1) * max(a + b * n for a, b in profiles)
+                            for primes, _, (_, profiles) in runs if profiles), default=0)
     if need > DENSE_BYTES_GUARD:
         raise CapacityError(
             f"dense factors need ~{need >> 20} MiB, capped at "
             f"{DENSE_BYTES_GUARD >> 20} MiB"
         )
-    if messages is None:
-        messages = _Messages()
-    elif need + messages.nbytes > DENSE_BYTES_GUARD:
-        messages.clear()
-    if messages.layer is None:
-        A = np.zeros((1, n, n))
-        A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
-        A.flags.writeable = False
-        messages.layer = A
-    A = messages.layer
-    adj_h = shape.adj
-    # masks[v]: the indicator of v's host colour class, over the primes as
-    # a step's one-vertex factors are, so that a component of one vertex sums
-    # it to its class size like any last vector
-    masks = None
-    if shape.colors is not None:
-        host_colors = np.array(host_colors)
-        in_class = {c: np.broadcast_to((host_colors == c).astype(np.float64),
-                                       (max(len(primes), 1), n))
-                    for c in set(shape.colors)}
-        masks = [in_class[c] for c in shape.colors]
-    if primes:
-        A = np.broadcast_to(A, (len(primes), n, n))
-        moduli = np.array(primes, dtype=np.float64)
-        by_rank = {2: moduli[:, None], 3: moduli[:, None, None],
-                   4: moduli[:, None, None, None]}
+    A = np.zeros((1, n, n))
+    A[0, ends[0], ends[1]] = A[0, ends[1], ends[0]] = 1
+    counts = {}
+    for primes, terms, (steps, _) in runs:
+        layers = max(len(primes), 1)
+        # per pattern colour, the indicator of its host colour class, over the
+        # primes as a step's one-vertex factors are, so that a component of
+        # one vertex sums it to its class size like any last vector
+        masks = None if colors is None else {
+            c: np.broadcast_to((colors == c).astype(np.float64), (layers, n))
+            for c in {node[3] for _, node, *_ in steps}}
+        host = (np.broadcast_to(A, (layers, n, n)), masks, _reducer(primes), primes)
+        values = [None] * len(program.nodes)
+        for i, node, rank3, shared, last in steps:
+            table = (_step3 if rank3 else _step)(node, [values[j] for j, _ in node[2]], host)
+            if shared:
+                table.flags.writeable = False
+            values[i] = table
+            for j in last:
+                values[j] = None
+        for t in terms:
+            counts[t] = math.prod(values[x] for x in program.terms[t].roots)
+    return counts
 
-        def reduce(x):
-            return np.fmod(x, by_rank[x.ndim], out=x)
-    else:
-        def reduce(x):
-            return x
 
-    def step(v, later, factors):
-        # factors are stacked over the primes (one layer without them); those
-        # over (v,) multiply into vec, those over (u, v) into mats[u], indexed
-        # [., x_u, x_v] and C-contiguous so that products run along rows
-        vec = None if masks is None else masks[v]
-        mats = {u: A for u in later if u in adj_h[v]}
-        for scope, t in factors:
-            if len(scope) == 1:
-                vec = t if vec is None else reduce(vec * t)
-                continue
-            if scope[1] == v:
-                u = scope[0]
-            else:
-                u, t = scope[1], np.ascontiguousarray(t.swapaxes(1, 2))
-            mats[u] = reduce(mats[u] * t) if u in mats else t
-        if not later:
-            # the component's last vector goes to Python ints before its sum,
-            # which can exceed the per-entry bound
-            if vec is None:
-                return n
-            if primes:
-                return _crt_sum(vec, primes)
-            return sum(vec[0].astype(np.int64).tolist())
-        first = mats[later[0]]
-        if len(later) == 1:
-            if vec is None:
-                return reduce(first.sum(axis=2))
-            return reduce(np.matmul(first, vec[:, :, None])[:, :, 0])
-        if vec is not None:
-            first = reduce(first * vec[:, None, :])
-        return reduce(first @ mats[later[1]].swapaxes(1, 2))
+def count_hom_mm(h, g) -> int:
+    """Homomorphism count for a treewidth-<=3 pattern with dense float64
+    factors, exact in one pass under a degree bound and by residues modulo
+    word-size primes above it: h as a one-term program (_run).  Disconnected
+    patterns multiply per component.  Pattern and host are both Graphs, or
+    both ColoredGraphs, and then each vertex's images keep its colour: the
+    indicator vector of its host colour class multiplies in as one more
+    factor over that vertex alone."""
+    program = _program(((h, 1),))
+    if program.terms[0].shape.width > 3:
+        raise DecompositionError("count_hom_mm needs treewidth at most 3")
+    return _run(program, (0,), g)[0]
 
-    # waiting[u][scope]: the three-vertex message over scope in u's bucket;
-    # another one bound there multiplies into it instead of taking n^3 more
-    waiting: dict = {}
-    parent = shape.forest[2]
 
-    def step3(v, later, factors):
-        # A step with a three-vertex scope in or out.  Each factor is viewed
-        # as [., *rest, x_v], rest its scope's later vertices, and multiplied
-        # into the group of its rest; each group then multiplies into one
-        # group whose rest contains its own.  A group is `owned` when this
-        # step may overwrite it: a message is, unless it is held for other
-        # terms (read-only), and A never is.
-        waiting.pop(v, None)
-        groups: dict = {}
-        for scope, t in factors:
-            if t is not None:  # None: multiplied into a message over its scope
-                i = scope.index(v)
-                _fold(groups, scope[:i] + scope[i + 1:], np.moveaxis(t, i + 1, -1),
-                      t.flags.writeable, reduce)
-        for u in later:
-            if u in adj_h[v]:
-                _fold(groups, (u,), A, False, reduce)
-        if masks is not None:
-            _fold(groups, (), masks[v], False, reduce)
-        for rest in sorted(groups, key=len):
-            supersets = [r for r in groups if r != rest and set(rest) <= set(r)]
-            if supersets:
-                r = max(supersets, key=lambda r: groups[r][1])  # owned first
-                _fold(groups, r, _widen(groups.pop(rest)[0], rest, r), False, reduce)
-        if len(later) == 2:
-            # a three-vertex message over (v, *later) took in every factor
-            return reduce(groups[later][0].sum(axis=-1))
-        sent = waiting.setdefault(parent[v], {})
-        fresh = later not in sent
-        if fresh:
-            sent[later] = np.empty((max(len(primes), 1), n, n, n))
-        _contract3({rest: t for rest, (t, _) in groups.items()}, later, reduce, sent[later],
-                   fresh)
-        return sent[later] if fresh else None
+def _step(node, tables: list, host: tuple):
+    """The table of a step of rank <= 2 (_run): node (r, adjacent slots,
+    inputs, colour) sums slot 0 out of the product of the adjacency matrix
+    at each adjacent slot, the input tables and its colour mask.  Tables are
+    stacked over the primes (one layer without them); those over (0,)
+    multiply into vec, those over (0, u) into mats[u], indexed [., x_u, x_0]
+    and C-contiguous so that products run along rows."""
+    A, masks, reduce, primes = host
+    r, adj, inputs, colour = node
+    vec = None if masks is None else masks[colour]
+    mats = {u: A for u in adj}
+    for (_, slots), t in zip(inputs, tables):
+        if len(slots) == 1:
+            vec = t if vec is None else reduce(vec * t)
+            continue
+        u = slots[0] or slots[1]
+        if slots[1]:
+            t = np.ascontiguousarray(t.swapaxes(1, 2))
+        mats[u] = reduce(mats[u] * t) if u in mats else t
+    if not r:
+        # the component's last vector goes to Python ints before its sum,
+        # which can exceed the per-entry bound
+        if vec is None:
+            return A.shape[-1]
+        if primes:
+            return _crt_sum(vec, primes)
+        return sum(vec[0].astype(np.int64).tolist())
+    first = mats[1]
+    if r == 1:
+        if vec is None:
+            return reduce(first.sum(axis=2))
+        return reduce(np.matmul(first, vec[:, :, None])[:, :, 0])
+    if vec is not None:
+        first = reduce(first * vec[:, None, :])
+    return reduce(first @ mats[2].swapaxes(1, 2))
 
-    if shape.width <= 2:
-        run = step
-    else:
-        def run(v, later, factors):
-            return (step3 if _rank3(later, factors) else step)(v, later, factors)
 
-    return _eliminate(*messages.reuse(shape, tuple(primes), DENSE_BYTES_GUARD - need, run))
+def _step3(node, tables: list, host: tuple):
+    """The table of a step with a three-vertex scope in or out (_run).  Each
+    input is viewed as [., *rest, x_0], rest its other slots, beside the
+    adjacency matrix at each adjacent slot and the colour mask.  Over two
+    later slots their product is summed over x_0 in slices.  Over three,
+    each factor multiplies into the group of its rest, and each group into
+    one group whose rest contains its own.  A group is `owned` when this
+    step may overwrite it: an input is, unless another step reads it too
+    (then it is read-only), and the adjacency matrix and masks never are."""
+    A, masks, reduce, _ = host
+    r, adj, inputs, colour = node
+    factors = [(slots[:i] + slots[i + 1:], np.moveaxis(t, i + 1, -1), t.flags.writeable)
+               for (_, slots), t in zip(inputs, tables) for i in [slots.index(0)]]
+    factors += [((u,), A, False) for u in adj]
+    if masks is not None:
+        factors.append(((), masks[colour], False))
+    if r == 2:
+        # a three-vertex message goes in: every factor as [., x_1, x_2, x_0],
+        # multiplied in slices of _SLICE rows of x_1, so that no
+        # n x n x n array is built
+        out = np.empty(A.shape)
+        wide = [(1 in rest, _widen(t, rest, (1, 2))) for rest, t, _ in factors]
+        for lo in range(0, A.shape[-1], _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            block = None
+            for sliced, t in wide:
+                t = t[:, rows] if sliced else t
+                block = t if block is None else reduce(block * t)
+            out[:, rows] = reduce(block.sum(axis=-1))
+        return out
+    groups: dict = {}
+    for rest, t, owned in factors:
+        _fold(groups, rest, t, owned, reduce)
+    for rest in sorted(groups, key=len):
+        supersets = [w for w in groups if w != rest and set(rest) <= set(w)]
+        if supersets:
+            w = max(supersets, key=lambda w: groups[w][1])  # owned first
+            _fold(groups, w, _widen(groups.pop(rest)[0], rest, w), False, reduce)
+    out = np.empty(A.shape + A.shape[-1:])
+    _contract3({rest: t for rest, (t, _) in groups.items()}, (1, 2, 3), reduce, out)
+    return out
 
 
 def _fold(groups: dict, rest: tuple, t, owned: bool, reduce) -> None:
@@ -600,21 +617,15 @@ def _widen(t, rest: tuple, wider: tuple):
     return t[(slice(None),) + tuple(slice(None) if u in rest else None for u in wider)]
 
 
-def _contract3(factors: dict, later: tuple, reduce, out, fresh: bool) -> None:
-    """Write (fresh) or multiply into out, an n x n x n array [., *later],
-    the sum over x_v of the product of the arrays factors[rest], each
-    indexed [., *rest, x_v]: the rests cover the three later vertices, none
-    holds another, and each has at most two.  Every sum runs over x_v alone,
-    of products of two arrays reduced as they are built, and out is filled
-    in slices of _SLICE rows, so that no array spans four vertices and the
-    slices are the only other arrays built."""
+def _contract3(factors: dict, later: tuple, reduce, out) -> None:
+    """Write into out, an n x n x n array [., *later], the sum over x_v of
+    the product of the arrays factors[rest], each indexed [., *rest, x_v]:
+    the rests cover the three later vertices, none holds another, and each
+    has at most two.  Every sum runs over x_v alone, of products of two
+    arrays reduced as they are built, and out is filled in slices of _SLICE
+    rows, so that no array spans four vertices and the slices are the only
+    other arrays built."""
     n = out.shape[-1]
-
-    def put(target, block):
-        if fresh:
-            target[...] = reduce(block)
-        else:
-            reduce(np.multiply(target, reduce(block), out=target))
 
     def view(t, rest, axes):
         # t as [., *axes, x_v], with a unit axis for a vertex not in rest
@@ -633,14 +644,14 @@ def _contract3(factors: dict, later: tuple, reduce, out, fresh: bool) -> None:
         left, right = view(x, rx, (w, r)), view(y, ry, (w, q)).swapaxes(-1, -2)
         for lo in range(0, n, _SLICE):
             rows = slice(lo, lo + _SLICE)
-            put(target[:, rows], left[:, rows] @ (right[:, rows] if w in ry else right))
+            target[:, rows] = reduce(left[:, rows] @ (right[:, rows] if w in ry else right))
     elif all(len(rest) == 1 for rest in factors):
         # out[a, b, c] = sum_v A[a, v] B[b, v] C[c, v]
         fa, fb, fc = (factors[u,] for u in later)
         right = fc.swapaxes(-1, -2)[:, None]
         for lo in range(0, n, _SLICE):
             rows = slice(lo, lo + _SLICE)
-            put(out[:, rows], reduce(fa[:, rows, None, :] * fb[:, None, :, :]) @ right)
+            out[:, rows] = reduce(reduce(fa[:, rows, None, :] * fb[:, None, :, :]) @ right)
     else:
         # three pairs: out[a, b, c] = sum_v X[a, b, v] Y[a, c, v] Z[b, c, v],
         # in slices of b at each a; the sum runs over products of two
@@ -651,4 +662,4 @@ def _contract3(factors: dict, later: tuple, reduce, out, fresh: bool) -> None:
             for lo in range(0, n, _SLICE):
                 rows = slice(lo, lo + _SLICE)
                 part = reduce(x[:, i, rows, None, :] * y[:, i, None, :, :])
-                put(out[:, i, rows], np.multiply(part, z[:, rows], out=part).sum(axis=-1))
+                out[:, i, rows] = reduce(np.multiply(part, z[:, rows], out=part).sum(axis=-1))

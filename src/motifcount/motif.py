@@ -9,14 +9,15 @@ running time; that conversion is the core of the whole engine.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .decomp import elimination_plan, support_treewidth
-from .graphs import (CapacityError, ColoredGraph, Graph, GraphFormatError, _content_lines,
+from .decomp import support_treewidth
+from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines,
                      canonical_form, graph_order_key, parse_graph6)
-from .homcount import _Messages, _predicted_work, _shared_keys, count_hom_dp, count_hom_mm
+from .homcount import _predicted_work, _program, _run, count_hom_dp, count_hom_mm
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
@@ -131,44 +132,49 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
-def _hom_count(f, g, messages: _Messages = None) -> int:
-    """Hom(f, g) by the kernel its predicted cost picks: the matrix engine
-    for treewidth <= 3 when its work is within DENSE_WORK_RATIO of the dict
-    DP's and it does not refuse the host, and the dict DP otherwise.  f and
-    g are both Graphs, or both ColoredGraphs for colour-preserving maps."""
-    if elimination_plan(f.graph if isinstance(f, ColoredGraph) else f)[0] <= 3:
-        dense, rows = _predicted_work(f, g)
-        if dense <= DENSE_WORK_RATIO * rows:
-            try:
-                return count_hom_mm(f, g, messages=messages)
-            except CapacityError:
-                pass  # refused before allocating: the dict factors need no n x n
-    return count_hom_dp(f, g)
+def _hom_sum(program, g) -> int:
+    """The sum of c * Hom(f, g) over the (f, c) terms of a compiled program
+    (homcount._program), c integers.  f and g are both Graphs, or both
+    ColoredGraphs for colour-preserving maps.  A term of treewidth <= 3
+    whose work homcount._predicted_work puts within DENSE_WORK_RATIO of the
+    dict DP's rows runs in the program (homcount._run), and every other
+    term on the dict DP.  A program whose tables would pass the memory guard
+    runs its terms one at a time (count_hom_mm), and a term refused alone
+    goes to the dict DP too."""
+    dense = tuple(t for t, (term, (work, rows))
+                  in enumerate(zip(program.terms, _predicted_work(program, g)))
+                  if term.shape.width <= 3 and work <= DENSE_WORK_RATIO * rows)
+    try:
+        counts = _run(program, dense, g)
+    except CapacityError:  # refused before allocating: the dict factors need no n x n
+        counts = {}
+        for t in dense:
+            with suppress(CapacityError):
+                counts[t] = count_hom_mm(program.terms[t].f, g)
+    return sum(term.c * (counts[t] if t in counts else count_hom_dp(term.f, g))
+               for t, term in enumerate(program.terms))
 
 
-def _hom_sum(terms, shared: frozenset, g) -> int:
-    """The sum of c * Hom(f, g) over the (f, c) terms, c integers, with one
-    store of dense messages for them all, which holds the messages whose
-    keys are in shared (their homcount._shared_keys)."""
-    messages = _Messages(shared)
-    return sum(c * _hom_count(f, g, messages) for f, c in terms)
+def _hom_count(f, g) -> int:
+    """Hom(f, g) as a one-term program (_hom_sum)."""
+    return _hom_sum(_program(((f, 1),)), g)
 
 
 @lru_cache(maxsize=256)
 def _integer_terms(hom: MotifParameter) -> tuple:
-    """(d, ((graph, c * d), ...), shared): the terms over one common
-    denominator d, so that evaluation sums Python ints and divides once, and
-    the keys of the messages they share on a host (homcount._shared_keys)."""
+    """(d, program): the terms over one common denominator d, so that
+    evaluation sums Python ints and divides once, compiled into one
+    evaluation program (homcount._program)."""
     d = math.lcm(*(c.denominator for _, c in hom.terms))
-    terms = tuple((cf.graph, c.numerator * (d // c.denominator)) for cf, c in hom.terms)
-    return d, terms, _shared_keys([f for f, _ in terms])
+    return d, _program(tuple((cf.graph, c.numerator * (d // c.denominator))
+                             for cf, c in hom.terms))
 
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
     """Exact value of the parameter on the host, via the Hom basis, its
-    terms sharing one store of dense messages (_hom_sum)."""
-    d, terms, shared = _integer_terms(change_basis(p, "hom"))
-    return Fraction(_hom_sum(terms, shared, g), d)
+    terms compiled once into one evaluation program (_hom_sum)."""
+    d, program = _integer_terms(change_basis(p, "hom"))
+    return Fraction(_hom_sum(program, g), d)
 
 
 def count_pattern(kind: str, h: Graph, g: Graph) -> int:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (clique, cycle, matching, path, random_colored, random_graph, star,
@@ -173,11 +174,27 @@ class TestMatrixEngine:
         assert homcount._word_primes(120, 2**53) == trial_division(120, 2**53)
         assert homcount._prime_at_most.cache_info().misses == misses
 
+    @pytest.mark.parametrize("n", [1, 120])
+    def test_reduction_at_the_edges(self, n):
+        # modulo the largest primes _word_primes picks (n = 1 gives the
+        # largest of all), at 0, p^2 - 1, and k*p and k*p - 1 for k up to the
+        # last multiple of p below 2^53, in every rank a step reduces
+        primes = homcount._word_primes(n, 2**200)
+        top = [(2**53 - 1) // p for p in primes]
+        rows = [[0, p * p - 1, p - 1, p, 2 * p - 1, 2 * p, k * p - 1, k * p, 2**53 - 1]
+                for p, k in zip(primes, top)]
+        reduce = homcount._reducer(primes)
+        for shape in ((9,), (3, 3), (1, 3, 3)):
+            x = np.array(rows, dtype=np.float64).reshape((len(primes),) + shape)
+            assert np.array_equal(x.astype(np.int64), np.array(rows).reshape(x.shape))
+            out = reduce(x).reshape(len(primes), 9).astype(np.int64).tolist()
+            assert out == [[v % p for v in row] for p, row in zip(primes, rows)]
+
 
 # Treewidth-3 patterns whose plans reach each way the matrix engine sums a
 # vertex out of three-vertex arrays: three one-vertex factors (K4), a
 # two-vertex factor beside a one-vertex one, two sharing a vertex, three
-# pairwise sharing, and a second message over a scope already waiting
+# pairwise sharing, and two messages over one three-vertex scope
 RANK3 = {
     "K4": clique(4),
     "disjoint": Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]),
@@ -217,20 +234,21 @@ class TestRank3:
         seen = set()
         contract = homcount._contract3
 
-        def spy(factors, later, reduce, out, fresh):
-            seen.add((tuple(sorted(map(len, factors))), fresh))
-            return contract(factors, later, reduce, out, fresh)
+        def spy(factors, later, reduce, out):
+            seen.add(tuple(sorted(map(len, factors))))
+            return contract(factors, later, reduce, out)
 
         monkeypatch.setattr(homcount, "_contract3", spy)
         g = random_graph(random.Random(3), 8, 0.7)
         for h in RANK3.values():
             count_hom_mm(h, g)
         # by the later vertices of each array summed: three single ones, a
-        # pair and a single one, two pairs, three pairs; and into a message
-        # already waiting
-        assert seen == {((1, 1, 1), True), ((1, 2), True), ((2, 2), True),
-                        ((2, 2, 2), True), ((1, 1, 1), False)}
-
+        # pair and a single one, two pairs, three pairs
+        assert seen == {(1, 1, 1), (1, 2), (2, 2), (2, 2, 2)}
+        # and one step takes in two three-vertex messages over one scope
+        nodes = homcount._program(((RANK3["merged"], 1),)).nodes
+        wide = [[slots for _, slots in inputs if len(slots) == 3] for _, _, inputs, _ in nodes]
+        assert any(len(set(slots)) < len(slots) for slots in wide)
 
     @pytest.mark.parametrize("regime", ["float", "crt"])
     @pytest.mark.parametrize("name", sorted(RANK3))
@@ -259,10 +277,15 @@ class TestKernelRoute:
     def routes(monkeypatch, p, g) -> dict:
         """Kernel per hom term of p on g, without counting."""
         seen = {}
-        for kernel in ("count_hom_mm", "count_hom_dp"):
-            monkeypatch.setattr(motif, kernel,
-                                lambda f, g, kernel=kernel, messages=None:
-                                seen.setdefault(f, kernel) and 0)
+
+        def dense(program, chosen, g):
+            for t in chosen:
+                seen.setdefault(program.terms[t].f, "count_hom_mm")
+            return dict.fromkeys(chosen, 0)
+
+        monkeypatch.setattr(motif, "_run", dense)
+        monkeypatch.setattr(motif, "count_hom_dp",
+                            lambda f, g: seen.setdefault(f, "count_hom_dp") and 0)
         evaluate(p, g)
         return {f: (elimination_plan(f)[0], kernel) for f, kernel in seen.items()}
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import clique, cycle, path, random_graph, star, word_primes_bounds
 from motifcount import homcount, motif
+from motifcount.decomp import elimination_plan
 from motifcount.graphs import Graph, adjacency, canonical_form, parse_graph6
 from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.motif import (
@@ -214,7 +215,7 @@ class TestFileFormat:
 
 
 # ---------------------------------------------------------------------------
-# messages shared between hom terms
+# evaluation programs: messages shared between hom terms
 
 
 # the benchmark's supports: Sub(P7), all 6-vertex trees, IndSub(P5) + IndSub(C5)
@@ -235,56 +236,82 @@ def with_leaf(h: Graph, v: int) -> Graph:
     return Graph(h.n + 1, list(h.edges) + [(v, h.n)])
 
 
-class StoreReport:
-    """What one message store held: weak references to it and to each table,
-    the primes of each table, and the most bytes held at once."""
+def term_nodes(program, t: int) -> set:
+    """The nodes of a compiled program that its term t reads, directly or
+    not."""
+    nodes, stack = set(), list(program.terms[t].roots)
+    while stack:
+        if (i := stack.pop()) not in nodes:
+            nodes.add(i)
+            stack.extend(j for j, _ in program.nodes[i][2])
+    return nodes
 
-    def __init__(self):
-        self.store = None
-        self.tables, self.regimes, self.peak = [], [], 0
+
+class RunReport:
+    """What one dense run of a program (homcount._run) built: its terms,
+    weak references to each table and the primes of each step, the most
+    bytes that tables over two or more vertices held at once, and how often
+    a step read a table that another step reads too."""
+
+    def __init__(self, chosen):
+        self.chosen = chosen
+        self.tables, self.regimes, self.peak, self.shared_reads = [], [], 0, 0
 
     def freed(self) -> bool:
         gc.collect()
-        return self.store() is None and all(t() is None for t in self.tables)
+        return all(t() is None for t in self.tables)
 
 
 @pytest.fixture
-def stores(monkeypatch) -> list:
-    """A StoreReport per message store that evaluate makes from now on."""
-    reports = []
+def runs(monkeypatch) -> list:
+    """A RunReport per dense run that evaluate starts from now on, refused
+    or not."""
+    reports, active = [], []
+    run = homcount._run
 
-    class Recording(homcount._Messages):
-        def __init__(self, shared):
-            self.report = StoreReport()
-            super().__init__(shared)
-            self.report.store = weakref.ref(self)
-            reports.append(self.report)
+    def recording(program, chosen, g):
+        reports.append(RunReport(chosen))
+        active.append(reports[-1])
+        try:
+            return run(program, chosen, g)
+        finally:
+            active.pop()
 
-        def hold(self, k, primes, table, room):
-            before = self.nbytes
-            super().hold(k, primes, table, room)
-            if self.nbytes > before:
-                self.report.tables.append(weakref.ref(table))
-                self.report.regimes.append(primes)
-                self.report.peak = max(self.report.peak, self.nbytes)
+    def spying(step):
+        def spy(node, tables, host):
+            if not active:  # a run outside evaluate
+                return step(node, tables, host)
+            report = active[-1]
+            report.shared_reads += sum(not t.flags.writeable for t in tables)
+            table = step(node, tables, host)
+            report.regimes.append(host[3])
+            if hasattr(table, "nbytes"):
+                report.tables.append(weakref.ref(table))
+                report.peak = max(report.peak, sum(t().nbytes for t in report.tables
+                                                   if t() is not None and t().ndim > 2))
+            return table
+        return spy
 
-    monkeypatch.setattr(motif, "_Messages", Recording)
+    for module in (motif, homcount):  # one run per program, or per term alone
+        monkeypatch.setattr(module, "_run", recording)
+    for name in ("_step", "_step3"):
+        monkeypatch.setattr(homcount, name, spying(getattr(homcount, name)))
     return reports
 
 
 class TestSharedMessages:
     @pytest.mark.parametrize("name", sorted(SUPPORTS))
-    def test_supports_match_the_dict_dp(self, name, stores, monkeypatch):
+    def test_supports_match_the_dict_dp(self, name, runs, monkeypatch):
         bounds = word_primes_bounds(monkeypatch)
         rng = random.Random(f"shared:{name}")
         for _ in range(3):
             g = random_graph(rng, rng.randint(10, 20), rng.uniform(0.2, 0.6))
             assert evaluate(SUPPORTS[name], g) == hom_sum(SUPPORTS[name], g)
         assert not bounds
-        assert len(stores) == 3 and all(r.tables for r in stores)
-        assert all(r.freed() for r in stores)
+        assert len(runs) == 3 and all(r.shared_reads for r in runs)
+        assert all(r.freed() for r in runs)
 
-    def test_both_regimes_on_one_host(self, stores, monkeypatch):
+    def test_both_regimes_on_one_host(self, runs, monkeypatch):
         # on a host of maximum degree D, trees of k - 1 vertices run in one
         # float64 pass and trees of k vertices modulo primes (D^(k-1) >=
         # 2^53); each regime shares the branches of its own trees only
@@ -298,29 +325,30 @@ class TestSharedMessages:
         bounds = word_primes_bounds(monkeypatch)
         assert evaluate(p, g) == hom_sum(p, g)
         assert bounds == [degree ** (k - 1)] * len(long)
-        (report,) = stores
+        (report,) = runs
         assert {bool(primes) for primes in report.regimes} == {False, True}
         assert report.freed()
 
     @pytest.mark.parametrize("first", [None, cycle(4)], ids=["rank3-writes", "rank3-reads"])
-    def test_a_held_message_feeds_rank_2_and_rank_3_steps(self, first, stores):
+    def test_a_held_message_feeds_rank_2_and_rank_3_steps(self, first, runs):
         # in h, vertex 1 sends the common-neighbour matrix of its two
         # neighbours into a rank-3 step, where the adjacency matrix of the
-        # same pair multiplies into it; C8 reads the same message into a
-        # rank-2 step after h, and C4, when present, computes it before h
+        # same pair multiplies into it; C8 reads the same node into a rank-2
+        # step, and C4, when present, computes it before h
         h = Graph(6, [(0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
         terms = {h: 1, cycle(8): -2, **({first: 3} if first else {})}
         p = MotifParameter("hom", terms)
-        _, _, shared = motif._integer_terms(p)
-        c8, hk = (homcount._dense_shape(canonical_form(f).graph).keys for f in (cycle(8), h))
-        assert shared & set(c8) & set(hk)
+        _, program = motif._integer_terms(p)
+        forms = [cf for cf, _ in p.terms]
+        c8, hk = (term_nodes(program, forms.index(canonical_form(f))) for f in (cycle(8), h))
+        assert any(program.nodes[i][0] == 2 for i in c8 & hk)
         rng = random.Random(89)
         for _ in range(4):
             g = random_graph(rng, rng.randint(8, 16), 0.5)
             assert evaluate(p, g) == hom_sum(p, g)
-        assert all(r.tables and r.freed() for r in stores)
+        assert all(r.shared_reads and r.freed() for r in runs)
 
-    def test_keys_tell_where_a_message_lands(self, stores):
+    def test_keys_tell_where_a_message_lands(self, runs):
         # in both patterns vertex 3 is adjacent to its scope (4, 5) and takes
         # in vertex 2's common-neighbour matrix, over (3, 5) in the first and
         # over (3, 4) in the second: the messages of 3 differ only in where
@@ -333,82 +361,96 @@ class TestSharedMessages:
             g = random_graph(rng, 12, 0.5)
             assert evaluate(p, g) == hom_sum(p, g)
 
-    def test_a_pattern_with_equal_subtrees(self, stores):
-        # every leaf of a star sends the same message: the star reads the
-        # one that an earlier path computes, once per leaf
+    def test_a_pattern_with_equal_subtrees(self, runs):
+        # every leaf of a star sends the same message: one node, which the
+        # star's centre reads once per leaf and an earlier path reads too
         p = MotifParameter("hom", {path(2): 1, star(4): 2, with_leaf(star(3), 1): -1})
+        _, program = motif._integer_terms(p)
+        assert any(len(inputs) > len(set(inputs)) for _, _, inputs, _ in program.nodes)
         rng = random.Random(97)
         for _ in range(4):
             g = random_graph(rng, rng.randint(5, 15), 0.4)
             assert evaluate(p, g) == hom_sum(p, g)
-        assert all(r.tables and r.freed() for r in stores)
+        assert all(r.shared_reads and r.freed() for r in runs)
 
-    @pytest.mark.parametrize("p, steps", [
+    @pytest.mark.parametrize("p, nodes", [
         (SUPPORTS["sub-P7"], 46), (SUPPORTS["trees6"], 34),
         (MotifParameter("sub", {cycle(8): 1}), 66)], ids=["sub-P7", "trees6", "sub-C8"])
-    def test_a_warm_evaluate_reads_held_subtrees(self, p, steps, monkeypatch):
-        # every term runs dense, and a subtree whose message an earlier term
-        # holds is read instead of eliminated again (without the reads the
-        # terms run 149, 104 and 183 steps); run cold, _dense_shape would
-        # add eliminations of its own
+    def test_a_warm_evaluate_reads_held_subtrees(self, p, nodes, monkeypatch):
+        # every term runs dense, in one run of the program, which takes one
+        # step per node: a subtree is eliminated once, however many terms
+        # read it (the terms' own forests take 149, 104 and 183 steps)
         g = random_graph(random.Random(109), 16, 0.5)
         want = hom_sum(p, g)
         evaluate(p, g)
         ran, counted = dense_runs(monkeypatch), elimination_steps(monkeypatch)
         assert evaluate(p, g) == want
-        assert len(ran) == len(change_basis(p, "hom").terms)
-        assert counted == [steps]
+        assert [len(terms) for terms in ran] == [len(change_basis(p, "hom").terms)]
+        assert counted == [nodes] == [len(motif._integer_terms(change_basis(p, "hom"))[1].nodes)]
 
-    def test_the_guard_counts_held_tables(self, stores, monkeypatch):
-        # tree terms hold just the adjacency matrix: with room for two
-        # vectors beside it some tables are held, at n^2 * 8 bytes none is
-        # and the trees still run dense, and one byte less refuses every
-        # term, which the dict DP then counts
+    def test_the_guard_counts_held_tables(self, runs, monkeypatch):
+        # the program of the 6-vertex trees runs whole under the default
+        # guard.  Its terms of treewidth 1 build vectors only beside the
+        # adjacency matrix and the others n x n tables, so with room for the
+        # matrix and two vectors, or the matrix alone, the program is
+        # refused and runs one term at a time, the forests dense and the
+        # others on the dict DP; one byte less refuses every term
         p = SUPPORTS["trees6"]
+        hom = {cf.graph for cf, _ in change_basis(p, "hom").terms}
+        forests = {f for f in hom if elimination_plan(f)[0] <= 1}
         g = random_graph(random.Random(101), 20, 0.4)
         want = hom_sum(p, g)
         matrix, vector = 20 * 20 * 8, 20 * 8
         ran = dense_runs(monkeypatch)
-        for guard, held, runs in ((matrix + 2 * vector, True, True), (matrix, False, True),
-                                  (matrix - 1, False, False)):
+        for guard, whole, dense in ((homcount.DENSE_BYTES_GUARD, True, hom),
+                                    (matrix + 2 * vector, False, forests),
+                                    (matrix, False, forests), (matrix - 1, False, set())):
             monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", guard)
             ran.clear()
+            runs.clear()
             assert evaluate(p, g) == want
-            report = stores[-1]
-            assert bool(report.tables) == held and report.peak <= max(guard - matrix, 0)
-            assert bool(ran) == runs
-            assert report.freed()
+            assert len(runs) == (1 if whole else 1 + len(hom))
+            assert {f for terms in ran for f in terms} == dense
+            assert all(r.peak + matrix <= guard for r in runs if r.tables)
+            assert all(r.freed() for r in runs)
 
-    def test_a_term_that_needs_the_room_empties_the_store(self, monkeypatch):
-        # P3 holds its leaves' degree vector for P4 and the banner (C4 with a
-        # pendant vertex), which reads it last; with the guard at the
-        # banner's own need, the banner empties the store, so that its
-        # arrays and the held tables stay within the guard, and still runs
-        # dense instead of going to the dict DP
-        banner = canonical_form(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])).graph
-        p = MotifParameter("hom", {path(2): 1, path(3): 1, banner: 1})
+    def test_a_term_that_needs_the_room_empties_the_store(self, runs, monkeypatch):
+        # the second pattern's first steps build n x n tables while a matrix
+        # of the first's that it reads later is alive, so the program needs
+        # one n x n layer more than either term alone; with the guard at
+        # what each needs alone, the program is refused and runs its terms
+        # one at a time, both still dense and within the guard
+        first = canonical_form(parse_graph6("EBYg")).graph
+        second = canonical_form(parse_graph6("F@P{W")).graph
+        p = MotifParameter("hom", {first: 1, second: -2})
         g = random_graph(random.Random(107), 20, 0.4)
         want = hom_sum(p, g)
         matrix = 20 * 20 * 8
-        need = next(j * matrix for j in range(1, 40) if fits(banner, g, j * matrix, monkeypatch))
+        need = max(next(j * matrix for j in range(1, 40) if fits(f, g, j * matrix, monkeypatch))
+                   for f in (first, second))
         ran = dense_runs(monkeypatch)
+        runs.clear()
         monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", need)
         assert evaluate(p, g) == want
-        assert ran[0][1] == ran[1][1] == 20 * 8 and ran[2] == (banner, 0)
+        assert [len(r.chosen) for r in runs] == [2, 1, 1] and len(ran) == 2
+        assert all(r.peak + matrix <= need for r in runs) and runs[1].tables
+        monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", need + matrix)
+        assert evaluate(p, g) == want and len(ran) == 3 and len(runs) == 4
 
 
 def dense_runs(monkeypatch) -> list:
-    """(term, bytes its store holds after it) for each hom term that
-    count_hom_mm counts in evaluate from now on; a refused term is left out."""
+    """The terms of each dense run of a program that evaluate completes from
+    now on; a refused run is left out."""
     ran = []
-    dense = homcount.count_hom_mm
+    run = homcount._run
 
-    def spy(f, g, messages=None):
-        count = dense(f, g, messages=messages)  # raises when refused
-        ran.append((f, messages.nbytes))
-        return count
+    def spy(program, chosen, g):
+        counts = run(program, chosen, g)  # raises when refused
+        ran.append([program.terms[t].f for t in chosen])
+        return counts
 
-    monkeypatch.setattr(motif, "count_hom_mm", spy)
+    for module in (motif, homcount):  # one run per program, or per term alone
+        monkeypatch.setattr(module, "_run", spy)
     return ran
 
 
@@ -423,16 +465,15 @@ def fits(h: Graph, g: Graph, guard: int, monkeypatch) -> bool:
 
 
 def elimination_steps(monkeypatch) -> list:
-    """[n]: n counts the elimination steps that homcount runs from now on."""
+    """[n]: n counts the elimination steps that dense runs take from now on."""
     counted = [0]
-    eliminate = homcount._eliminate
 
-    def counting(forest, step, given=None):
-        def run(v, later, factors):
+    def counting(step):
+        def run(node, tables, host):
             counted[0] += 1
-            return step(v, later, factors)
+            return step(node, tables, host)
+        return run
 
-        return eliminate(forest, run, given)
-
-    monkeypatch.setattr(homcount, "_eliminate", counting)
+    for name in ("_step", "_step3"):
+        monkeypatch.setattr(homcount, name, counting(getattr(homcount, name)))
     return counted
