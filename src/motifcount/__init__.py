@@ -8,7 +8,6 @@ from .graphs import (
     GraphFormatError,
     automorphism_count,
     canonical_form,
-    colored_automorphism_count,
     encode_graph6,
     parse_edge_list,
     parse_graph6,

@@ -24,8 +24,8 @@ from .graphs import (
     ColoredGraph,
     Graph,
     GraphFormatError,
+    automorphism_count,
     canonical_form,
-    colored_automorphism_count,
     parse_graph6,
     parse_graph_file,
 )
@@ -107,7 +107,7 @@ def _cmd_colored_count(args) -> int:
         if args.engine == "brute":
             value = brute_count("colored-emb", h, g)
             if args.kind == "sub":
-                value //= colored_automorphism_count(h)
+                value //= automorphism_count(h)
         elif args.kind == "emb":
             value = count_colored_embeddings(h, g)
         else:

@@ -3,10 +3,10 @@
 Colored embedding and subgraph counts of a pattern with at most
 SPASM_PARTITIONS partitions into monochromatic independent blocks are
 colored motif parameters: the Moebius-weighted sum of colour-preserving hom
-counts over the pattern's colored spasm, each term on the kernel that
-motif routes plain hom terms to, with one message store per query.  Above
-that constant, where the spasm costs a Bell number, the guarded DP below
-counts them.
+counts over the pattern's colored spasm, its terms compiled into one
+evaluation program and each run on the kernel that motif routes plain hom
+terms to.  Above that constant, where the spasm costs a Bell number, the
+guarded DP below counts them.
 
 The guarded pipeline: contract color classes and decompose the contracted
 graph; bound the flowers by one maximum packing of disjoint A-paths per
@@ -45,14 +45,14 @@ from .graphs import (
     Graph,
     adjacency,
     automorphism_count,
-    colored_automorphism_count,
+    canonical_form,
     connected_components,
     is_connected,
     quotient,
 )
 from .homcount import _eliminate, _program, _projection, _RowBuilder
 from .motif import _hom_count, _hom_sum
-from .partitions import _colored_tally
+from .partitions import _quotient_tally
 
 FLOWER_CAP = 16
 # Colored counts take the colored spasm route for patterns with at most
@@ -619,14 +619,15 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
 
 def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
     """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
-    over h's colored spasm (partitions._colored_tally), its terms compiled
+    over h's colored spasm (partitions._quotient_tally), its terms compiled
     into one evaluation program (homcount._program, motif._hom_sum); None,
     before any quotient is built, when h has more than SPASM_PARTITIONS
     partitions into monochromatic independent blocks or more than
     PRUNED_GUARD vertices."""
-    if h.n > PRUNED_GUARD or (terms := _colored_tally(h, SPASM_PARTITIONS)) is None:
+    if h.n > PRUNED_GUARD or (
+            tally := _quotient_tally(canonical_form(h), SPASM_PARTITIONS)) is None:
         return None
-    return _hom_sum(_program(terms), g)
+    return _hom_sum(_program(tuple((f.graph, w) for f, _, w in tally)), g)
 
 
 def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -645,7 +646,7 @@ def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
 
 
 def count_colored_sub(h: ColoredGraph, g: ColoredGraph) -> int:
-    aut = colored_automorphism_count(h)
+    aut = automorphism_count(h)
     emb = count_colored_embeddings(h, g)
     if emb % aut:
         raise AssertionError("embedding count not divisible by automorphisms")

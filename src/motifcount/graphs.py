@@ -2,12 +2,11 @@
 edge-list I/O.
 
 One backtracking search, pruned by twins and by the automorphisms it finds,
-yields canonical forms, automorphism counts and colored isomorphism; plain
-graphs are searched with the all-zero coloring.
-It refuses graphs above PRUNED_GUARD vertices, whichever entry point calls it.
-A plain graph's search runs once per canonical_form cache miss, and its
-CanonicalForm keeps the automorphism count; a colored graph's search is not
-cached.
+yields the canonical forms of plain and colored graphs alike; a plain graph
+is searched with the all-zero coloring.  It refuses graphs above
+PRUNED_GUARD vertices, whichever entry point calls it.  It runs once per
+canonical_form cache miss, and the CanonicalForm keeps the automorphism
+count.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
@@ -125,11 +124,13 @@ class CanonicalForm:
 
     Two graphs are isomorphic iff their canonical forms are equal.  The key
     is the graph6 string of the representative, so keys are compact and
-    printable; aut is the class's automorphism count.
+    printable; aut is the class's automorphism count.  The form of a
+    ColoredGraph is a ColoredGraph, its key the colors in canonical order
+    and the graph6 string, so no colored key equals a plain one.
     """
 
-    graph: Graph
-    key: str
+    graph: Graph  # or a ColoredGraph
+    key: object  # str, or (colors, str)
     aut: int
 
     def __hash__(self):
@@ -266,16 +267,24 @@ def _relabel_canonical(g: Graph, perm: tuple) -> Graph:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def canonical_form(g: Graph) -> CanonicalForm:
+def canonical_form(g) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
-    string as key and its automorphism count."""
+    string as key and its automorphism count.  For a ColoredGraph: the
+    first colored graph by (colors, graph6) over color-preserving
+    relabelings, and its color-preserving automorphism count."""
+    if isinstance(g, ColoredGraph):
+        perm, aut = _canonical_search(g.graph, g.colors)
+        cg = _relabel_canonical(g.graph, perm)
+        colors = tuple(g.colors[v] for v in perm)
+        return CanonicalForm(ColoredGraph(cg, colors), (colors, encode_graph6(cg)), aut)
     perm, aut = _canonical_search(g, (0,) * g.n)
     cg = _relabel_canonical(g, perm)
     return CanonicalForm(cg, encode_graph6(cg), aut)
 
 
-def automorphism_count(g: Graph) -> int:
-    """Number of vertex permutations preserving the edge set."""
+def automorphism_count(g) -> int:
+    """Number of vertex permutations preserving the edge set (and, of a
+    ColoredGraph, the colors)."""
     return canonical_form(g).aut
 
 
@@ -333,23 +342,6 @@ def connected_components(g: Graph) -> list:
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
-
-
-# ---------------------------------------------------------------------------
-# colored isomorphism
-
-
-def colored_canonical_key(h: ColoredGraph):
-    """Hashable key equal for two colored graphs iff they are
-    color-preserving isomorphic: the colors in canonical order and the graph6
-    string of the canonically relabeled graph."""
-    perm, _ = _canonical_search(h.graph, h.colors)
-    cols = tuple(h.colors[v] for v in perm)
-    return cols, encode_graph6(_relabel_canonical(h.graph, perm))
-
-
-def colored_automorphism_count(h: ColoredGraph) -> int:
-    return _canonical_search(h.graph, h.colors)[1]
 
 
 # ---------------------------------------------------------------------------

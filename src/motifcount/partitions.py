@@ -4,10 +4,11 @@ The four nontrivial families (Surj, SurjInv, Ext, ExtInv) mediate every
 basis change between homomorphism, subgraph, and induced-subgraph counts.
 Each family's row for a pattern is read off one cached tally of that
 pattern (its quotients, or its same-size supergraphs); all coefficients are
-exact rationals.  A colored pattern has one cached tally too, of its
-quotients over monochromatic independent blocks with their Moebius
-weights: colored_spasm reads its classes, and the colored counts its
-weights (colored embeddings as colored hom counts).
+exact rationals.  A colored pattern is tallied by the same code, over
+monochromatic independent blocks: colored_spasm reads its classes, and the
+colored counts its weights (colored embeddings as colored hom counts).  A
+plain pattern is the one-color case, and the plain entry points refuse a
+ColoredGraph.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from .graphs import (
     Graph,
     adjacency,
     canonical_form,
-    colored_canonical_key,
     graph_order_key,
     quotient,
 )
 
-# Spasms canonicalise one quotient per partition, at ~0.1 ms each: the budget
-# allows ~13 s, and the spasm of P11 (115,975 partitions) takes 12 s (2-vCPU VM).
+# A spasm canonicalises one quotient per partition, at ~0.1 ms each: the
+# budget allows ~13 s, and the spasm of P11 (115,975 partitions) takes 12-13 s
+# (2-vCPU VM).  A pattern past it is refused once the budget's partitions
+# are counted, before any quotient is built: P12 and the edgeless 13-vertex
+# graph in 0.3-0.6 s.
 PARTITION_BUDGET = 2**17
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
 # at ~0.17 ms each, with the canonical-form cache bounded: 5-10 s and 54 MiB
@@ -42,15 +45,18 @@ SUPERGRAPH_GUARD = 16
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
 
 
-def independent_partitions(h: Graph, colors: Optional[tuple] = None) -> Iterator[list]:
-    """Partitions of V(h) whose blocks are independent sets (and, when a
-    coloring is given, monochromatic), each as its list of sorted blocks in
+def independent_partitions(h) -> Iterator[list]:
+    """Partitions of V(h) whose blocks are independent sets (and, when h is
+    a ColoredGraph, monochromatic), each as its list of sorted blocks in
     order of least vertex; the partitions come in lexicographic order of
     their restricted-growth strings.  Refuses to yield more than
     PARTITION_BUDGET of them."""
     if h.n > PRUNED_GUARD:
         raise CapacityError(f"pruned partition enumeration capped at n={PRUNED_GUARD}")
-    adj = adjacency(h)
+    g, colors = (h.graph, h.colors) if isinstance(h, ColoredGraph) else (h, (0,) * h.n)
+    # a block takes v unless it holds a neighbour of v or a vertex of another color
+    clash = [adj.union(u for u in range(h.n) if colors[u] != colors[v])
+             for v, adj in enumerate(adjacency(g))]
     blocks: list = [[] for _ in range(h.n)]
 
     def rec(v: int, used: int):
@@ -58,8 +64,7 @@ def independent_partitions(h: Graph, colors: Optional[tuple] = None) -> Iterator
             yield [list(b) for b in blocks[:used]]
             return
         for b in range(used + 1):
-            if b < used and (not adj[v].isdisjoint(blocks[b]) or (
-                    colors is not None and colors[blocks[b][0]] != colors[v])):
+            if b < used and not clash[v].isdisjoint(blocks[b]):
                 continue
             blocks[b].append(v)
             yield from rec(v + 1, used + (b == used))
@@ -73,45 +78,55 @@ def independent_partitions(h: Graph, colors: Optional[tuple] = None) -> Iterator
         yield rho
 
 
+def _bell(n: int) -> int:
+    """The number of partitions of an n-set, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[0]
+
+
+@lru_cache(maxsize=1024)
+def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optional[tuple]:
+    """h = hc.graph's quotients, one (F, count, w) per isomorphism class F
+    in order of key: count the partitions rho of V(h) into independent (of a
+    ColoredGraph, monochromatic) blocks with h/rho in F, each block keeping
+    its color, and w the sum over them of prod_B (-1)^(|B|-1) (|B|-1)!.  So
+    Surj(h, F) = Aut(F) count, SurjInv(h, F) = w / Aut(h), and
+    Emb(h, G) = sum w Hom(F, G).  A class's quotients have one vertex
+    count, so its weights share the sign (-1)^(|V(h)|-|V(F)|) and no w is
+    zero.  Partitions are counted before any quotient is built, unless
+    Bell(|V(h)|) <= limit: None past limit, and past PARTITION_BUDGET the
+    enumeration refuses (CapacityError)."""
+    h = hc.graph
+    if _bell(h.n) > limit and sum(
+            1 for _ in itertools.islice(independent_partitions(h), limit + 1)) > limit:
+        return None
+    moebius = [(-1) ** k * math.factorial(k) for k in range(h.n)]  # of a block of k + 1
+    classes: dict = {}
+    for rho in independent_partitions(h):
+        if isinstance(h, ColoredGraph):
+            f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
+        else:
+            f = quotient(h, rho)
+        fc = canonical_form(f)
+        count, w = classes.get(fc, (0, 0))
+        classes[fc] = count + 1, w + math.prod([moebius[len(b) - 1] for b in rho])
+    return tuple(sorted(((fc, count, w) for fc, (count, w) in classes.items()),
+                        key=lambda t: t[0].key))
+
+
 def spasm(h: Graph) -> list:
     """Canonical forms of all loop-free quotients of h, sorted by the global
-    graph order; read off the cached quotient tallies."""
-    counts, _ = _quotient_tallies(_canon(h))
-    return sorted(counts, key=graph_order_key)
+    graph order; read off the cached quotient tally."""
+    return sorted((f for f, _, _ in _quotient_tally(_canon(h))), key=graph_order_key)
 
 
 def colored_spasm(h: ColoredGraph) -> list:
     """Colored variant: quotients over monochromatic independent blocks; each
-    block inherits its color.  Deduplicated by color-preserving isomorphism,
-    in order of colored canonical key."""
-    return [f for f, _ in _colored_tally(h)]
-
-
-@lru_cache(maxsize=256)
-def _colored_tally(h: ColoredGraph, limit: int = PARTITION_BUDGET) -> Optional[tuple]:
-    """h's colored quotients, one (F, w) per color-preserving isomorphism
-    class in order of colored canonical key: F a quotient h/rho of the class
-    (each block keeps its color), w the sum over the partitions rho into
-    monochromatic independent blocks with h/rho in the class of
-    prod_B (-1)^(|B|-1) (|B|-1)!.  So Emb_col(h, G) = sum w Hom_col(F, G).
-    None when h has more than `limit` such partitions, counted before any
-    quotient is built.  A class's quotients have one vertex count, so its
-    weights share the sign (-1)^(|V(h)|-|V(F)|) and no w is zero."""
-    if sum(1 for _ in itertools.islice(independent_partitions(h.graph, h.colors),
-                                       limit + 1)) > limit:
-        return None
-    keys: dict = {}  # labelled quotient -> class key: partitions repeat quotients
-    classes: dict = {}
-    for rho in independent_partitions(h.graph, h.colors):
-        f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
-        if (key := keys.get(f)) is None:
-            key = keys[f] = colored_canonical_key(f)
-        w = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in rho)
-        if key in classes:
-            classes[key][1] += w
-        else:
-            classes[key] = [f, w]
-    return tuple((f, w) for _, (f, w) in sorted(classes.items()))
+    block inherits its color.  One canonical ColoredGraph per
+    color-preserving isomorphism class, in order of canonical key."""
+    return [f.graph for f, _, _ in _quotient_tally(canonical_form(h))]
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +134,11 @@ def _colored_tally(h: ColoredGraph, limit: int = PARTITION_BUDGET) -> Optional[t
 
 
 def _canon(x) -> CanonicalForm:
-    return x if isinstance(x, CanonicalForm) else canonical_form(x)
-
-
-@lru_cache(maxsize=1024)
-def _quotient_tallies(hc: CanonicalForm):
-    """Per canonical quotient F of h: (number of partitions with H/rho = F,
-    sum over those partitions of prod (|B|-1)!)."""
-    counts: dict = {}
-    weights: dict = {}
-    for rho in independent_partitions(hc.graph):
-        f = canonical_form(quotient(hc.graph, rho))
-        counts[f] = counts.get(f, 0) + 1
-        w = 1
-        for b in rho:
-            w *= math.factorial(len(b) - 1)
-        weights[f] = weights.get(f, 0) + w
-    return counts, weights
+    """The canonical form of a plain pattern: a Graph, or its CanonicalForm."""
+    g = x.graph if isinstance(x, CanonicalForm) else x
+    if not isinstance(g, Graph):
+        raise ValueError(f"a plain pattern is a Graph, not a {type(g).__name__}")
+    return canonical_form(x) if g is x else x
 
 
 @lru_cache(maxsize=1024)
@@ -169,14 +172,9 @@ def coefficient_row(kind: str, h) -> dict:
     if kind == "IsoInv":
         return {hc: Fraction(1, hc.aut)}
     if kind == "Surj":
-        counts, _ = _quotient_tallies(hc)
-        return {f: Fraction(f.aut * c) for f, c in counts.items()}
+        return {f: Fraction(f.aut * count) for f, count, _ in _quotient_tally(hc)}
     if kind == "SurjInv":
-        _, weights = _quotient_tallies(hc)
-        return {
-            f: Fraction((-1) ** (h.n - f.graph.n) * w, hc.aut)
-            for f, w in weights.items()
-        }
+        return {f: Fraction(w, hc.aut) for f, _, w in _quotient_tally(hc)}
     # Ext(H, F) = T(F) Aut(F) / Aut(H): both sides count the bijections
     # V(H) -> V(F) that map E(H) into E(F)
     sign = -1 if kind == "ExtInv" else 1

@@ -15,16 +15,16 @@ from motifcount.graphs import ColoredGraph, Graph, adjacency, canonical_form
 CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_isolated(code: str, *argv) -> subprocess.CompletedProcess:
+def run_isolated(code: str, *argv, timeout: float = 60) -> subprocess.CompletedProcess:
     """`python -c code *argv` in a separate process that can import
     motifcount and these helpers, so that a hang fails the test at its
-    timeout."""
+    timeout (in seconds)."""
     paths = [str(Path(motifcount.__file__).parents[1]), str(Path(__file__).parent)]
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
 

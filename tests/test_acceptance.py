@@ -35,7 +35,6 @@ from motifcount.graphs import (
     ColoredGraph,
     Graph,
     canonical_form,
-    colored_automorphism_count,
     graph_order_key,
     is_connected,
 )

@@ -380,6 +380,16 @@ class TestErrors:
         assert proc.returncode == 1
         assert "capped" in proc.stderr
 
+    def test_partition_budget_refuses_before_any_quotient(self):
+        # the 12-vertex path has Bell(11) = 678,570 independent partitions:
+        # counted past the budget and refused in well under a second, where
+        # canonicalising the budget's quotients first took seconds
+        pattern = encode_graph6(path(11))
+        proc = run_isolated(CLI_MAIN, "count", "--kind", "sub", "--pattern", pattern,
+                            "--host", "Bw", timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: pruned partition enumeration capped at 131072 partitions\n"
+
     @pytest.mark.parametrize("engine", ["auto", "brute"])
     def test_oversized_colored_pattern_exit_1(self, tmp_path, engine):
         # one colour class of 21 vertices, past the canonical search's cap

@@ -24,8 +24,6 @@ from motifcount.graphs import (
     GraphFormatError,
     automorphism_count,
     canonical_form,
-    colored_automorphism_count,
-    colored_canonical_key,
     connected_components,
     disjoint_union,
     encode_graph6,
@@ -222,7 +220,7 @@ class TestAutomorphisms:
                 cases.append(ColoredGraph(g.relabel(perm), relabeled))
         for h in cases:
             key, aut = least_relabeling(h)
-            assert (colored_canonical_key(h), colored_automorphism_count(h)) == (key, aut), h
+            assert (canonical_form(h).key, automorphism_count(h)) == (key, aut), h
             if not any(h.colors):
                 cf = canonical_form(h.graph)
                 assert (cf.key, cf.aut) == (key[1], aut), h
@@ -254,7 +252,7 @@ class TestAutomorphisms:
             "from math import factorial as f\n"
             "from conftest import clique, cycle, matching, star\n"
             "from motifcount.graphs import ColoredGraph, Graph, automorphism_count as aut\n"
-            "from motifcount.graphs import colored_automorphism_count, disjoint_union\n"
+            "from motifcount.graphs import disjoint_union\n"
             "for n in range(21):\n"
             "    assert aut(Graph(n)) == aut(clique(n)) == f(n), n\n"
             "    if n > 2:\n"
@@ -273,7 +271,7 @@ class TestAutomorphisms:
             "    copies = disjoint_union(copies, cycle(5))\n"
             "    assert aut(copies) == 10**k * f(k), k\n"
             # each edge's ends coloured apart: only whole edges move
-            "assert colored_automorphism_count(ColoredGraph(matching(10), [0, 1] * 10)) == f(10)\n"
+            "assert aut(ColoredGraph(matching(10), [0, 1] * 10)) == f(10)\n"
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -284,8 +282,10 @@ class TestCapacity:
         [
             "canonical_form(Graph(21))",
             "automorphism_count(Graph(21))",
-            "colored_canonical_key(ColoredGraph(Graph(21), [0] * 21))",
-            "colored_automorphism_count(ColoredGraph(Graph(21), [0] * 21))",
+            pytest.param("canonical_form(ColoredGraph(Graph(21), [0] * 21))",
+                         id="colored_canonical_form"),
+            pytest.param("automorphism_count(ColoredGraph(Graph(21), [0] * 21))",
+                         id="colored_automorphism_count"),
             "hom_closure([Graph(21)])",
         ],
     )
@@ -326,14 +326,31 @@ class TestColored:
         a = ColoredGraph(path(1), (0, 1))
         b = ColoredGraph(path(1), (1, 0))
         c = ColoredGraph(path(1), (0, 0))
-        assert colored_canonical_key(a) == colored_canonical_key(b)
-        assert colored_canonical_key(a) != colored_canonical_key(c)
+        assert canonical_form(a).key == canonical_form(b).key
+        assert canonical_form(a).key != canonical_form(c).key
+
+    def test_colored_form_is_a_colored_graph(self):
+        # the colors in canonical order and the graph6 of the canonical
+        # graph, kept in the one canonical_form cache beside the plain form
+        h = ColoredGraph(path(3), (1, 0, 0, 2))
+        cf = canonical_form(h)
+        assert isinstance(cf.graph, ColoredGraph)
+        assert cf.key == (cf.graph.colors, encode_graph6(cf.graph.graph))
+        assert sorted(cf.graph.colors) == sorted(h.colors)
+        assert canonical_form(cf.graph) == cf
+        misses = canonical_form.cache_info().misses
+        assert canonical_form(ColoredGraph(path(3), (1, 0, 0, 2))) is cf
+        assert canonical_form.cache_info().misses == misses
+        mono = canonical_form(ColoredGraph(path(3), (0,) * 4))
+        assert mono != canonical_form(path(3))
+        assert (mono.graph.graph, mono.key[1]) == (canonical_form(path(3)).graph,
+                                                    canonical_form(path(3)).key)
 
     def test_colored_automorphisms(self):
         mono = ColoredGraph(clique(3), (0, 0, 0))
         colorful = ColoredGraph(clique(3), (0, 1, 2))
-        assert colored_automorphism_count(mono) == 6
-        assert colored_automorphism_count(colorful) == 1
+        assert automorphism_count(mono) == 6
+        assert automorphism_count(colorful) == 1
 
     def test_colored_automorphisms_match_brute_force(self):
         rng = random.Random(7)
@@ -345,7 +362,7 @@ class TestColored:
                 for p in itertools.permutations(range(h.n))
                 if _maps_colored_iso(h, h, p)
             )
-            assert colored_automorphism_count(h) == brute
+            assert automorphism_count(h) == brute
 
     def test_isomorphism_matches_brute_force(self):
         rng = random.Random(11)
@@ -366,7 +383,7 @@ class TestColored:
             brute = any(
                 _maps_colored_iso(a, b, p) for p in itertools.permutations(range(n))
             )
-            assert (colored_canonical_key(a) == colored_canonical_key(b)) == brute
+            assert (canonical_form(a).key == canonical_form(b).key) == brute
 
 
 def _maps_colored_iso(h: ColoredGraph, g: ColoredGraph, p) -> bool:

@@ -12,7 +12,6 @@ from motifcount.graphs import (
     ColoredGraph,
     Graph,
     canonical_form,
-    colored_canonical_key,
 )
 from motifcount.motif import MotifParameter, change_basis
 from motifcount.oracle import brute_count
@@ -68,6 +67,37 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             spasm(Graph(21))
 
+    def test_refusal_builds_no_quotient(self, monkeypatch):
+        # the 12-vertex path has Bell(11) independent partitions: every plain
+        # reader of the tally counts them and refuses before any quotient
+        built = []
+        monkeypatch.setattr(partitions, "quotient", lambda *a: built.append(a))
+        p12 = path(11)
+        assert partitions._bell(11) > PARTITION_BUDGET
+        calls = [lambda: spasm(p12), lambda: coefficient_row("Surj", p12),
+                 lambda: coefficient_row("SurjInv", p12),
+                 lambda: change_basis(MotifParameter("sub", {p12: 1}), "hom")]
+        for call in calls:
+            with pytest.raises(CapacityError, match=f"capped at {PARTITION_BUDGET} partitions"):
+                call()
+        assert built == []
+
+    def test_bell_numbers_skip_the_count(self, monkeypatch):
+        # within Bell(|V(h)|) <= limit the partitions are enumerated once, to
+        # build; past it they are counted first (P5 has Bell(4) = 15
+        # independent partitions of its Bell(5) = 52)
+        assert [partitions._bell(n) for n in range(8)] == BELL
+        enumerations = []
+        enumerate_partitions = partitions.independent_partitions
+        monkeypatch.setattr(partitions, "independent_partitions",
+                            lambda h: enumerations.append(h) or enumerate_partitions(h))
+        for h, limit, runs, refused in ((Graph(4), 15, 1, False), (path(4), 15, 2, False),
+                                        (path(4), 14, 1, True)):
+            partitions._quotient_tally.cache_clear()
+            enumerations.clear()
+            tally = partitions._quotient_tally(canonical_form(h), limit)
+            assert (len(enumerations), tally is None) == (runs, refused), (h, limit)
+
     def test_independent_partitions_of_a_clique(self):
         # only the discrete partition has all blocks independent
         parts = list(independent_partitions(clique(3)))
@@ -91,10 +121,38 @@ class TestSpasm:
     def test_colored_spasm_restricts_to_monochromatic(self):
         # two endpoints of a 2-edge path share a color, the middle differs
         h = ColoredGraph(path(2), (0, 1, 0))
-        keys = {colored_canonical_key(cg) for cg in colored_spasm(h)}
+        keys = {canonical_form(cg).key for cg in colored_spasm(h)}
         assert len(keys) == 2  # identity and endpoints merged
         colorful = ColoredGraph(path(2), (0, 1, 2))
         assert len(colored_spasm(colorful)) == 1
+
+
+class TestOneTally:
+    def test_one_color_is_the_plain_tally(self):
+        # a ColoredGraph with every colour 0 has the plain tally's classes,
+        # partition counts and weights
+        rng = random.Random(41)
+        graphs_ = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(40)]
+        for g in graphs_ + [path(5), cycle(6), star(4), Graph(6)]:
+            plain = partitions._quotient_tally(canonical_form(g))
+            mono = partitions._quotient_tally(canonical_form(ColoredGraph(g, [0] * g.n)))
+            assert [(f.graph, count, w) for f, count, w in plain] == [
+                (f.graph.graph, count, w) for f, count, w in mono]
+            assert all(f.key[0] == (0,) * f.graph.n and f.key[1] == p.key
+                       for (p, _, _), (f, _, _) in zip(plain, mono))
+            assert sum(count for _, count, _ in plain) == sum(
+                1 for _ in independent_partitions(g))
+
+    def test_plain_entry_points_refuse_colored_patterns(self):
+        h = ColoredGraph(path(2), (0, 1, 0))
+        for pattern in (h, canonical_form(h)):
+            with pytest.raises(ValueError, match="plain pattern is a Graph"):
+                MotifParameter("sub", {pattern: 1})
+            with pytest.raises(ValueError, match="plain pattern is a Graph"):
+                spasm(pattern)
+            for kind in partitions.COEFFICIENT_KINDS:
+                with pytest.raises(ValueError, match="plain pattern is a Graph"):
+                    coefficient_row(kind, pattern)
 
 
 class TestCoefficients:
@@ -184,7 +242,7 @@ class TestCoefficients:
     def test_each_class_graph_is_searched_once(self, monkeypatch):
         # the automorphism counts come with the canonical forms: from cold
         # caches, a row runs the symmetry search once per canonical_form miss
-        for cache in (canonical_form, partitions._quotient_tallies,
+        for cache in (canonical_form, partitions._quotient_tally,
                       partitions._supergraph_tallies):
             cache.cache_clear()
         search = inspect.unwrap(graphs._canonical_search)

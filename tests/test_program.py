@@ -17,10 +17,10 @@ from test_homcount import RANK3, gnm
 from motifcount import homcount, motif
 from motifcount.colored import _spasm_embeddings
 from motifcount.decomp import elimination_plan
-from motifcount.graphs import Graph, adjacency, disjoint_union, tensor_product
+from motifcount.graphs import Graph, adjacency, canonical_form, disjoint_union, tensor_product
 from motifcount.homcount import count_hom_dp
 from motifcount.motif import MotifParameter, change_basis, evaluate
-from motifcount.partitions import _colored_tally
+from motifcount.partitions import _quotient_tally
 
 
 def hom_terms(p: MotifParameter) -> list:
@@ -80,7 +80,8 @@ def test_colored_spasm_terms():
     for _ in range(12):
         h = random_colored(rng, rng.randint(2, 6), rng.randint(1, 3), 0.5)
         g = random_colored(rng, 30, 3, 0.3)
-        assert _spasm_embeddings(h, g) == dp_sum(_colored_tally(h), g)
+        tally = _quotient_tally(canonical_form(h))
+        assert _spasm_embeddings(h, g) == dp_sum(((f.graph, w) for f, _, w in tally), g)
 
 
 def test_a_route_through_the_dict_dp(monkeypatch):
