@@ -4,9 +4,11 @@ edge-list I/O.
 One backtracking search, pruned by twins and by the automorphisms it finds,
 yields the canonical forms of plain and colored graphs alike; a plain graph
 is searched with the all-zero coloring.  It refuses graphs above
-PRUNED_GUARD vertices, whichever entry point calls it.  It runs once per
-canonical_form cache miss, and the CanonicalForm keeps the automorphism
-count.
+PRUNED_GUARD vertices, whichever entry point calls it.  canonical_form first
+relabels a graph by color refinement, an isomorphism-invariant order that
+most relabelings of one graph share, and the search runs once per miss of a
+cache keyed by that relabeling.  The CanonicalForm, built straight from the
+search's least key, keeps the automorphism count.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
@@ -154,20 +156,20 @@ def adjacency(g: Graph) -> tuple:
 
 
 def _canonical_search(g: Graph, colors: tuple) -> tuple:
-    """(perm, aut): perm maps canonical position -> original vertex, aut
-    counts the color-preserving automorphisms of g.
+    """(parts, aut): parts is the least key over labelings of g, aut counts
+    the color-preserving automorphisms of g.
 
     Canonical positions are filled one at a time.  The vertex placed at
     position k contributes its part, (colors[v], adjacency of v to positions
     0..k-1) packed into one integer as the color followed by k bits, and a
-    labeling's key is the sequence of parts.  perm is a labeling with the
-    least key; the labelings reaching it form one coset of the automorphism
-    group, and aut is their number.  Parts are kept up to date as vertices
-    are placed.  Only candidates with the least part can lead to the least
-    key, so only they are expanded, and a node is abandoned once that part
-    exceeds the best key's at its position.
+    labeling's key is the sequence of parts.  The labelings reaching the
+    least key form one coset of the automorphism group, and aut is their
+    number.  Parts are kept up to date as vertices are placed.  Only
+    candidates with the least part can lead to the least key, so only they
+    are expanded, and a node is abandoned once that part exceeds the best
+    key's at its position.
 
-    Symmetry prunes the search without changing perm or aut.  Twins (same
+    Symmetry prunes the search without changing parts or aut.  Twins (same
     color, and the same open or the same closed neighborhood) are placed
     once: swapping two unplaced twins is an automorphism fixing the placed
     prefix, so only the least unplaced member of a twin class is tried, its
@@ -258,12 +260,81 @@ def _canonical_search(g: Graph, colors: tuple) -> tuple:
     if not n:
         return (), 1
     extend({v: colors[v] for v in sorted(least_of.values())}, 0, 1, False)
-    return best_perm, ties
+    return tuple(best), ties
 
 
-def _relabel_canonical(g: Graph, perm: tuple) -> Graph:
-    """g with vertex perm[pos] renamed pos."""
-    return g.relabel({v: pos for pos, v in enumerate(perm)})
+def _refined(g):
+    """g relabeled by color refinement: an isomorphic copy in which
+    relabelings of g mostly coincide, so that they share a cache entry.
+
+    Vertices start from the ranks of their colors (all zero for a Graph).
+    A round gives each vertex the rank of its color together with the
+    multiset of its neighbors' colors, until a round splits no color
+    class.  The multiset is one integer, the sum over neighbors of
+    1 << (color * bit_length(n)): exact, since no count reaches n.  Both
+    are invariant under isomorphism, so each vertex's final color is too;
+    vertices are renumbered in order of final color, ties (left only where
+    refinement stops short of discrete) by index."""
+    colored = isinstance(g, ColoredGraph)
+    base, colors = (g.graph, g.colors) if colored else (g, (0,) * g.n)
+    n, edges = base.n, base.edges
+    rank = {c: r for r, c in enumerate(sorted(set(colors)))}
+    color = [rank[c] for c in colors]
+    cells, shift = len(rank), n.bit_length()
+    top = n * shift  # above every multiset
+    while cells < n:
+        unit = [1 << c * shift for c in color]
+        signature = [c << top for c in color]
+        for u, v in edges:
+            signature[u] += unit[v]
+            signature[v] += unit[u]
+        split = sorted(set(signature))
+        if len(split) == cells:
+            break
+        rank = {s: r for r, s in enumerate(split)}
+        color = [rank[s] for s in signature]
+        cells = len(split)
+    order = sorted(range(n), key=color.__getitem__)
+    if order == list(range(n)):
+        return g
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
+    if not colored:
+        return base.relabel(at)
+    return ColoredGraph(base.relabel(at), [colors[v] for v in order])
+
+
+def _form(parts: tuple, aut: int, colored: bool) -> CanonicalForm:
+    """The CanonicalForm of a search's least key.  Position j's part is its
+    color followed by j bits, its adjacency to positions 0..j-1 with
+    position 0 first: column j of the canonical graph's graph6 bits."""
+    n = len(parts)
+    edges, bits = [], 0
+    for j, part in enumerate(parts):
+        column = part & ((1 << j) - 1)
+        bits = bits << j | column
+        while column:
+            high = column.bit_length() - 1  # the least row left
+            edges.append((j - 1 - high, j))
+            column ^= 1 << high
+    size = n * (n - 1) // 2
+    bits <<= -size % 6  # graph6 pads the bits to whole characters
+    body = bytes((bits >> s & 63) + 63 for s in reversed(range(0, size, 6)))
+    g6 = _g6_size_prefix(n) + body.decode()
+    cg = Graph._trusted(n, edges)
+    if not colored:
+        return CanonicalForm(cg, g6, aut)
+    colors = tuple(part >> j for j, part in enumerate(parts))
+    return CanonicalForm(ColoredGraph(cg, colors), (colors, g6), aut)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _searched_form(g) -> CanonicalForm:
+    """The canonical form of g, by one symmetry search."""
+    if isinstance(g, ColoredGraph):
+        return _form(*_canonical_search(g.graph, g.colors), True)
+    return _form(*_canonical_search(g, (0,) * g.n), False)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -271,15 +342,9 @@ def canonical_form(g) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
     string as key and its automorphism count.  For a ColoredGraph: the
     first colored graph by (colors, graph6) over color-preserving
-    relabelings, and its color-preserving automorphism count."""
-    if isinstance(g, ColoredGraph):
-        perm, aut = _canonical_search(g.graph, g.colors)
-        cg = _relabel_canonical(g.graph, perm)
-        colors = tuple(g.colors[v] for v in perm)
-        return CanonicalForm(ColoredGraph(cg, colors), (colors, encode_graph6(cg)), aut)
-    perm, aut = _canonical_search(g, (0,) * g.n)
-    cg = _relabel_canonical(g, perm)
-    return CanonicalForm(cg, encode_graph6(cg), aut)
+    relabelings, and its color-preserving automorphism count.  The search
+    runs on g's refined relabeling, once per miss of its cache."""
+    return _searched_form(_refined(g))
 
 
 def automorphism_count(g) -> int:

@@ -31,15 +31,17 @@ from .graphs import (
     quotient,
 )
 
-# A spasm canonicalises one quotient per partition, at ~0.1 ms each: the
-# budget allows ~13 s, and the spasm of P11 (115,975 partitions) takes 12-13 s
-# (2-vCPU VM).  A pattern past it is refused once the budget's partitions
-# are counted, before any quotient is built: P12 and the edgeless 13-vertex
-# graph in 0.3-0.6 s.
+# A spasm canonicalises one quotient per partition, at ~27 us each (most
+# share a refined relabeling, so few are searched): the budget allows ~4 s,
+# and the spasm of P11 (115,975 partitions) takes 3.1 s (2-vCPU VM).  A
+# pattern past it is refused once the budget's partitions are counted,
+# before any quotient is built: P12 and the edgeless 13-vertex graph in
+# 0.3-0.6 s.
 PARTITION_BUDGET = 2**17
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
-# at ~0.17 ms each, with the canonical-form cache bounded: 5-10 s and 54 MiB
-# peak RSS at m = 15-16 (P7 has 15); extrapolated, ~20 s at 17, ~6 min at 21.
+# at ~35 us each, with the canonical-form caches bounded: 1.1 s at m = 15
+# (P7), 2.3 s at 16, 3.9 s at 17, 45-47 MiB peak RSS; sampled, ~3.5 min at
+# 21 (P8).
 SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")

@@ -241,10 +241,9 @@ class TestCoefficients:
 
     def test_each_class_graph_is_searched_once(self, monkeypatch):
         # the automorphism counts come with the canonical forms: from cold
-        # caches, a row runs the symmetry search once per canonical_form miss
-        for cache in (canonical_form, partitions._quotient_tally,
-                      partitions._supergraph_tallies):
-            cache.cache_clear()
+        # caches, a row runs the symmetry search once per miss of the cache
+        # keyed by refined relabelings, which the row's labeled graphs
+        # (the pattern, and one per canonical_form miss) mostly share
         search = inspect.unwrap(graphs._canonical_search)
         runs = 0
 
@@ -254,8 +253,18 @@ class TestCoefficients:
             return search(*args)
 
         monkeypatch.setattr(graphs, "_canonical_search", counted)
-        coefficient_row("Ext", path(4))
-        assert runs == canonical_form.cache_info().misses == 65
+        for kind, h, searches, relabelings in (
+            ("Ext", path(4), 23, 65),  # P5's 18 supergraph classes
+            ("Ext", cycle(5), 10, 33),  # C5's 8
+            ("SurjInv", path(6), 36, 100),  # P7's 30 quotient classes
+        ):
+            for cache in (canonical_form, graphs._searched_form, partitions._quotient_tally,
+                          partitions._supergraph_tallies):
+                cache.cache_clear()
+            runs = 0
+            coefficient_row(kind, h)
+            assert runs == graphs._searched_form.cache_info().misses == searches, h
+            assert canonical_form.cache_info().misses == relabelings, h
 
 
 class TestSubToHom:
