@@ -621,9 +621,9 @@ def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
     """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
     over h's colored spasm (partitions._quotient_tally), its terms compiled
     into one evaluation program (homcount._program, motif._hom_sum); None,
-    before any quotient is built, when h has more than SPASM_PARTITIONS
-    partitions into monochromatic independent blocks or more than
-    PRUNED_GUARD vertices."""
+    before any quotient is canonicalised, when h has more than
+    SPASM_PARTITIONS partitions into monochromatic independent blocks or
+    more than PRUNED_GUARD vertices."""
     if h.n > PRUNED_GUARD or (
             tally := _quotient_tally(canonical_form(h), SPASM_PARTITIONS)) is None:
         return None

@@ -3,12 +3,15 @@ edge-list I/O.
 
 One backtracking search, pruned by twins and by the automorphisms it finds,
 yields the canonical forms of plain and colored graphs alike; a plain graph
-is searched with the all-zero coloring.  It refuses graphs above
-PRUNED_GUARD vertices, whichever entry point calls it.  canonical_form first
-relabels a graph by color refinement, an isomorphism-invariant order that
+is searched with the all-zero coloring.  canonical_form refuses graphs above
+PRUNED_GUARD vertices before any other work, whichever entry point calls it.
+It relabels a graph by color refinement, an isomorphism-invariant order that
 most relabelings of one graph share, and the search runs once per miss of a
-cache keyed by that relabeling.  The CanonicalForm, built straight from the
-search's least key, keeps the automorphism count.
+cache keyed by that relabeling.  Refinement, search and cache work on
+adjacency rows (bit u of row v set for the edge uv) and colors, so the
+tallies of partitions canonicalise their labeled quotients and supergraphs
+as rows (_rows_form), building no Graph for them.  The CanonicalForm, built
+straight from the search's least key, keeps the automorphism count.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction, so everything here is safe to share between threads and to use
@@ -73,10 +76,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def relabel(self, perm) -> "Graph":
-        """Apply the vertex map v -> perm[v]."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; vertices renumbered 0..k-1 in sorted order."""
@@ -155,9 +154,29 @@ def adjacency(g: Graph) -> tuple:
     return tuple(frozenset(s) for s in adj)
 
 
-def _canonical_search(g: Graph, colors: tuple) -> tuple:
-    """(parts, aut): parts is the least key over labelings of g, aut counts
-    the color-preserving automorphisms of g.
+def _rows(g: Graph) -> tuple:
+    """The adjacency rows of g: bit u of row v is set iff uv is an edge."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _members(row: int) -> tuple:
+    """The set bits of row, least first."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return tuple(out)
+
+
+def _canonical_search(mask: tuple, colors: tuple) -> tuple:
+    """(parts, aut): parts is the least key over labelings of the graph with
+    adjacency rows mask, aut counts its color-preserving automorphisms.
 
     Canonical positions are filled one at a time.  The vertex placed at
     position k contributes its part, (colors[v], adjacency of v to positions
@@ -181,13 +200,7 @@ def _canonical_search(g: Graph, colors: tuple) -> tuple:
     Graph Isomorphism II, 2014); a skipped one counts the ties of its
     expanded orbit-mate, or none if the best key has changed since.
     """
-    n = g.n
-    if n > PRUNED_GUARD:
-        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
-    mask = [0] * n
-    for u, v in g.edges:
-        mask[u] |= 1 << v
-        mask[v] |= 1 << u
+    n = len(mask)
     # twin classes (no vertex has twins of both kinds, so they partition V),
     # keyed by their greatest member u, least_of[u] their least: members are
     # placed in increasing order, after[v] after v, left[v] counts v and later
@@ -263,46 +276,45 @@ def _canonical_search(g: Graph, colors: tuple) -> tuple:
     return tuple(best), ties
 
 
-def _refined(g):
-    """g relabeled by color refinement: an isomorphic copy in which
-    relabelings of g mostly coincide, so that they share a cache entry.
+def _refined(rows: tuple, colors) -> tuple:
+    """(rows, colors) relabeled by color refinement: the rows and colors
+    (None for a plain graph) of an isomorphic copy in which relabelings of
+    the graph mostly coincide, so that they share a cache entry.
 
-    Vertices start from the ranks of their colors (all zero for a Graph).
-    A round gives each vertex the rank of its color together with the
-    multiset of its neighbors' colors, until a round splits no color
-    class.  The multiset is one integer, the sum over neighbors of
-    1 << (color * bit_length(n)): exact, since no count reaches n.  Both
-    are invariant under isomorphism, so each vertex's final color is too;
-    vertices are renumbered in order of final color, ties (left only where
-    refinement stops short of discrete) by index."""
-    colored = isinstance(g, ColoredGraph)
-    base, colors = (g.graph, g.colors) if colored else (g, (0,) * g.n)
-    n, edges = base.n, base.edges
-    rank = {c: r for r, c in enumerate(sorted(set(colors)))}
-    color = [rank[c] for c in colors]
+    Vertices start from the ranks of their colors (of their degrees when
+    plain: the first round from all-equal colors).  A round gives each
+    vertex the rank of its color together with the multiset of its
+    neighbors' colors, until a round splits no color class.  The multiset
+    is one integer, the sum over neighbors of 1 << (color * bit_length(n)):
+    exact, since no count reaches n.  Both are invariant under isomorphism,
+    so each vertex's final color is too; vertices are renumbered in order
+    of final color, ties (left only where refinement stops short of
+    discrete) by index."""
+    n = len(rows)
+    neighbors = list(map(_members, rows))
+    start = colors or list(map(len, neighbors))  # a plain graph's first round: degrees
+    rank = {c: r for r, c in enumerate(sorted(set(start)))}
+    color = list(map(rank.__getitem__, start))
     cells, shift = len(rank), n.bit_length()
     top = n * shift  # above every multiset
     while cells < n:
         unit = [1 << c * shift for c in color]
-        signature = [c << top for c in color]
-        for u, v in edges:
-            signature[u] += unit[v]
-            signature[v] += unit[u]
+        signature = [(c << top) + sum(map(unit.__getitem__, ns))
+                     for c, ns in zip(color, neighbors)]
         split = sorted(set(signature))
         if len(split) == cells:
             break
         rank = {s: r for r, s in enumerate(split)}
-        color = [rank[s] for s in signature]
+        color = list(map(rank.__getitem__, signature))
         cells = len(split)
     order = sorted(range(n), key=color.__getitem__)
     if order == list(range(n)):
-        return g
-    at = [0] * n
+        return rows, colors
+    bit = [0] * n
     for i, v in enumerate(order):
-        at[v] = i
-    if not colored:
-        return base.relabel(at)
-    return ColoredGraph(base.relabel(at), [colors[v] for v in order])
+        bit[v] = 1 << i
+    rows = tuple([sum(map(bit.__getitem__, neighbors[v])) for v in order])
+    return rows, None if colors is None else tuple([colors[v] for v in order])
 
 
 def _form(parts: tuple, aut: int, colored: bool) -> CanonicalForm:
@@ -330,11 +342,17 @@ def _form(parts: tuple, aut: int, colored: bool) -> CanonicalForm:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _searched_form(g) -> CanonicalForm:
-    """The canonical form of g, by one symmetry search."""
-    if isinstance(g, ColoredGraph):
-        return _form(*_canonical_search(g.graph, g.colors), True)
-    return _form(*_canonical_search(g, (0,) * g.n), False)
+def _searched_form(rows: tuple, colors) -> CanonicalForm:
+    """The canonical form of the graph with these adjacency rows (and
+    colors, None for a plain graph), by one symmetry search."""
+    return _form(*_canonical_search(rows, colors or (0,) * len(rows)), colors is not None)
+
+
+def _rows_form(rows: tuple, colors) -> CanonicalForm:
+    """The canonical form of the graph with these adjacency rows (and
+    colors, None for a plain graph), searched once per miss of the cache
+    keyed by its refined relabeling."""
+    return _searched_form(*_refined(rows, colors))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -342,9 +360,13 @@ def canonical_form(g) -> CanonicalForm:
     """The lexicographically first graph isomorphic to g, with its graph6
     string as key and its automorphism count.  For a ColoredGraph: the
     first colored graph by (colors, graph6) over color-preserving
-    relabelings, and its color-preserving automorphism count.  The search
-    runs on g's refined relabeling, once per miss of its cache."""
-    return _searched_form(_refined(g))
+    relabelings, and its color-preserving automorphism count.  A graph
+    above PRUNED_GUARD vertices is refused before any other work."""
+    if g.n > PRUNED_GUARD:
+        raise CapacityError(f"patterns are capped at n={PRUNED_GUARD}")
+    if isinstance(g, ColoredGraph):
+        return _rows_form(_rows(g.graph), g.colors)
+    return _rows_form(_rows(g), None)
 
 
 def automorphism_count(g) -> int:

@@ -14,7 +14,6 @@ ColoredGraph.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -25,23 +24,26 @@ from .graphs import (
     CapacityError,
     ColoredGraph,
     Graph,
+    _members,
+    _rows,
+    _rows_form,
     adjacency,
     canonical_form,
     graph_order_key,
-    quotient,
 )
 
-# A spasm canonicalises one quotient per partition, at ~27 us each (most
-# share a refined relabeling, so few are searched): the budget allows ~4 s,
-# and the spasm of P11 (115,975 partitions) takes 3.1 s (2-vCPU VM).  A
-# pattern past it is refused once the budget's partitions are counted,
-# before any quotient is built: P12 and the edgeless 13-vertex graph in
-# 0.3-0.6 s.
+# A spasm enumerates its partitions in one pass and canonicalises each
+# distinct labeled quotient (most share a refined relabeling, so few are
+# searched): the spasm of P11 (115,975 partitions, 27,634 labeled quotients)
+# takes 1.5-2 s (2-vCPU VM), so the budget allows ~2 s.  The value is kept,
+# not re-derived.  A pattern past it is refused once the pass has counted
+# the budget's partitions, before any canonical form: P12 and the edgeless
+# 13-vertex graph in 0.2-0.5 s.
 PARTITION_BUDGET = 2**17
 # Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
-# at ~35 us each, with the canonical-form caches bounded: 1.1 s at m = 15
-# (P7), 2.3 s at 16, 3.9 s at 17, 45-47 MiB peak RSS; sampled, ~3.5 min at
-# 21 (P8).
+# at ~25-30 us each, with the canonical-form caches bounded: ~0.9 s at
+# m = 15 (P7), ~1.8 s at 16, 3.0-3.3 s at 17, 31-33 MiB peak RSS; sampled,
+# ~3-4 min at 21 (P8).  The value is kept, not re-derived.
 SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
@@ -80,14 +82,6 @@ def independent_partitions(h) -> Iterator[list]:
         yield rho
 
 
-def _bell(n: int) -> int:
-    """The number of partitions of an n-set, by the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        row = list(itertools.accumulate(row, initial=row[-1]))
-    return row[0]
-
-
 @lru_cache(maxsize=1024)
 def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optional[tuple]:
     """h = hc.graph's quotients, one (F, count, w) per isomorphism class F
@@ -97,23 +91,75 @@ def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optiona
     Surj(h, F) = Aut(F) count, SurjInv(h, F) = w / Aut(h), and
     Emb(h, G) = sum w Hom(F, G).  A class's quotients have one vertex
     count, so its weights share the sign (-1)^(|V(h)|-|V(F)|) and no w is
-    zero.  Partitions are counted before any quotient is built, unless
-    Bell(|V(h)|) <= limit: None past limit, and past PARTITION_BUDGET the
-    enumeration refuses (CapacityError)."""
+    zero.
+
+    One enumeration places vertices 0..n-1 in turn, each in a block that
+    admits it or in a new one, and keeps each block's blocked vertices, the
+    blocks' adjacency rows and the weight up to date; each leaf tallies its
+    labeled quotient, the block rows followed by the block colors.  The
+    distinct labeled quotients are canonicalised once the partitions are
+    counted: past limit none is, and the tally is None, or past
+    PARTITION_BUDGET a CapacityError."""
     h = hc.graph
-    if _bell(h.n) > limit and sum(
-            1 for _ in itertools.islice(independent_partitions(h), limit + 1)) > limit:
-        return None
-    moebius = [(-1) ** k * math.factorial(k) for k in range(h.n)]  # of a block of k + 1
+    colored = isinstance(h, ColoredGraph)
+    rows = _rows(h.graph if colored else h)
+    n, colors = h.n, h.colors if colored else (0,) * h.n
+    # a block founded by v admits no neighbour of v and no vertex of another color
+    founded = [row | sum(1 << u for u in range(n) if colors[u] != colors[v])
+               for v, row in enumerate(rows)]
+    bound = min(limit, PARTITION_BUDGET)
+    # per block: its blocked vertices, member count, adjacency row and color
+    block_of, blocked, size, adj, shade = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    labeled: dict = {}  # labeled quotient -> (partitions, weight)
+    found = 0
+
+    def place(v: int, used: int, weight: int) -> bool:
+        # v joins each block that admits it, then a new one; False as soon
+        # as more than bound partitions are found
+        nonlocal found
+        if v == n:
+            found += 1
+            key = (*adj[:used], *shade[:used])
+            count, w = labeled.get(key, (0, 0))
+            labeled[key] = count + 1, w + weight
+            return found <= bound
+        near = 0  # the blocks of v's placed neighbours
+        for u in _members(rows[v] & ((1 << v) - 1)):
+            near |= 1 << block_of[u]
+        for b in range(used + 1):
+            before = blocked[b]
+            if b == used:
+                blocked[b], shade[b], grown = founded[v], colors[v], weight
+            elif before >> v & 1:
+                continue
+            else:  # a block of k members grows to k + 1
+                blocked[b], grown = before | rows[v], -size[b] * weight
+            new = near & ~adj[b]  # the blocks that v first joins to b
+            adj[b] |= new
+            for a in _members(new):
+                adj[a] |= 1 << b
+            block_of[v] = b
+            size[b] += 1
+            if not place(v + 1, used + (b == used), grown):
+                return False  # the state is dropped, not undone
+            size[b] -= 1
+            blocked[b] = before
+            adj[b] ^= new
+            for a in _members(new):
+                adj[a] ^= 1 << b
+        return True
+
+    if not place(0, 0, 1):
+        if limit < PARTITION_BUDGET:
+            return None
+        raise CapacityError(
+            f"pruned partition enumeration capped at {PARTITION_BUDGET} partitions")
     classes: dict = {}
-    for rho in independent_partitions(h):
-        if isinstance(h, ColoredGraph):
-            f = ColoredGraph(quotient(h.graph, rho), [h.colors[b[0]] for b in rho])
-        else:
-            f = quotient(h, rho)
-        fc = canonical_form(f)
-        count, w = classes.get(fc, (0, 0))
-        classes[fc] = count + 1, w + math.prod([moebius[len(b) - 1] for b in rho])
+    for key, (count, w) in labeled.items():
+        k = len(key) // 2
+        fc = _rows_form(key[:k], key[k:] if colored else None)
+        total, weight = classes.get(fc, (0, 0))
+        classes[fc] = total + count, weight + w
     return tuple(sorted(((fc, count, w) for fc, (count, w) in classes.items()),
                         key=lambda t: t[0].key))
 
@@ -154,10 +200,14 @@ def _supergraph_tallies(hc: CanonicalForm) -> dict:
             f"supergraph enumeration capped at {SUPERGRAPH_GUARD} non-edges, "
             f"pattern has {len(missing)}"
         )
-    tallies: dict = {}
+    rows, tallies = _rows(h), {}
     for r in range(len(missing) + 1):
         for extra in itertools.combinations(missing, r):
-            f = canonical_form(Graph(h.n, h.edges.union(extra)))
+            rs = list(rows)
+            for u, v in extra:
+                rs[u] |= 1 << v
+                rs[v] |= 1 << u
+            f = _rows_form(tuple(rs), None)
             tallies[f] = tallies.get(f, 0) + 1
     return tallies
 

@@ -42,6 +42,17 @@ def word_primes_bounds(monkeypatch) -> list:
     return bounds
 
 
+def relabel(g, perm):
+    """g with vertex v renamed perm[v], the colors of a ColoredGraph carried
+    along."""
+    if isinstance(g, ColoredGraph):
+        colors = [0] * g.n
+        for v in range(g.n):
+            colors[perm[v]] = g.colors[v]
+        return ColoredGraph(relabel(g.graph, perm), colors)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)

@@ -14,11 +14,14 @@ from conftest import (
     prism,
     random_colored,
     random_graph,
+    relabel,
     run_isolated,
     star,
     twin_rich,
 )
+from motifcount import graphs as graphs_module
 from motifcount.graphs import (
+    CapacityError,
     ColoredGraph,
     Graph,
     GraphFormatError,
@@ -34,6 +37,7 @@ from motifcount.graphs import (
     quotient,
     tensor_product,
 )
+from motifcount.motif import MotifParameter
 
 
 @st.composite
@@ -150,7 +154,7 @@ class TestCanonicalForm:
     def test_invariant_under_relabeling(self, g, rnd):
         perm = list(range(g.n))
         rnd.shuffle(perm)
-        assert canonical_form(g.relabel(perm)).key == canonical_form(g).key
+        assert canonical_form(relabel(g, perm)).key == canonical_form(g).key
 
     def test_distinguishes_classes(self):
         assert canonical_form(path(3)).key != canonical_form(star(3)).key
@@ -163,9 +167,9 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             rng.shuffle(perm)
             least = min(
-                encode_graph6(g.relabel(p)) for p in itertools.permutations(range(g.n))
+                encode_graph6(relabel(g, p)) for p in itertools.permutations(range(g.n))
             )
-            assert canonical_form(g.relabel(perm)).key == least
+            assert canonical_form(relabel(g, perm)).key == least
 
 
 def least_relabeling(h: ColoredGraph) -> tuple:
@@ -217,7 +221,7 @@ class TestAutomorphisms:
                 relabeled = [0] * 6
                 for v in range(6):
                     relabeled[perm[v]] = colors[v]
-                cases.append(ColoredGraph(g.relabel(perm), relabeled))
+                cases.append(ColoredGraph(relabel(g, perm), relabeled))
         for h in cases:
             key, aut = least_relabeling(h)
             assert (canonical_form(h).key, automorphism_count(h)) == (key, aut), h
@@ -297,6 +301,22 @@ class TestCapacity:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "patterns are capped at n=20"
+
+    def test_refused_before_refinement(self, monkeypatch):
+        # the guard comes first: refinement alone is cubic in the order, and
+        # the adjacency rows of a long path are quadratic in memory
+        def never(*args):
+            raise AssertionError("oversized graph reached refinement")
+
+        monkeypatch.setattr(graphs_module, "_refined", never)
+        monkeypatch.setattr(graphs_module, "_rows", never)
+        oversized = [path(1000), ColoredGraph(path(20), [v % 3 for v in range(21)])]
+        for g in oversized:
+            for call in (canonical_form, automorphism_count):
+                with pytest.raises(CapacityError, match="capped at n=20"):
+                    call(g)
+        with pytest.raises(CapacityError, match="capped at n=20"):
+            MotifParameter("sub", {path(1000): 1})
 
 
 class TestProducts:
@@ -379,7 +399,7 @@ class TestColored:
             if i % 3 == 2:  # unrelated graph on as many vertices
                 b = make(rng, n, rng.randint(1, 3))
             else:
-                b = ColoredGraph(a.graph.relabel(perm), colors)
+                b = ColoredGraph(relabel(a.graph, perm), colors)
             brute = any(
                 _maps_colored_iso(a, b, p) for p in itertools.permutations(range(n))
             )

@@ -69,11 +69,13 @@ class TestEnumeration:
 
     def test_refusal_builds_no_quotient(self, monkeypatch):
         # the 12-vertex path has Bell(11) independent partitions: every plain
-        # reader of the tally counts them and refuses before any quotient
+        # reader of the tally counts them and refuses before canonicalising
+        # any quotient, which P5's tally, within the budget, does
         built = []
-        monkeypatch.setattr(partitions, "quotient", lambda *a: built.append(a))
+        rows_form = partitions._rows_form
+        monkeypatch.setattr(partitions, "_rows_form",
+                            lambda *a: built.append(a) or rows_form(*a))
         p12 = path(11)
-        assert partitions._bell(11) > PARTITION_BUDGET
         calls = [lambda: spasm(p12), lambda: coefficient_row("Surj", p12),
                  lambda: coefficient_row("SurjInv", p12),
                  lambda: change_basis(MotifParameter("sub", {p12: 1}), "hom")]
@@ -81,22 +83,35 @@ class TestEnumeration:
             with pytest.raises(CapacityError, match=f"capped at {PARTITION_BUDGET} partitions"):
                 call()
         assert built == []
+        partitions._quotient_tally.cache_clear()
+        assert len(spasm(path(4))) == 8
+        assert built
 
-    def test_bell_numbers_skip_the_count(self, monkeypatch):
-        # within Bell(|V(h)|) <= limit the partitions are enumerated once, to
-        # build; past it they are counted first (P5 has Bell(4) = 15
-        # independent partitions of its Bell(5) = 52)
-        assert [partitions._bell(n) for n in range(8)] == BELL
-        enumerations = []
-        enumerate_partitions = partitions.independent_partitions
-        monkeypatch.setattr(partitions, "independent_partitions",
-                            lambda h: enumerations.append(h) or enumerate_partitions(h))
-        for h, limit, runs, refused in ((Graph(4), 15, 1, False), (path(4), 15, 2, False),
-                                        (path(4), 14, 1, True)):
+    def test_one_pass_counts_before_canonicalising(self, monkeypatch):
+        # the tally enumerates the partitions once, counting them as it
+        # goes: within limit it canonicalises each distinct labeled
+        # quotient once, past it none (P5 has 15 independent partitions,
+        # as the edgeless graph on 4 vertices has Bell(4))
+        cases = []
+        for h, limit in ((Graph(4), 15), (path(4), 15), (path(4), 14)):
+            g = canonical_form(h).graph
+            quotients = {graphs.quotient(g, rho) for rho in independent_partitions(g)}
+            cases.append((h, limit, len(quotients) if limit == 15 else 0))
+        assert [forms for _, _, forms in cases] == [4, 11, 0]
+        monkeypatch.setattr(partitions, "independent_partitions", None)
+        built = []
+        rows_form = partitions._rows_form
+        monkeypatch.setattr(partitions, "_rows_form",
+                            lambda *a: built.append(a) or rows_form(*a))
+        for h, limit, forms in cases:
             partitions._quotient_tally.cache_clear()
-            enumerations.clear()
+            built.clear()
             tally = partitions._quotient_tally(canonical_form(h), limit)
-            assert (len(enumerations), tally is None) == (runs, refused), (h, limit)
+            assert len(built) == len(set(built)) == forms, (h, limit)
+            if forms:
+                assert sum(count for _, count, _ in tally) == 15
+            else:
+                assert tally is None
 
     def test_independent_partitions_of_a_clique(self):
         # only the discrete partition has all blocks independent
@@ -241,18 +256,26 @@ class TestCoefficients:
 
     def test_each_class_graph_is_searched_once(self, monkeypatch):
         # the automorphism counts come with the canonical forms: from cold
-        # caches, a row runs the symmetry search once per miss of the cache
-        # keyed by refined relabelings, which the row's labeled graphs
-        # (the pattern, and one per canonical_form miss) mostly share
+        # caches, a row refines each labeled graph it meets (the pattern,
+        # and one per distinct quotient or supergraph) and runs the symmetry
+        # search once per miss of the cache keyed by refined relabelings,
+        # which those graphs mostly share
         search = inspect.unwrap(graphs._canonical_search)
-        runs = 0
+        refined = graphs._refined
+        runs = labeled = 0
 
-        def counted(*args):
+        def counted_search(*args):
             nonlocal runs
             runs += 1
             return search(*args)
 
-        monkeypatch.setattr(graphs, "_canonical_search", counted)
+        def counted_refined(*args):
+            nonlocal labeled
+            labeled += 1
+            return refined(*args)
+
+        monkeypatch.setattr(graphs, "_canonical_search", counted_search)
+        monkeypatch.setattr(graphs, "_refined", counted_refined)
         for kind, h, searches, relabelings in (
             ("Ext", path(4), 23, 65),  # P5's 18 supergraph classes
             ("Ext", cycle(5), 10, 33),  # C5's 8
@@ -261,10 +284,11 @@ class TestCoefficients:
             for cache in (canonical_form, graphs._searched_form, partitions._quotient_tally,
                           partitions._supergraph_tallies):
                 cache.cache_clear()
-            runs = 0
+            runs = labeled = 0
             coefficient_row(kind, h)
             assert runs == graphs._searched_form.cache_info().misses == searches, h
-            assert canonical_form.cache_info().misses == relabelings, h
+            assert labeled == relabelings, h
+            assert canonical_form.cache_info().misses == 1, h
 
 
 class TestSubToHom:

@@ -1,8 +1,9 @@
 """Canonical forms through the color-refined relabeling, differentially.
 
-canonical_form searches g's refined relabeling once per miss of a cache
-keyed by it.  The relabeling is isomorphic to g, so the form must equal the
-search on g's own labelling, under every relabeling of g.  The cases
+canonical_form searches g's refined relabeling, as adjacency rows and
+colors, once per miss of a cache keyed by it.  The relabeling is
+isomorphic to g, so the form must equal the search on g's own labelling,
+under every relabeling of g.  The cases
 include graphs where refinement stops short of discrete, so that the
 relabeling still depends on the input's labels: pairs of regular graphs
 that refinement cannot tell apart, and twin-rich graphs.
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from conftest import (clique, cycle, matching, path, prism, random_colored, random_graph,
-                      twin_rich)
+                      relabel, twin_rich)
 from motifcount import graphs
 from motifcount.graphs import ColoredGraph, Graph, canonical_form, disjoint_union
 
@@ -54,19 +55,17 @@ UNREFINED_PAIRS = {
 }
 
 
-def relabel(g, perm):
-    """g with vertex v renamed perm[v], colors carried along."""
+def rows(g) -> tuple:
+    """(adjacency rows, colors) of g, the colors None when g is plain: the
+    labelled graph as refinement and the search take it."""
     if isinstance(g, ColoredGraph):
-        colors = [0] * g.n
-        for v in range(g.n):
-            colors[perm[v]] = g.colors[v]
-        return ColoredGraph(g.graph.relabel(perm), colors)
-    return g.relabel(perm)
+        return graphs._rows(g.graph), g.colors
+    return graphs._rows(g), None
 
 
 def searched(g):
     """(key, aut) of the search on g's own labelling, past every cache."""
-    cf = graphs._searched_form.__wrapped__(g)
+    cf = graphs._searched_form.__wrapped__(*rows(g))
     return cf.key, cf.aut
 
 
@@ -108,7 +107,7 @@ def test_unrefined_pairs(pair):
         at = [0] * g.n
         for i, v in enumerate(order):
             at[v] = i
-        assert graphs._refined(g) == relabel(g, at)
+        assert graphs._refined(*rows(g)) == rows(relabel(g, at))
         check_label_independent(g, rng, relabelings=12)
     a, b = pair
     assert canonical_form(a).key != canonical_form(b).key
@@ -134,7 +133,7 @@ def test_discrete_refinement_collapses_relabelings():
         for _ in range(30):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            refined.add(graphs._refined(g.relabel(perm)))
+            refined.add(graphs._refined(*rows(relabel(g, perm))))
         assert 1 <= len(refined) <= most
 
 
