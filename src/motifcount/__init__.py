@@ -15,7 +15,7 @@ from .graphs import (
     tensor_product,
 )
 from .partitions import coefficient_row, colored_spasm, spasm
-from .decomp import TreeDecomposition, exact_treewidth, massage_connected
+from .decomp import exact_treewidth, massage_connected
 from .homcount import count_hom_dp, count_hom_mm
 from .motif import (
     MotifParameter,

@@ -38,7 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .decomp import DecompositionError, TreeDecomposition, exact_treewidth, massage_connected
+from .decomp import (DecompositionError, cones, exact_treewidth, massage_connected, separators,
+                     validate_decomposition)
 from .graphs import (
     PRUNED_GUARD,
     ColoredGraph,
@@ -200,6 +201,14 @@ def _packing_or_cover(paths: list, sets: list, k: int):
     raise AssertionError("no small cover despite small packing")
 
 
+def _vertex_set(g: Graph, vertices) -> frozenset:
+    """The vertices as a frozenset; ValueError for any outside 0..g.n-1."""
+    out = frozenset(vertices)
+    if unknown := out - set(range(g.n)):
+        raise ValueError(f"unknown vertex {min(unknown)}")
+    return out
+
+
 def a_path_packing(g: Graph, a, k: int):
     """Either k vertex-disjoint A-paths or a minimum cover, of size at most
     2k-2.
@@ -207,7 +216,7 @@ def a_path_packing(g: Graph, a, k: int):
     Returns ("paths", [...]) or ("cover", set).  Removing the cover leaves
     no A-path.
     """
-    return _packing_or_cover(*_minimal_a_paths(g, frozenset(a)), k)
+    return _packing_or_cover(*_minimal_a_paths(g, _vertex_set(g, a)), k)
 
 
 def _attachment_flow(g: Graph, v: int, a: frozenset) -> int:
@@ -261,7 +270,8 @@ def _attachment_flow(g: Graph, v: int, a: frozenset) -> int:
 def is_l_attached(g: Graph, v: int, a, l: int) -> bool:
     if l < 1:
         raise ValueError("l must be positive")
-    return _attachment_flow(g, v, frozenset(a)) >= l
+    _vertex_set(g, [v])
+    return _attachment_flow(g, v, _vertex_set(g, a)) >= l
 
 
 def a_path_packing_restricted(g: Graph, a, k: int, l: int):
@@ -272,7 +282,7 @@ def a_path_packing_restricted(g: Graph, a, k: int, l: int):
         raise ValueError("need l >= 2k")
     if not is_connected(g):
         raise ValueError("a_path_packing_restricted needs a connected graph")
-    a = frozenset(a)
+    a = _vertex_set(g, a)
     paths, sets = _minimal_a_paths(g, a)
     result = _packing_or_cover(paths, sets, k)
     if result[0] == "paths":
@@ -329,39 +339,36 @@ def find_flower(h: ColoredGraph, class_i: int, c: int) -> Optional[Flower]:
 
 
 class GuardedCutvertexDecomposition:
-    """A tree decomposition of the saturated pattern together with per-node
-    guard sets covering the sparse bag subgraph."""
+    """A tree decomposition (parents, bags) of the saturated pattern with
+    per-node guard sets covering the sparse bag subgraph."""
 
-    def __init__(self, h: ColoredGraph, td: TreeDecomposition, guards: list):
+    def __init__(self, h: ColoredGraph, parents, bags, guards: list):
         self.h = h
-        self.td = td
+        self.parents = tuple(parents)
+        self.bags = tuple(bags)
         self.guards = [frozenset(gd) for gd in guards]
         self.validate()
 
     def validate(self) -> None:
-        h = self.h
-        td = self.td
-        td.validate(clique_saturate(h))
-        adj_h = adjacency(h.graph)
-        for t in range(td.node_count()):
+        validate_decomposition(clique_saturate(self.h), self.parents, self.bags)
+        adj_h = adjacency(self.h.graph)
+        for t, (bag, sigma) in enumerate(zip(self.bags, separators(self.parents, self.bags))):
             gset = self.guards[t]
-            if not td.sigma(t) <= gset <= td.bags[t]:
+            if not sigma <= gset <= bag:
                 raise DecompositionError("guards must sit between separator and bag")
-            for u, v in itertools.combinations(sorted(td.bags[t]), 2):
+            for u, v in itertools.combinations(sorted(bag), 2):
                 if v in adj_h[u] and u not in gset and v not in gset:
                     raise DecompositionError("guard set is not a vertex cover of the bag")
-            for c in td.children[t]:
-                if len(td.sigma(c) - gset) > 1:
-                    raise DecompositionError("child separator leaves >1 unguarded vertex")
+            if t and len(sigma - self.guards[self.parents[t]]) > 1:
+                raise DecompositionError("child separator leaves >1 unguarded vertex")
 
     def hanging(self, t: int) -> dict:
         """Map v -> children whose separator's unguarded vertex is v."""
         out: dict = {}
-        for c in self.td.children[t]:
-            extra = self.td.sigma(c) - self.guards[t]
-            if len(extra) == 1:
-                (v,) = extra
-                out.setdefault(v, []).append(c)
+        for c in range(t + 1, len(self.bags)):
+            extra = self.bags[c] & self.bags[t] - self.guards[t]
+            if self.parents[c] == t and len(extra) == 1:
+                out.setdefault(min(extra), []).append(c)
         return out
 
     def similarity_partition(self) -> list:
@@ -371,8 +378,8 @@ class GuardedCutvertexDecomposition:
         adj_h = adjacency(self.h.graph)
         class_of: dict = {}
         classes: list = []
-        for t in range(self.td.node_count()):
-            free = self.td.bags[t].difference(self.guards[t], self.hanging(t))
+        for t, bag in enumerate(self.bags):
+            free = bag.difference(self.guards[t], self.hanging(t))
             groups: dict = {}
             for v in sorted(free):
                 groups.setdefault((self.h.colors[v], adj_h[v]), []).append(v)
@@ -393,9 +400,8 @@ class GuardedCutvertexDecomposition:
 
     def dump(self) -> str:
         lines = []
-        for t in range(self.td.node_count()):
-            p = self.td.parents[t]
-            bag = ",".join(str(v) for v in sorted(self.td.bags[t]))
+        for t, p in enumerate(self.parents):
+            bag = ",".join(str(v) for v in sorted(self.bags[t]))
             guard = ",".join(str(v) for v in sorted(self.guards[t]))
             lines.append(
                 f"{t} parent={'-' if p is None else p} bag={{{bag}}} guard={{{guard}}}"
@@ -424,53 +430,40 @@ def _restricted_cover(g: Graph, a: frozenset, k: int, l: int):
 
 def _component_pipeline(hc: ColoredGraph, c: int):
     """Bag-and-guard construction on one connected saturated component:
-    returns (TreeDecomposition, guards) in the component's local labels."""
+    returns (parents, bags, guards) in the component's local labels."""
     hdot = clique_saturate(hc)
     ids = hc.color_ids()
-    contracted = contract_colors(hc)
-    w, td_hat = exact_treewidth(contracted)
+    w, parents, hat_bags = exact_treewidth(contract_colors(hc))
     classes = hc.color_classes()
 
     # blow the contracted decomposition up to class unions
-    beta0 = [
-        frozenset(
-            v
-            for i in bag
-            for v in classes[ids[i]]
-        )
-        for bag in td_hat.bags
-    ]
-    td0 = TreeDecomposition(td_hat.parents, beta0, td_hat.root)
-    td0.validate(hdot)
+    beta0 = [frozenset(v for i in bag for v in classes[ids[i]]) for bag in hat_bags]
+    validate_decomposition(hdot, parents, beta0)
 
     k = (2 * c + w) * (w + 1)
     l = 2 * k
     beta1 = []
     guard1 = []
-    for t in range(td0.node_count()):
-        hat_bag = {ids[i] for i in td_hat.bags[t]}
+    for t, cone in enumerate(cones(parents, beta0)):
+        hat_bag = {ids[i] for i in hat_bags[t]}
         saturated = clique_saturate(hc, keep=hat_bag)
         a_star, s_star = _restricted_cover(saturated, beta0[t], k, l)
-        inside = s_star & td0.gamma(t)
+        inside = s_star & cone
         beta1.append(beta0[t] | inside)
         guard1.append(inside | a_star)
     # massage_connected validates the grown decomposition
-    td2, fmap = massage_connected(TreeDecomposition(td0.parents, beta1, td0.root), hdot)
-    guards = []
-    for t in range(td2.node_count()):
-        base = guard1[fmap[t]] & td2.bags[t]
-        # the separator must always be guarded
-        guards.append(base | td2.sigma(t))
-    return td2, guards
+    parents, bags, fmap = massage_connected(hdot, parents, beta1)
+    # the separator must always be guarded
+    guards = [guard1[fmap[t]] & bag | sigma
+              for t, (bag, sigma) in enumerate(zip(bags, separators(parents, bags)))]
+    return parents, bags, guards
 
 
 def build_guarded_decomposition(h: ColoredGraph) -> GuardedCutvertexDecomposition:
     """Full pipeline: the flower bound, per-component construction,
     reassembly, validation."""
     if h.n == 0:
-        return GuardedCutvertexDecomposition(
-            h, TreeDecomposition([None], [frozenset()], 0), [frozenset()]
-        )
+        return GuardedCutvertexDecomposition(h, [None], [frozenset()], [frozenset()])
     # the flower bound: the least power of two above every class's largest
     # packing of disjoint A-paths
     largest = 0
@@ -486,32 +479,20 @@ def build_guarded_decomposition(h: ColoredGraph) -> GuardedCutvertexDecompositio
 
     hdot = clique_saturate(h)
     comps = connected_components(hdot)
-    parts = []
-    for comp in comps:
-        hc = ColoredGraph(h.graph.induced(comp), [h.colors[v] for v in comp])
-        td_c, guards_c = _component_pipeline(hc, c)
-        parts.append((comp, td_c, guards_c))
-
-    # merge the component trees: first root becomes the global root, other
+    # merge the component trees: the first root is the global root, other
     # component roots attach below it (their separators are empty)
     parents: list = []
     bags: list = []
     guards: list = []
-    offset_root = None
-    for comp, td_c, guards_c in parts:
+    for comp in comps:
+        hc = ColoredGraph(h.graph.induced(comp), [h.colors[v] for v in comp])
+        parents_c, bags_c, guards_c = _component_pipeline(hc, c)
         offset = len(bags)
-        for t in range(td_c.node_count()):
-            p = td_c.parents[t]
-            if p is None:
-                parents.append(None if offset_root is None else offset_root)
-            else:
-                parents.append(p + offset)
-            bags.append(frozenset(comp[v] for v in td_c.bags[t]))
-            guards.append(frozenset(comp[v] for v in guards_c[t]))
-        if offset_root is None:
-            offset_root = offset + td_c.root
-    td = TreeDecomposition(parents, bags, offset_root)
-    return GuardedCutvertexDecomposition(h, td, guards)
+        parents.extend(p + offset if p is not None else 0 if offset else None
+                       for p in parents_c)
+        bags.extend(frozenset(comp[v] for v in b) for b in bags_c)
+        guards.extend(frozenset(comp[v] for v in gd) for gd in guards_c)
+    return GuardedCutvertexDecomposition(h, parents, bags, guards)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +517,6 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
     Each class's candidate hosts are computed once per row, and only their
     union is swept, each host taking at most one vertex; a child whose
     separator has one unguarded vertex weighs the host that vertex takes."""
-    td = gcd.td
     builder = _RowBuilder(gcd.h, g)
     class_of = {v: ci for ci, members in enumerate(gcd.similarity_partition())
                 for v in members}
@@ -564,7 +544,7 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
         # member (whose host tables all members share), the row positions
         # of its guard neighbours and the children hanging at it
         free: dict = {}
-        for v in sorted(td.bags[t] - guard_set):
+        for v in sorted(gcd.bags[t] - guard_set):
             free.setdefault(class_of[v], []).append(v)
         kinds = []
         for members in free.values():
@@ -612,9 +592,9 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
                 w_t[key] = w_t.get(key, 0) + total
         return w_t if sigma else w_t.get((), 0)
 
-    return _eliminate((td.topological_order()[::-1],
-                       [tuple(sorted(td.sigma(t))) for t in range(td.node_count())],
-                       td.parents), step)
+    return _eliminate((reversed(range(len(gcd.bags))),
+                       [tuple(sorted(s)) for s in separators(gcd.parents, gcd.bags)],
+                       gcd.parents), step)
 
 
 def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:

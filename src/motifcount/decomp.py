@@ -5,16 +5,20 @@ elimination order and its message scopes) that the homomorphism counters
 eliminate along: safe reduction rules eliminate simplicial and
 almost-simplicial vertices, and dynamic programming over vertex subsets
 plans each connected component of what they leave; format_plan prints it
-for `motifcount decompose`.  Also the rooted tree decompositions built from
-the plan and the connectivity massaging that makes every separator the
-exact neighborhood of its component, both for the colored pipeline.
+for `motifcount decompose`.
+
+A rooted tree decomposition is two parallel sequences, parents and bags
+(frozensets): node 0 is the root (parent None) and every other node's
+parent is numbered before it, so reversed(range(len(bags))) visits children
+before parents.  exact_treewidth builds one from the plan; the validator,
+the separator and cone sweeps and the connectivity massaging that makes
+every separator the exact neighborhood of its component read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
 
 from .graphs import CapacityError, Graph, adjacency, connected_components, is_connected
 
@@ -27,111 +31,55 @@ class DecompositionError(ValueError):
     pass
 
 
-class TreeDecomposition:
-    """A rooted tree decomposition.
+def separators(parents, bags) -> list:
+    """Per node, its bag's intersection with its parent's bag (empty at the
+    root)."""
+    return [frozenset() if p is None else bags[t] & bags[p] for t, p in enumerate(parents)]
 
-    Nodes are integers 0..len(bags)-1; parent[root] is None.  The derived
-    maps sigma/gamma/alpha follow the usual rooted conventions: sigma(t) is
-    the bag intersection with the parent bag, gamma(t) the union of bags in
-    the subtree, alpha(t) = gamma(t) minus sigma(t).
-    """
 
-    def __init__(self, parents: list, bags: list, root: int):
-        self.parents = list(parents)
-        self.bags = [frozenset(b) for b in bags]
-        self.root = root
-        if len(self.parents) != len(self.bags):
-            raise DecompositionError("parent and bag lists differ in length")
-        if self.parents[root] is not None:
-            raise DecompositionError("root must have no parent")
-        self.children: list = [[] for _ in self.bags]
-        seen_root = 0
-        for t, p in enumerate(self.parents):
-            if p is None:
-                seen_root += 1
-                if t != root:
-                    raise DecompositionError("multiple parentless nodes")
-            else:
-                self.children[p].append(t)
-        if seen_root != 1:
-            raise DecompositionError("exactly one root required")
-        # reject cycles / disconnected node sets
-        order = self.topological_order()
-        if len(order) != len(self.bags):
-            raise DecompositionError("parent map is not a tree")
-        self._gamma: Optional[list] = None
+def cones(parents, bags) -> list:
+    """Per node, the union of the bags in its subtree, by one sweep from the
+    last node up."""
+    cone = [set(b) for b in bags]
+    for t in range(len(bags) - 1, 0, -1):
+        cone[parents[t]] |= cone[t]
+    return [frozenset(c) for c in cone]
 
-    def node_count(self) -> int:
-        return len(self.bags)
 
-    def topological_order(self) -> list:
-        """Nodes in preorder (parents before children)."""
-        order = []
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            order.append(t)
-            stack.extend(reversed(self.children[t]))
-        return order
-
-    def sigma(self, t: int) -> frozenset:
-        p = self.parents[t]
-        if p is None:
-            return frozenset()
-        return self.bags[t] & self.bags[p]
-
-    def gamma(self, t: int) -> frozenset:
-        if self._gamma is None:
-            gamma = [None] * len(self.bags)
-            for t2 in reversed(self.topological_order()):
-                acc = set(self.bags[t2])
-                for c in self.children[t2]:
-                    acc |= gamma[c]
-                gamma[t2] = frozenset(acc)
-            self._gamma = gamma
-        return self._gamma[t]
-
-    def alpha(self, t: int) -> frozenset:
-        return self.gamma(t) - self.sigma(t)
-
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
-
-    def validate(self, g: Graph) -> None:
-        """Raise DecompositionError unless this is a valid rooted tree
-        decomposition of g (edge coverage, connected vertex traces, and the
-        derived separator/cone/component conditions)."""
-        covered = set()
-        for b in self.bags:
-            for v in b:
-                if not (0 <= v < g.n):
-                    raise DecompositionError(f"bag vertex {v} out of range")
-            covered |= b
-        if covered != set(range(g.n)):
-            raise DecompositionError("some vertex appears in no bag")
-        for u, v in g.edges:
-            if not any(u in b and v in b for b in self.bags):
-                raise DecompositionError(f"edge ({u},{v}) not inside any bag")
-        # connected traces: the nodes containing v induce a subtree
-        for v in range(g.n):
-            nodes = [t for t, b in enumerate(self.bags) if v in b]
-            tops = [t for t in nodes if self.parents[t] is None or v not in self.bags[self.parents[t]]]
-            if len(tops) != 1:
-                raise DecompositionError(f"trace of vertex {v} is disconnected")
-        # neighborhood containment: N(alpha(t)) inside sigma(t)
-        adj = adjacency(g)
-        for t in range(len(self.bags)):
-            alpha = self.alpha(t)
-            if alpha & self.sigma(t):
-                raise DecompositionError("alpha and sigma intersect")
-            outside = set(range(g.n)) - alpha
-            boundary = set()
-            for v in alpha:
-                boundary |= adj[v] & outside
-            if not boundary <= self.sigma(t):
-                raise DecompositionError(f"N(alpha({t})) escapes sigma({t})")
-        if self.alpha(self.root) != frozenset(range(g.n)):
-            raise DecompositionError("root component must be the whole vertex set")
+def validate_decomposition(g: Graph, parents, bags) -> None:
+    """Raise DecompositionError unless (parents, bags) is a rooted tree
+    decomposition of g in the format exact_treewidth builds: node 0 is the
+    root, every other node's parent is numbered before it, and the bags
+    cover the edges, trace connected subtrees and separate each node's cone
+    minus its separator from the rest of g."""
+    if len(parents) != len(bags):
+        raise DecompositionError("parent and bag lists differ in length")
+    if not bags or parents[0] is not None:
+        raise DecompositionError("node 0 must be the root")
+    for t in range(1, len(parents)):
+        if parents[t] not in range(t):
+            raise DecompositionError(f"parent of node {t} is not numbered before it")
+    covered = frozenset().union(*bags)
+    if outside := covered - set(range(g.n)):
+        raise DecompositionError(f"bag vertex {min(outside)} out of range")
+    if len(covered) != g.n:
+        raise DecompositionError("some vertex appears in no bag")
+    for u, v in g.edges:
+        if not any(u in b and v in b for b in bags):
+            raise DecompositionError(f"edge ({u},{v}) not inside any bag")
+    # connected traces: the nodes containing v induce a subtree
+    for v in range(g.n):
+        tops = [t for t, b in enumerate(bags) if v in b and (t == 0 or v not in bags[parents[t]])]
+        if len(tops) != 1:
+            raise DecompositionError(f"trace of vertex {v} is disconnected")
+    # neighborhood containment: N(alpha(t)) inside sigma(t), where alpha(t)
+    # is the cone minus the separator sigma(t); at the root alpha is all of
+    # g, since every node descends from node 0 and the bags cover g
+    adj = adjacency(g)
+    for t, (cone, sigma) in enumerate(zip(cones(parents, bags), separators(parents, bags))):
+        alpha = cone - sigma
+        if not set().union(*(adj[v] for v in alpha)) - alpha <= sigma:
+            raise DecompositionError(f"N(alpha({t})) escapes sigma({t})")
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +227,18 @@ def format_plan(plan: tuple) -> str:
 
 
 def exact_treewidth(g: Graph):
-    """Minimum treewidth and an optimal rooted tree decomposition along the
-    elimination plan: eliminating v yields the bag {v} + later[v], which
-    hangs below its parent's bag, or below the last bag for a component's
-    last vertex."""
+    """(width, parents, bags): g's treewidth and an optimal rooted tree
+    decomposition, the elimination tree of elimination_plan(g) numbered from
+    the last-eliminated vertex.  Eliminating v yields the bag {v} + later[v],
+    which hangs below its parent's bag, or below node 0 for a component's
+    last vertex; the empty graph has one empty bag."""
     width, order, later, parent = elimination_plan(g)
     if g.n == 0:
-        return width, TreeDecomposition([None], [frozenset()], 0)
-    node = {v: i for i, v in enumerate(order)}
-    root = g.n - 1
-    parents = [None if i == root else node.get(parent[v], root) for i, v in enumerate(order)]
-    return width, TreeDecomposition(parents, [later[v] + (v,) for v in order], root)
+        return width, (None,), (frozenset(),)
+    top = order[::-1]
+    node = {v: t for t, v in enumerate(top)}
+    parents = tuple(None if t == 0 else node.get(parent[v], 0) for t, v in enumerate(top))
+    return width, parents, tuple(frozenset(later[v] + (v,)) for v in top)
 
 
 def _fill_in(g: Graph, order) -> tuple:
@@ -316,52 +265,42 @@ def support_treewidth(graphs) -> int:
 # connectivity massaging
 
 
-def massage_connected(d: TreeDecomposition, g: Graph):
+def massage_connected(g: Graph, parents, bags):
     """Refine a decomposition of a connected graph so that each node's
     component induces a connected subgraph and each separator is exactly the
-    neighborhood of its component.  Returns (TreeDecomposition, f) where f
-    maps new nodes to the old nodes their bags came from.
+    neighborhood of its component.  Returns (parents, bags, f) in preorder,
+    where f maps new nodes to the old nodes their bags came from.
 
     The root node and its bag are preserved, bags only shrink (within the
-    f-image), and the node count stays below node_count * |V(g)|.
+    f-image), and the node count stays below len(bags) * |V(g)|.
     """
     if not is_connected(g):
         raise DecompositionError("massage_connected needs a connected graph")
-    if not d.bags[d.root]:
+    if not bags or not bags[0]:
         raise DecompositionError("massage_connected needs a nonempty root bag")
-    d.validate(g)
+    validate_decomposition(g, parents, bags)
     adj = adjacency(g)
+    cone = cones(parents, bags)
+    nodes: list = []  # (parent, bag, source node) in preorder
 
-    parents: list = []
-    bags: list = []
-    fmap: list = []
-
-    def new_node(parent, bag, source) -> int:
-        parents.append(parent)
-        bags.append(frozenset(bag))
-        fmap.append(source)
-        return len(bags) - 1
-
-    def recurse(r: int, vertices: frozenset, parent_new: Optional[int]) -> None:
+    def recurse(r: int, vertices: frozenset, parent_new: int | None) -> None:
         """Process the sub-decomposition (restricted to `vertices`) rooted
         at r; attach the result under parent_new."""
-        root_bag = d.bags[r] & vertices
-        r2 = new_node(parent_new, root_bag, r)
+        root_bag = bags[r] & vertices
+        r2 = len(nodes)
+        nodes.append((parent_new, root_bag, r))
         # components of G[vertices] - root bag
         rest = sorted(vertices - root_bag)
         for local in connected_components(g.induced(rest)):
             comp = {rest[i] for i in local}
-            boundary = set()
-            for v in comp:
-                boundary |= adj[v] - comp
-            boundary &= vertices
-            # the child of r whose subtree carries the component
-            carrier = next((c for c in d.children[r] if comp & d.gamma(c)), None)
-            if carrier is None:
-                raise DecompositionError("component not found under any child")
+            boundary = set().union(*(adj[v] for v in comp)) - comp & vertices
+            # the child of r whose subtree carries the component: in a valid
+            # decomposition comp lies in exactly one child's cone
+            carrier = next(c for c in range(r + 1, len(bags))
+                           if parents[c] == r and comp & cone[c])
             recurse(carrier, frozenset(comp | boundary), r2)
 
-    recurse(d.root, frozenset(range(g.n)), None)
-    out = TreeDecomposition(parents, bags, 0)
-    out.validate(g)
-    return out, fmap
+    recurse(0, frozenset(range(g.n)), None)
+    out_parents, out_bags, fmap = zip(*nodes)
+    validate_decomposition(g, out_parents, out_bags)
+    return out_parents, out_bags, fmap

@@ -196,6 +196,19 @@ class TestAPaths:
         with pytest.raises(AssertionError, match="large A-path packing"):
             _restricted_cover(g, frozenset(range(6)), 2, 4)
 
+    def test_packing_rejects_an_unknown_vertex(self):
+        with pytest.raises(ValueError, match="unknown vertex 9"):
+            a_path_packing(path(2), [0, 9], 1)
+
+    def test_restricted_packing_rejects_an_unknown_vertex(self):
+        with pytest.raises(ValueError, match="unknown vertex 3"):
+            a_path_packing_restricted(path(2), [0, 3], 1, 2)
+
+    def test_attachment_rejects_an_unknown_vertex(self):
+        for v, a in ((7, [0, 2]), (-1, [0, 2]), (1, [0, 3])):
+            with pytest.raises(ValueError, match="unknown vertex"):
+                is_l_attached(path(2), v, a, 1)
+
 
 class TestFlowers:
     def test_internal_matching_flower(self):
@@ -235,12 +248,12 @@ class TestGuardedDecomposition:
         h = ColoredGraph(path(3), (0, 1, 2, 3))
         gcd = self._check(h)
         # every class a singleton: guards may be whole bags
-        for t in range(gcd.td.node_count()):
-            assert gcd.guards[t] <= gcd.td.bags[t]
+        for t in range(len(gcd.bags)):
+            assert gcd.guards[t] <= gcd.bags[t]
 
     def test_half_colorful_matching_shape(self):
         gcd = self._check(half_colorful_matching(4))
-        assert gcd.td.node_count() >= 1
+        assert len(gcd.bags) >= 1
 
     def test_random_instances_validate(self):
         rng = random.Random(83)
@@ -415,17 +428,17 @@ class TestColoredDifferential:
     def test_patterns_reach_their_cases(self):
         for h in (P6_COLORED, C6_COLORED):
             gcd = build_guarded_decomposition(h)
-            assert gcd.guards == [frozenset(b) for b in gcd.td.bags]
+            assert gcd.guards == [frozenset(b) for b in gcd.bags]
             assert all(len(m) == 1 for m in gcd.similarity_partition())
         gcd = build_guarded_decomposition(SWEPT)
         assert [1, 4] in gcd.similarity_partition()
         gcd = build_guarded_decomposition(HANGING)
-        assert any(gcd.hanging(t) for t in range(gcd.td.node_count()))
+        assert any(gcd.hanging(t) for t in range(len(gcd.bags)))
         gcd = build_guarded_decomposition(CLASS_AND_HANGING)
         assert [0, 3] in gcd.similarity_partition()
         assert any(
-            set(gcd.hanging(t)) == {2} and gcd.td.bags[t] - gcd.guards[t] == {0, 2, 3}
-            for t in range(gcd.td.node_count())
+            set(gcd.hanging(t)) == {2} and gcd.bags[t] - gcd.guards[t] == {0, 2, 3}
+            for t in range(len(gcd.bags))
         )
         gcd = build_guarded_decomposition(CLASS_OF_THREE)
         assert [2, 3, 4] in gcd.similarity_partition()

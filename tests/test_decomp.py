@@ -6,15 +6,17 @@ import pytest
 from conftest import clique, cycle, path, prism, random_graph
 from motifcount.decomp import (
     DecompositionError,
-    TreeDecomposition,
     _degeneracy,
     _reduction,
+    cones,
     elimination_plan,
     exact_treewidth,
     massage_connected,
+    separators,
     support_treewidth,
+    validate_decomposition,
 )
-from motifcount.graphs import Graph, adjacency, disjoint_union, is_connected
+from motifcount.graphs import Graph, adjacency, connected_components, disjoint_union, is_connected
 from motifcount.partitions import CapacityError, spasm
 
 
@@ -70,9 +72,23 @@ class TestExactTreewidth:
         rng = random.Random(3)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8))
-            w, d = exact_treewidth(g)
-            d.validate(g)
-            assert d.width() == w
+            w, parents, bags = exact_treewidth(g)
+            validate_decomposition(g, parents, bags)
+            assert max(map(len, bags)) - 1 == w
+
+    def test_disconnected_graph_validates(self):
+        # a triangle, a path and a lone vertex: each component's root bag
+        # is node 0 or hangs below it
+        g = disjoint_union(disjoint_union(clique(3), path(3)), Graph(1))
+        w, parents, bags = exact_treewidth(g)
+        validate_decomposition(g, parents, bags)
+        assert w == 2
+        # a component's root is the one node with an empty separator
+        tops = [t for t, sigma in enumerate(separators(parents, bags)) if not sigma]
+        assert tops[0] == 0 and len(tops) == 3
+        assert all(parents[t] == 0 for t in tops[1:])
+        component = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
+        assert sorted(component[min(bags[t])] for t in tops) == [0, 1, 2]
 
     def test_capacity_guard(self):
         # 20 and 22 vertices that no reduction rule removes: one kernel
@@ -82,9 +98,10 @@ class TestExactTreewidth:
                 exact_treewidth(prism(k))
 
     def test_empty_graph(self):
-        w, d = exact_treewidth(Graph(0))
+        w, parents, bags = exact_treewidth(Graph(0))
         assert w == -1
-        assert d.node_count() == 1 and d.bags[d.root] == frozenset()
+        assert parents == (None,) and bags == (frozenset(),)
+        validate_decomposition(Graph(0), parents, bags)
 
     def test_spasm_treewidth(self):
         for h in (path(4), path(6)):
@@ -145,19 +162,24 @@ class TestPlanner:
 class TestValidation:
     def test_rejects_missing_edge(self):
         g = clique(2)
-        d = TreeDecomposition([None, 0], [frozenset({0}), frozenset({1})], 0)
         with pytest.raises(DecompositionError):
-            d.validate(g)
+            validate_decomposition(g, [None, 0], [frozenset({0}), frozenset({1})])
 
     def test_rejects_broken_trace(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        d = TreeDecomposition(
-            [None, 0, 1],
-            [frozenset({0, 1}), frozenset({1, 2}), frozenset({0})],
-            0,
-        )
         with pytest.raises(DecompositionError):
-            d.validate(g)
+            validate_decomposition(
+                g, [None, 0, 1], [frozenset({0, 1}), frozenset({1, 2}), frozenset({0})]
+            )
+
+    @pytest.mark.parametrize("parents, bags", [
+        ([None], [frozenset({0, 1}), frozenset({1})]),  # lengths differ
+        ([0, None], [frozenset({0, 1}), frozenset({1})]),  # root not at node 0
+        ([None, 2, 1], [frozenset({0, 1})] * 3),  # a cycle below the root
+    ])
+    def test_rejects_a_malformed_format(self, parents, bags):
+        with pytest.raises(DecompositionError):
+            validate_decomposition(clique(2), parents, bags)
 
 
 class TestMassage:
@@ -168,12 +190,13 @@ class TestMassage:
             g = random_graph(rng, rng.randint(2, 8), 0.4)
             if not is_connected(g):
                 continue
-            w, d = exact_treewidth(g)
-            m, fmap = massage_connected(d, g)
-            m.validate(g)
+            w, parents, bags = exact_treewidth(g)
+            m_parents, m_bags, fmap = massage_connected(g, parents, bags)
+            validate_decomposition(g, m_parents, m_bags)
+            m_sigma = separators(m_parents, m_bags)
             adj = adjacency(g)
-            for t in range(m.node_count()):
-                alpha = m.alpha(t)
+            for t, cone in enumerate(cones(m_parents, m_bags)):
+                alpha = cone - m_sigma[t]
                 if alpha:
                     seen = set()
                     start = next(iter(alpha))
@@ -189,13 +212,20 @@ class TestMassage:
                 neigh = set()
                 for v in alpha:
                     neigh |= adj[v]
-                assert m.sigma(t) == frozenset(neigh - alpha)  # P5 tight
-                assert m.bags[t] <= d.bags[fmap[t]]  # bags shrink within their source
+                assert m_sigma[t] == frozenset(neigh - alpha)  # P5 tight
+                assert m_bags[t] <= bags[fmap[t]]  # bags shrink within their source
             done += 1
+
+    def test_refuses_a_disconnected_graph_and_an_empty_root_bag(self):
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(DecompositionError, match="connected graph"):
+            massage_connected(g, *exact_treewidth(g)[1:])
+        with pytest.raises(DecompositionError, match="nonempty root bag"):
+            massage_connected(path(1), [None, 0], [frozenset(), frozenset({0, 1})])
 
     def test_bags_shrink_within_source(self):
         g = cycle(5)
-        _, d = exact_treewidth(g)
-        m, fmap = massage_connected(d, g)
-        for t in range(m.node_count()):
-            assert m.bags[t] <= d.bags[fmap[t]]
+        _, parents, bags = exact_treewidth(g)
+        m_parents, m_bags, fmap = massage_connected(g, parents, bags)
+        for t in range(len(m_bags)):
+            assert m_bags[t] <= bags[fmap[t]]
