@@ -13,17 +13,15 @@ import sys
 from fractions import Fraction
 
 from .colored import (
-    FlowerCapExceeded,
     build_guarded_decomposition,
     count_colored_embeddings,
     count_colored_sub,
 )
-from .decomp import DecompositionError, elimination_plan, format_plan
+from .decomp import elimination_plan, format_plan
 from .graphs import (
     CapacityError,
     ColoredGraph,
     Graph,
-    GraphFormatError,
     automorphism_count,
     canonical_form,
     parse_graph6,
@@ -41,7 +39,7 @@ from .motif import (
     format_motif_parameter,
     parse_motif_parameter,
 )
-from .oracle import BudgetExceeded, brute_count
+from .oracle import brute_count
 from .partitions import coefficient_row
 
 USAGE_EXIT = 2
@@ -329,14 +327,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (
-        CapacityError,
-        BudgetExceeded,
-        DecompositionError,
-        GraphFormatError,
-        FlowerCapExceeded,
-        ValueError,
-    ) as exc:
+    except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except (AssertionError, MemoryError, RecursionError) as exc:

@@ -4,9 +4,9 @@ Colored embedding and subgraph counts of a pattern with at most
 SPASM_PARTITIONS partitions into monochromatic independent blocks are
 colored motif parameters: the Moebius-weighted sum of colour-preserving hom
 counts over the pattern's colored spasm, its terms compiled into one
-evaluation program and each run on the kernel that motif routes plain hom
-terms to.  Above that constant, where the spasm costs a Bell number, the
-guarded DP below counts them.
+evaluation program and each run on the kernel that homcount._hom_sum routes
+plain hom terms to.  Above that constant, where the spasm costs a Bell
+number, the guarded DP below counts them.
 
 The guarded pipeline: contract color classes and decompose the contracted
 graph; bound the flowers by one maximum packing of disjoint A-paths per
@@ -42,6 +42,7 @@ from .decomp import (DecompositionError, cones, exact_treewidth, massage_connect
                      validate_decomposition)
 from .graphs import (
     PRUNED_GUARD,
+    CapacityError,
     ColoredGraph,
     Graph,
     adjacency,
@@ -51,8 +52,7 @@ from .graphs import (
     is_connected,
     quotient,
 )
-from .homcount import _eliminate, _program, _projection, _RowBuilder
-from .motif import _hom_count, _hom_sum
+from .homcount import _eliminate, _hom_sum, _program, _projection, _RowBuilder
 from .partitions import _quotient_tally
 
 FLOWER_CAP = 16
@@ -68,7 +68,7 @@ FLOWER_CAP = 16
 SPASM_PARTITIONS = 5000
 
 
-class FlowerCapExceeded(RuntimeError):
+class FlowerCapExceeded(CapacityError):
     pass
 
 
@@ -600,7 +600,7 @@ def count_ordered_embeddings(gcd: GuardedCutvertexDecomposition, g: ColoredGraph
 def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
     """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
     over h's colored spasm (partitions._quotient_tally), its terms compiled
-    into one evaluation program (homcount._program, motif._hom_sum); None,
+    into one evaluation program (homcount._program, homcount._hom_sum); None,
     before any quotient is canonicalised, when h has more than
     SPASM_PARTITIONS partitions into monochromatic independent blocks or
     more than PRUNED_GUARD vertices."""
@@ -648,12 +648,13 @@ def count_colorful_subgraphs_ie(f_pattern: Graph, g: Graph, coloring) -> int:
         if not f_pattern.has_edge(coloring[u], coloring[v]):
             raise ValueError("coloring is not a homomorphism into the pattern")
     aut = automorphism_count(f_pattern)  # before the 2^|V(F)| loop: fails fast
+    program = _program(((f_pattern, 1),))
     total = 0
     for r in range(f_pattern.n + 1):
         for dropped in itertools.combinations(range(f_pattern.n), r):
             keep = [v for v in range(g.n) if coloring[v] not in dropped]
             sign = -1 if r % 2 else 1
-            total += sign * _hom_count(f_pattern, g.induced(keep))
+            total += sign * _hom_sum(program, g.induced(keep))
     if total % aut:
         raise AssertionError("inclusion-exclusion sum not divisible by Aut")
     return total // aut

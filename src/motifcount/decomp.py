@@ -191,16 +191,24 @@ def elimination_plan(g: Graph) -> tuple:
     components, not g."""
     adj = [set(a) for a in adjacency(g)]
     alive = set(range(g.n))
-    low, order = _degeneracy(adj), []
-    while (step := _reduction(adj, alive, low)) is not None:
-        v, low = step
+    low, order, later = _degeneracy(adj), [], [()] * g.n
+
+    def eliminate(v):
+        # v's scope is its remaining neighbourhood, which it fills in
         nb = adj[v]
         order.append(v)
         alive.remove(v)
+        later[v] = tuple(sorted(nb))
         for u in nb:
             adj[u] |= nb
             adj[u] -= {u, v}
+
+    while (step := _reduction(adj, alive, low)) is not None:
+        v, low = step
+        eliminate(v)
     kernel = Graph(g.n, [(u, w) for u in alive for w in adj[u] if u < w])
+    # the kernel's components share no edges: eliminating one leaves the
+    # others' adjacency as the subset DP planned it
     for comp in connected_components(kernel):
         if comp[0] not in alive:
             continue  # an eliminated vertex, isolated in the kernel
@@ -208,11 +216,11 @@ def elimination_plan(g: Graph) -> tuple:
             raise CapacityError(
                 f"exact treewidth capped at {TREEWIDTH_GUARD} vertices per kernel component"
             )
-        order.extend(_subset_plan(adj, comp))
-    later = _fill_in(g, order)
+        for v in _subset_plan(adj, comp):
+            eliminate(v)
     rank = {v: i for i, v in enumerate(order)}
     parent = tuple(min(nb, key=rank.__getitem__, default=None) for nb in later)
-    return max(map(len, later), default=-1), tuple(order), later, parent
+    return max(map(len, later), default=-1), tuple(order), tuple(later), parent
 
 
 def format_plan(plan: tuple) -> str:
@@ -239,20 +247,6 @@ def exact_treewidth(g: Graph):
     node = {v: t for t, v in enumerate(top)}
     parents = tuple(None if t == 0 else node.get(parent[v], 0) for t, v in enumerate(top))
     return width, parents, tuple(frozenset(later[v] + (v,)) for v in top)
-
-
-def _fill_in(g: Graph, order) -> tuple:
-    """Per vertex v, the sorted tuple of its later neighbors in g filled
-    along order: eliminating v makes its remaining neighbors a clique."""
-    adj = [set(a) for a in adjacency(g)]
-    later = [()] * g.n
-    for v in order:
-        nb = adj[v]
-        later[v] = tuple(sorted(nb))
-        for u in nb:
-            adj[u] |= nb
-            adj[u] -= {u, v}
-    return tuple(later)
 
 
 def support_treewidth(graphs) -> int:

@@ -321,20 +321,9 @@ def _form(parts: tuple, aut: int, colored: bool) -> CanonicalForm:
     """The CanonicalForm of a search's least key.  Position j's part is its
     color followed by j bits, its adjacency to positions 0..j-1 with
     position 0 first: column j of the canonical graph's graph6 bits."""
-    n = len(parts)
-    edges, bits = [], 0
-    for j, part in enumerate(parts):
-        column = part & ((1 << j) - 1)
-        bits = bits << j | column
-        while column:
-            high = column.bit_length() - 1  # the least row left
-            edges.append((j - 1 - high, j))
-            column ^= 1 << high
-    size = n * (n - 1) // 2
-    bits <<= -size % 6  # graph6 pads the bits to whole characters
-    body = bytes((bits >> s & 63) + 63 for s in reversed(range(0, size, 6)))
-    g6 = _g6_size_prefix(n) + body.decode()
-    cg = Graph._trusted(n, edges)
+    cg = Graph._trusted(len(parts), [(i, j) for j, part in enumerate(parts)
+                                     for i in range(j) if part >> (j - 1 - i) & 1])
+    g6 = encode_graph6(cg)
     if not colored:
         return CanonicalForm(cg, g6, aut)
     colors = tuple(part >> j for j, part in enumerate(parts))

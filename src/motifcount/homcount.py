@@ -41,12 +41,15 @@ arithmetic regime, checks each regime's tables (_schedule) against
 DENSE_BYTES_GUARD before it builds the n x n adjacency matrix, and runs
 each node once over one value table, freeing each table after its last
 reader; no cache keeps any of them.
+_hom_sum is the one kernel route: it prices each term on the host and
+runs the cheap dense ones in the program, the rest on the dict DP.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import suppress
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -58,8 +61,8 @@ from .decomp import DecompositionError, elimination_plan
 from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_components
 
 # the dense kernel refuses hosts whose tables it estimates above this (_run);
-# motif._hom_sum then counts the terms one at a time, and a refused term
-# with the dict DP
+# _hom_sum then runs the program's dense terms one at a time, and a term
+# refused alone on the dict DP
 DENSE_BYTES_GUARD = 1 << 30
 # hosts whose edge arrays and degree count_hom_mm keeps between calls
 HOST_CACHE_SIZE = 32
@@ -67,10 +70,21 @@ HOST_CACHE_SIZE = 32
 _EXACT = 2**53
 # rows per slice in a rank-3 step that multiplies three arrays
 _SLICE = 8
-# _predicted_work's weight on n^4, the work of a step over three later
-# vertices: it runs as slices of batched products and elementwise passes,
-# slower per n^4 than one BLAS product per n^3 (set with
-# motif.DENSE_WORK_RATIO, from the same timings)
+# The kernel route (_hom_sum): a hom term of treewidth <= 3 runs dense when
+# _predicted_work puts the dense kernel's work within DENSE_WORK_RATIO of the
+# dict DP's rows.  _RANK3_WORK weighs the n^4 of a step over three later
+# vertices, which runs as slices of batched products and elementwise passes,
+# slower per n^4 than one BLAS product per n^3.  Both were set from timings
+# of both kernels on 107 (term, host) pairs, 50 of them of treewidth 3: K4,
+# K4 with a pendant path, C4, C5, the 3x3 grid, and hom terms of Sub(P7) and
+# of IndSub(P5) + IndSub(C5), on G(n, m) and G(n, p) hosts of 40 to 4,500
+# vertices (2-vCPU VM, numpy with OpenBLAS).  Treewidth-2 terms ran faster
+# dense up to a ratio of 20,000 (C4 on G(2000, 8000), 1.09x) and 5x faster
+# on the dict DP at 124,000 (C4 on G(4500, 13500)); treewidth-3 terms ran
+# faster dense up to 7,200 (1.02-104x) and faster on the dict DP from 2,000
+# (1.0-234x).  At 8,000, 7 of the 107 took the slower kernel, by at most
+# 1.48x (K4 on G(40, 117)).
+DENSE_WORK_RATIO = 8000
 _RANK3_WORK = 3
 
 
@@ -513,6 +527,29 @@ def count_hom_mm(h, g) -> int:
     if program.terms[0].shape.width > 3:
         raise DecompositionError("count_hom_mm needs treewidth at most 3")
     return _run(program, (0,), g)[0]
+
+
+def _hom_sum(program: _Program, g) -> int:
+    """The sum of c * Hom(f, g) over the (f, c) terms of a compiled program
+    (_program), c integers.  f and g are both Graphs, or both ColoredGraphs
+    for colour-preserving maps.  A term of treewidth <= 3 whose work
+    _predicted_work puts within DENSE_WORK_RATIO of the dict DP's rows runs
+    in the program (_run), and every other term on the dict DP.  A program
+    whose tables would pass DENSE_BYTES_GUARD runs its dense terms one at a
+    time, each over its own nodes of the same program, and a term refused
+    alone goes to the dict DP too."""
+    dense = tuple(t for t, (term, (work, rows))
+                  in enumerate(zip(program.terms, _predicted_work(program, g)))
+                  if term.shape.width <= 3 and work <= DENSE_WORK_RATIO * rows)
+    try:
+        counts = _run(program, dense, g)
+    except CapacityError:  # refused before allocating: the dict factors need no n x n
+        counts = {}
+        for t in dense:
+            with suppress(CapacityError):
+                counts.update(_run(program, (t,), g))
+    return sum(term.c * (counts[t] if t in counts else count_hom_dp(term.f, g))
+               for t, term in enumerate(program.terms))
 
 
 def _step(node, tables: list, host: tuple):

@@ -9,7 +9,6 @@ running time; that conversion is the core of the whole engine.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,25 +16,12 @@ from functools import lru_cache
 from .decomp import support_treewidth
 from .graphs import (CapacityError, Graph, GraphFormatError, _content_lines,
                      canonical_form, graph_order_key, parse_graph6)
-from .homcount import _predicted_work, _program, _run, count_hom_dp, count_hom_mm
+from .homcount import _hom_sum, _program
 from .partitions import _canon, coefficient_row
 
 BASES = ("hom", "sub", "indsub", "emb", "strembed")
 
 TREE_BUILDER_GUARD = 10
-
-# A hom term of treewidth <= 3 runs dense when homcount._predicted_work puts
-# count_hom_mm's work within this factor of count_hom_dp's rows.  Set, with
-# homcount._RANK3_WORK, from timings of both kernels on 107 (term, host)
-# pairs, 50 of them of treewidth 3: K4, K4 with a pendant path, C4, C5, the
-# 3x3 grid, and hom terms of Sub(P7) and of IndSub(P5) + IndSub(C5), on
-# G(n, m) and G(n, p) hosts of 40 to 4,500 vertices (2-vCPU VM, numpy with
-# OpenBLAS).  Treewidth-2 terms ran faster dense up to a ratio of 20,000
-# (C4 on G(2000, 8000), 1.09x) and 5x faster on the dict DP at 124,000 (C4
-# on G(4500, 13500)); treewidth-3 terms ran faster dense up to 7,200
-# (1.02-104x) and faster on the dict DP from 2,000 (1.0-234x).  At 8,000, 7
-# of the 107 took the slower kernel, by at most 1.48x (K4 on G(40, 117)).
-DENSE_WORK_RATIO = 8000
 
 
 @dataclass(frozen=True)
@@ -132,34 +118,6 @@ def hom_support_treewidth(p: MotifParameter) -> int:
     return support_treewidth(cf.graph for cf, _ in hom.terms)
 
 
-def _hom_sum(program, g) -> int:
-    """The sum of c * Hom(f, g) over the (f, c) terms of a compiled program
-    (homcount._program), c integers.  f and g are both Graphs, or both
-    ColoredGraphs for colour-preserving maps.  A term of treewidth <= 3
-    whose work homcount._predicted_work puts within DENSE_WORK_RATIO of the
-    dict DP's rows runs in the program (homcount._run), and every other
-    term on the dict DP.  A program whose tables would pass the memory guard
-    runs its terms one at a time (count_hom_mm), and a term refused alone
-    goes to the dict DP too."""
-    dense = tuple(t for t, (term, (work, rows))
-                  in enumerate(zip(program.terms, _predicted_work(program, g)))
-                  if term.shape.width <= 3 and work <= DENSE_WORK_RATIO * rows)
-    try:
-        counts = _run(program, dense, g)
-    except CapacityError:  # refused before allocating: the dict factors need no n x n
-        counts = {}
-        for t in dense:
-            with suppress(CapacityError):
-                counts[t] = count_hom_mm(program.terms[t].f, g)
-    return sum(term.c * (counts[t] if t in counts else count_hom_dp(term.f, g))
-               for t, term in enumerate(program.terms))
-
-
-def _hom_count(f, g) -> int:
-    """Hom(f, g) as a one-term program (_hom_sum)."""
-    return _hom_sum(_program(((f, 1),)), g)
-
-
 @lru_cache(maxsize=256)
 def _integer_terms(hom: MotifParameter) -> tuple:
     """(d, program): the terms over one common denominator d, so that
@@ -172,7 +130,7 @@ def _integer_terms(hom: MotifParameter) -> tuple:
 
 def evaluate(p: MotifParameter, g: Graph) -> Fraction:
     """Exact value of the parameter on the host, via the Hom basis, its
-    terms compiled once into one evaluation program (_hom_sum)."""
+    terms compiled once into one evaluation program (homcount._hom_sum)."""
     d, program = _integer_terms(change_basis(p, "hom"))
     return Fraction(_hom_sum(program, g), d)
 
@@ -183,7 +141,7 @@ def count_pattern(kind: str, h: Graph, g: Graph) -> int:
     a ColoredGraph too); any other kind as the one-term parameter in its own
     basis."""
     if kind == "hom":
-        return _hom_count(h, g)
+        return _hom_sum(_program(((h, 1),)), g)
     value = evaluate(MotifParameter(kind, {h: 1}), g)
     if value.denominator != 1:
         raise AssertionError("pattern count came out non-integral")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import ColoredGraph, Graph
+from .graphs import CapacityError, ColoredGraph, Graph
 
 COUNT_KINDS = (
     "hom",
@@ -27,7 +27,7 @@ COUNT_KINDS = (
 DEFAULT_BUDGET = 10**9
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(CapacityError):
     pass
 
 

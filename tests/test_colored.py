@@ -267,6 +267,14 @@ class TestGuardedDecomposition:
         with pytest.raises(FlowerCapExceeded, match="class 0"):
             build_guarded_decomposition(h)
 
+    def test_every_refusal_is_a_capacity_error(self):
+        # a library caller that catches CapacityError catches the flower cap
+        # and the brute-force budget too
+        with pytest.raises(CapacityError, match="class 0 still carries"):
+            build_guarded_decomposition(ColoredGraph(matching(20), [0] * 40))
+        with pytest.raises(CapacityError, match="brute-force budget"):
+            brute_count("hom", clique(8), clique(20))
+
     @staticmethod
     def _decompose_in_subprocess(source: str):
         return run_isolated(CLI_MAIN, "decompose", "--guarded", source)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (clique, cycle, matching, path, random_colored, random_graph, star,
                       word_primes_bounds)
-from motifcount import homcount, motif
+from motifcount import homcount
 from motifcount.decomp import DecompositionError, elimination_plan
 from motifcount.graphs import ColoredGraph, Graph, adjacency, tensor_product
 from motifcount.motif import MotifParameter, build_tree_count_parameter, change_basis, evaluate
@@ -283,8 +283,8 @@ class TestKernelRoute:
                 seen.setdefault(program.terms[t].f, "count_hom_mm")
             return dict.fromkeys(chosen, 0)
 
-        monkeypatch.setattr(motif, "_run", dense)
-        monkeypatch.setattr(motif, "count_hom_dp",
+        monkeypatch.setattr(homcount, "_run", dense)
+        monkeypatch.setattr(homcount, "count_hom_dp",
                             lambda f, g: seen.setdefault(f, "count_hom_dp") and 0)
         evaluate(p, g)
         return {f: (elimination_plan(f)[0], kernel) for f, kernel in seen.items()}

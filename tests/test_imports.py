@@ -14,6 +14,10 @@
 - Every method and class-level annotated field of a package class (dunders
   exempt) is read somewhere in the package as an attribute or a name: a
   deletion leaves no orphaned member behind either.
+- The package's relative imports form a graph without a cycle, and the
+  kernel route is reached through homcount alone: motif and colored import
+  none of its pieces, colored imports nothing from motif, and only
+  homcount defines DENSE_WORK_RATIO.
 """
 
 import ast
@@ -254,3 +258,66 @@ def test_scan_finds_an_unread_member(tmp_path):
 
 def test_every_member_is_read():
     assert unread_members(SOURCE) == []
+
+
+def import_graph(package: Path) -> dict:
+    """{module: {module it imports from: the names imported}} over the
+    package's relative imports, those inside functions included."""
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        edges = graph.setdefault(path.stem, {})
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {alias.name for alias in node.names}
+                if node.module:
+                    edges.setdefault(node.module, set()).update(names)
+                else:  # from . import m
+                    for name in names:
+                        edges.setdefault(name, set())
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of the import graph, as the modules along it with the
+    first repeated at the end, or [] when there is none."""
+    done, path = set(), []
+
+    def visit(module):
+        path.append(module)
+        for target in graph.get(module, ()):
+            if target in path:
+                return path[path.index(target):] + [target]
+            if target not in done and (cycle := visit(target)):
+                return cycle
+        done.add(path.pop())
+        return []
+
+    for module in graph:
+        if module not in done and (cycle := visit(module)):
+            return cycle
+    return []
+
+
+def test_scan_finds_an_import_cycle(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import f\n")
+    (tmp_path / "b.py").write_text("def f():\n    from .c import g\n")
+    (tmp_path / "c.py").write_text("from . import a\ndef g():\n    pass\n")
+    (tmp_path / "d.py").write_text("from .a import f\n")
+    graph = import_graph(tmp_path)
+    assert graph["b"] == {"c": {"g"}} and graph["c"] == {"a": set()}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    (tmp_path / "c.py").write_text("def g():\n    pass\n")
+    assert import_cycle(import_graph(tmp_path)) == []
+
+
+def test_package_imports_have_no_cycle():
+    assert import_cycle(import_graph(SOURCE)) == []
+
+
+def test_the_kernel_route_lives_in_homcount():
+    graph = import_graph(SOURCE)
+    route = {"_run", "_predicted_work", "count_hom_dp", "count_hom_mm"}
+    for module in ("motif", "colored"):
+        assert not route & set().union(*graph[module].values()), module
+    assert "motif" not in graph["colored"]
+    assert [path.stem for path in MODULES if "DENSE_WORK_RATIO" in _defined(path)] == ["homcount"]

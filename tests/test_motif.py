@@ -292,8 +292,7 @@ def runs(monkeypatch) -> list:
             return table
         return spy
 
-    for module in (motif, homcount):  # one run per program, or per term alone
-        monkeypatch.setattr(module, "_run", recording)
+    monkeypatch.setattr(homcount, "_run", recording)  # per program, or per term alone
     for name in ("_step", "_step3"):
         monkeypatch.setattr(homcount, name, spying(getattr(homcount, name)))
     return reports
@@ -437,6 +436,27 @@ class TestSharedMessages:
         monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", need + matrix)
         assert evaluate(p, g) == want and len(ran) == 3 and len(runs) == 4
 
+    def test_a_refused_program_runs_its_terms_in_place(self, runs, monkeypatch):
+        # under a guard that refuses the program of the pair above but
+        # admits each term alone, each term runs over its own nodes of the
+        # same program: evaluate compiles no one-term program
+        first = canonical_form(parse_graph6("EBYg")).graph
+        second = canonical_form(parse_graph6("F@P{W")).graph
+        p = MotifParameter("hom", {first: 3, second: -1})
+        g = random_graph(random.Random(109), 20, 0.4)
+        want = hom_sum(p, g)
+        matrix = 20 * 20 * 8
+        need = max(next(j * matrix for j in range(1, 40) if fits(f, g, j * matrix, monkeypatch))
+                   for f in (first, second))
+        monkeypatch.setattr(homcount, "DENSE_BYTES_GUARD", need)
+        assert evaluate(p, g) == want  # compiles p's hom form
+        homcount._program.cache_clear()
+        ran = dense_runs(monkeypatch)
+        runs.clear()
+        assert evaluate(p, g) == want
+        assert [len(r.chosen) for r in runs] == [2, 1, 1] and len(ran) == 2
+        assert homcount._program.cache_info().misses == 0
+
 
 def dense_runs(monkeypatch) -> list:
     """The terms of each dense run of a program that evaluate completes from
@@ -449,8 +469,7 @@ def dense_runs(monkeypatch) -> list:
         ran.append([program.terms[t].f for t in chosen])
         return counts
 
-    for module in (motif, homcount):  # one run per program, or per term alone
-        monkeypatch.setattr(module, "_run", spy)
+    monkeypatch.setattr(homcount, "_run", spy)  # per program, or per term alone
     return ran
 
 

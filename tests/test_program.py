@@ -14,7 +14,7 @@ import pytest
 
 from conftest import clique, cycle, path, random_colored, random_graph, star, word_primes_bounds
 from test_homcount import RANK3, gnm
-from motifcount import homcount, motif
+from motifcount import homcount
 from motifcount.colored import _spasm_embeddings
 from motifcount.decomp import elimination_plan
 from motifcount.graphs import Graph, adjacency, canonical_form, disjoint_union, tensor_product
@@ -35,7 +35,7 @@ def dp_sum(terms, g) -> int:
 def program_sum(terms: dict, g) -> int:
     """The sum of c * Hom(f, g) over the terms {f: c}, as one program of the
     graphs as given: a pattern past the canonical search's cap is welcome."""
-    return motif._hom_sum(homcount._program(tuple(terms.items())), g)
+    return homcount._hom_sum(homcount._program(tuple(terms.items())), g)
 
 
 def with_leaf(h: Graph, v: int) -> Graph:
@@ -92,8 +92,8 @@ def test_a_route_through_the_dict_dp(monkeypatch):
     g = gnm(random.Random(1), 300, 300)
     want = dp_sum(hom_terms(p), g)
     sparse = []
-    dp = motif.count_hom_dp
-    monkeypatch.setattr(motif, "count_hom_dp", lambda f, g: sparse.append(f) or dp(f, g))
+    dp = homcount.count_hom_dp
+    monkeypatch.setattr(homcount, "count_hom_dp", lambda f, g: sparse.append(f) or dp(f, g))
     assert evaluate(p, g) == want
     widths = sorted(elimination_plan(f)[0] for f in sparse)
     assert widths[-1] == 4 and len(widths) < len(hom_terms(p)) and min(widths) <= 3
