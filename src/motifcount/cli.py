@@ -27,9 +27,7 @@ from .graphs import (
     parse_graph6,
     parse_graph_file,
 )
-# count_hom_mm is re-exported: the benchmark's self-test checks that its span
-# recorder wraps this import site
-from .homcount import count_hom_dp, count_hom_mm  # noqa: F401
+from .homcount import count_hom_dp
 from .motif import (
     BASES,
     MotifParameter,

@@ -1,12 +1,12 @@
 """Vertex-colored pattern counting.
 
-Colored embedding and subgraph counts of a pattern with at most
-SPASM_PARTITIONS partitions into monochromatic independent blocks are
-colored motif parameters: the Moebius-weighted sum of colour-preserving hom
-counts over the pattern's colored spasm, its terms compiled into one
-evaluation program and each run on the kernel that homcount._hom_sum routes
-plain hom terms to.  Above that constant, where the spasm costs a Bell
-number, the guarded DP below counts them.
+Colored embedding and subgraph counts peel off the pattern's isolated
+vertices, a falling factorial per colour, and count the rest as a colored
+motif parameter: the Moebius-weighted sum of colour-preserving hom counts
+over its colored spasm, compiled into one evaluation program whose terms
+homcount._hom_sum routes as it routes plain hom terms.  Where
+canonical_form or the partition budget refuses the spasm, as they refuse
+plain patterns, the guarded DP below counts them.
 
 The guarded pipeline: contract color classes and decompose the contracted
 graph; bound the flowers by one maximum packing of disjoint A-paths per
@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .decomp import (DecompositionError, cones, exact_treewidth, massage_connected, separators,
                      validate_decomposition)
 from .graphs import (
-    PRUNED_GUARD,
     CapacityError,
     ColoredGraph,
     Graph,
@@ -56,16 +55,6 @@ from .homcount import _eliminate, _hom_sum, _program, _projection, _RowBuilder
 from .partitions import _quotient_tally
 
 FLOWER_CAP = 16
-# Colored counts take the colored spasm route for patterns with at most
-# this many partitions into monochromatic independent blocks, and the
-# guarded DP above it (_spasm_embeddings).  Neither route wins by partition
-# count alone: timed cold, the guarded DP passed 10 s on 21 of 24 pairs of
-# a star, path, cycle, matching or double star (203 to 41,209 partitions)
-# and a host, but beat the spasm route on an edge beside lone vertices of
-# one colour, by 2-5x at 877 partitions and 16-21x at 4,140.  The
-# constant caps the spasm's tally, 20-200 us per partition (2-vCPU VM), at
-# about 1 s, and admits K1,8 (Bell(8) = 4,140 partitions).
-SPASM_PARTITIONS = 5000
 
 
 class FlowerCapExceeded(CapacityError):
@@ -601,28 +590,36 @@ def _spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> Optional[int]:
     """Color-preserving embeddings of h in g as the sum of w * Hom_col(F, g)
     over h's colored spasm (partitions._quotient_tally), its terms compiled
     into one evaluation program (homcount._program, homcount._hom_sum); None,
-    before any quotient is canonicalised, when h has more than
-    SPASM_PARTITIONS partitions into monochromatic independent blocks or
-    more than PRUNED_GUARD vertices."""
-    if h.n > PRUNED_GUARD or (
-            tally := _quotient_tally(canonical_form(h), SPASM_PARTITIONS)) is None:
+    before any quotient is canonicalised, when canonical_form or the tally
+    refuses h: more than PRUNED_GUARD vertices, or more than
+    PARTITION_BUDGET partitions into monochromatic independent blocks."""
+    try:
+        tally = _quotient_tally(canonical_form(h))
+    except CapacityError:
         return None
     return _hom_sum(_program(tuple((f.graph, w) for f, _, w in tally)), g)
 
 
 def count_colored_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
-    """Color-preserving embedding count over h's colored spasm when h has
-    few enough partitions (_spasm_embeddings), else via the guarded
-    decomposition and the ordered-embedding factorization."""
-    emb = _spasm_embeddings(h, g)
-    if emb is not None:
-        return emb
-    gcd = build_guarded_decomposition(h)
-    ordered = count_ordered_embeddings(gcd, g)
-    factor = 1
-    for members in gcd.similarity_partition():
-        factor *= math.factorial(len(members))
-    return ordered * factor
+    """Color-preserving embedding count.  Isolated vertices peel off: with
+    h' the rest of h, Emb(h, g) = Emb(h', g) prod_c perm(n_c - h'_c, m_c),
+    n_c and h'_c the colour-c vertices of g and of h', m_c the isolated
+    ones of h.  h' is counted over its colored spasm (_spasm_embeddings),
+    else by the guarded DP and the similarity factorials."""
+    adj, factor = adjacency(h.graph), 1
+    if not all(adj):
+        kept = [v for v in range(h.n) if adj[v]]
+        free = Counter(g.colors)
+        free.subtract(h.colors[v] for v in kept)
+        for c, m in Counter(h.colors[v] for v in range(h.n) if not adj[v]).items():
+            factor *= math.perm(max(free[c], 0), m)
+        h = ColoredGraph(h.graph.induced(kept), [h.colors[v] for v in kept])
+    emb = _spasm_embeddings(h, g) if factor else 0
+    if emb is None:
+        gcd = build_guarded_decomposition(h)
+        emb = count_ordered_embeddings(gcd, g) * math.prod(
+            math.factorial(len(members)) for members in gcd.similarity_partition())
+    return emb * factor
 
 
 def count_colored_sub(h: ColoredGraph, g: ColoredGraph) -> int:

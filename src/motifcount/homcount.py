@@ -189,10 +189,17 @@ class _RowBuilder:
             rows = grown
 
 
+def _same_kind(h, g) -> None:
+    """Refuse a pattern and host of which one is a ColoredGraph and one not."""
+    if isinstance(h, ColoredGraph) != isinstance(g, ColoredGraph):
+        raise ValueError("pattern and host must both be Graphs or both ColoredGraphs")
+
+
 def count_hom_dp(h, g) -> int:
     """Number of homomorphisms from h to g, by elimination along h's plan
     with dict factors: both Graphs, or both ColoredGraphs for
     colour-preserving maps."""
+    _same_kind(h, g)
     builder = _RowBuilder(h, g)
     if isinstance(h, ColoredGraph):
         h = h.graph
@@ -523,6 +530,7 @@ def count_hom_mm(h, g) -> int:
     both ColoredGraphs, and then each vertex's images keep its colour: the
     indicator vector of its host colour class multiplies in as one more
     factor over that vertex alone."""
+    _same_kind(h, g)
     program = _program(((h, 1),))
     if program.terms[0].shape.width > 3:
         raise DecompositionError("count_hom_mm needs treewidth at most 3")
@@ -538,6 +546,8 @@ def _hom_sum(program: _Program, g) -> int:
     whose tables would pass DENSE_BYTES_GUARD runs its dense terms one at a
     time, each over its own nodes of the same program, and a term refused
     alone goes to the dict DP too."""
+    for term in program.terms:
+        _same_kind(term.f, g)
     dense = tuple(t for t, (term, (work, rows))
                   in enumerate(zip(program.terms, _predicted_work(program, g)))
                   if term.shape.width <= 3 and work <= DENSE_WORK_RATIO * rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import (
     PRUNED_GUARD,
@@ -83,7 +83,7 @@ def independent_partitions(h) -> Iterator[list]:
 
 
 @lru_cache(maxsize=1024)
-def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optional[tuple]:
+def _quotient_tally(hc: CanonicalForm) -> tuple:
     """h = hc.graph's quotients, one (F, count, w) per isomorphism class F
     in order of key: count the partitions rho of V(h) into independent (of a
     ColoredGraph, monochromatic) blocks with h/rho in F, each block keeping
@@ -94,12 +94,10 @@ def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optiona
     zero.
 
     One enumeration places vertices 0..n-1 in turn, each in a block that
-    admits it or in a new one, and keeps each block's blocked vertices, the
-    blocks' adjacency rows and the weight up to date; each leaf tallies its
-    labeled quotient, the block rows followed by the block colors.  The
-    distinct labeled quotients are canonicalised once the partitions are
-    counted: past limit none is, and the tally is None, or past
-    PARTITION_BUDGET a CapacityError."""
+    admits it or in a new one, keeping block rows and weights up to date,
+    and tallies each leaf's labeled quotient (block rows, then colors).
+    Each distinct one is canonicalised after the count; past
+    PARTITION_BUDGET partitions a CapacityError is raised instead."""
     h = hc.graph
     colored = isinstance(h, ColoredGraph)
     rows = _rows(h.graph if colored else h)
@@ -107,7 +105,6 @@ def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optiona
     # a block founded by v admits no neighbour of v and no vertex of another color
     founded = [row | sum(1 << u for u in range(n) if colors[u] != colors[v])
                for v, row in enumerate(rows)]
-    bound = min(limit, PARTITION_BUDGET)
     # per block: its blocked vertices, member count, adjacency row and color
     block_of, blocked, size, adj, shade = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     labeled: dict = {}  # labeled quotient -> (partitions, weight)
@@ -115,14 +112,14 @@ def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optiona
 
     def place(v: int, used: int, weight: int) -> bool:
         # v joins each block that admits it, then a new one; False as soon
-        # as more than bound partitions are found
+        # as more than PARTITION_BUDGET partitions are found
         nonlocal found
         if v == n:
             found += 1
             key = (*adj[:used], *shade[:used])
             count, w = labeled.get(key, (0, 0))
             labeled[key] = count + 1, w + weight
-            return found <= bound
+            return found <= PARTITION_BUDGET
         near = 0  # the blocks of v's placed neighbours
         for u in _members(rows[v] & ((1 << v) - 1)):
             near |= 1 << block_of[u]
@@ -150,8 +147,6 @@ def _quotient_tally(hc: CanonicalForm, limit: int = PARTITION_BUDGET) -> Optiona
         return True
 
     if not place(0, 0, 1):
-        if limit < PARTITION_BUDGET:
-            return None
         raise CapacityError(
             f"pruned partition enumeration capped at {PARTITION_BUDGET} partitions")
     classes: dict = {}

@@ -25,7 +25,6 @@ from conftest import (
 from test_colored import PATTERNS
 from motifcount.colored import (
     FLOWER_CAP,
-    SPASM_PARTITIONS,
     _spasm_embeddings,
     build_guarded_decomposition,
     count_colored_embeddings,
@@ -34,6 +33,7 @@ from motifcount.colored import (
 )
 from motifcount.decomp import elimination_plan
 from motifcount.graphs import (
+    CapacityError,
     ColoredGraph,
     Graph,
     adjacency,
@@ -45,7 +45,7 @@ from motifcount.graphs import (
 )
 from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
-from motifcount.partitions import _quotient_tally, independent_partitions
+from motifcount.partitions import PARTITION_BUDGET, _quotient_tally, independent_partitions
 
 
 def guarded_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -58,7 +58,7 @@ def guarded_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
 
 def spasm_embeddings(h: ColoredGraph, g: ColoredGraph) -> int:
     emb = _spasm_embeddings(h, g)
-    assert emb is not None, "pattern above the partition constant"
+    assert emb is not None, "pattern refused by the spasm route"
     return emb
 
 
@@ -132,11 +132,12 @@ class TestRoutesAgree:
 
 
 class TestPartitionConstant:
-    @pytest.mark.parametrize("m", range(3, 9))
+    @pytest.mark.parametrize("m", range(3, 11))
     def test_stars_below_the_constant(self, m):
         # K1,m on G(40, 0.5) with three centres of colour 0: below the
         # attachment threshold the guarded DP places every leaf as a guard
-        # (m = 5 took minutes); the spasm route has m terms
+        # (m = 5 took minutes); the spasm route has m terms, and its tally
+        # stays within PARTITION_BUDGET up to Bell(10) partitions
         rng = random.Random(1)
         g = random_graph(rng, 40)
         colors = [0] * 3 + [1] * 37
@@ -145,26 +146,30 @@ class TestPartitionConstant:
         want = sum(math.perm(sum(colors[y] == 1 for y in adj[x]), m)
                    for x in range(40) if colors[x] == 0)
         h = colored_star(m)
-        assert len(_quotient_tally(canonical_form(h), SPASM_PARTITIONS)) == m
+        assert len(_quotient_tally(canonical_form(h))) == m
         assert count_colored_embeddings(h, ColoredGraph(g, colors)) == want > 0
 
     def test_large_stars_take_the_guarded_dp(self):
-        # K1,19 has Bell(19) partitions of its leaves, counted only up to the
-        # constant; K1,20 has more vertices than PRUNED_GUARD
-        assert _quotient_tally(canonical_form(colored_star(19)), SPASM_PARTITIONS) is None
+        # K1,11 and K1,19 have Bell(11) and Bell(19) partitions of their
+        # leaves, counted only up to the budget; K1,20 has more vertices
+        # than PRUNED_GUARD
+        with pytest.raises(CapacityError, match=f"capped at {PARTITION_BUDGET} partitions"):
+            _quotient_tally(canonical_form(colored_star(19)))
         g = random_colored(random.Random(5), 10, 2)
-        for m in (19, 20):
+        for m in (11, 19, 20):
             assert _spasm_embeddings(colored_star(m), g) is None
 
     def test_bell_eight_is_under_the_constant(self):
-        # the constant admits K1,8, whose leaves have Bell(8) partitions
+        # the budget admits K1,8 and K1,10, whose leaves have Bell(8) and
+        # Bell(10) partitions, but not K1,11 (Bell(11) = 678,570)
         h = colored_star(8)
         assert sum(1 for _ in independent_partitions(h)) == 4140
-        assert 4140 <= SPASM_PARTITIONS
+        tally = _quotient_tally(canonical_form(colored_star(10)))
+        assert sum(count for _, count, _ in tally) == 115975 <= PARTITION_BUDGET < 678570
 
     def test_flower_cap_pattern_exits_1(self):
-        # 2 * FLOWER_CAP vertices of one colour, matched: past the partition
-        # constant and past PRUNED_GUARD, so the guarded DP refuses it
+        # 2 * FLOWER_CAP vertices of one colour, matched: past PRUNED_GUARD,
+        # so the guarded DP takes it, and refuses it
         pattern = encode_graph6(matching(FLOWER_CAP))
         proc = run_isolated(CLI_MAIN, "colored-count", "--kind", "emb", "--pattern", pattern,
                             "--host", "Bw")
@@ -173,6 +178,58 @@ class TestPartitionConstant:
             f"error: class 0 still carries a {FLOWER_CAP}-flower; "
             "pattern is outside the tractable regime\n"
         )
+
+
+def with_lone(h: ColoredGraph, colours) -> ColoredGraph:
+    """h beside one isolated vertex of each given colour, numbered after
+    h's vertices."""
+    return ColoredGraph(Graph(h.n + len(colours), h.graph.edges), h.colors + tuple(colours))
+
+
+class TestLoneVertices:
+    # Emb(H) = Emb(H') prod_c perm(n_c - h'_c, m_c), H' the pattern less
+    # its m_c isolated vertices of each colour c
+
+    @pytest.mark.parametrize("m", range(6, 10))
+    def test_an_edge_beside_lone_vertices(self, m):
+        # one colour on a 2-colour G(40, 0.5): the edge's embeddings inside
+        # colour 0, times the ways to place m more vertices there
+        rng = random.Random(3)
+        g = random_colored(rng, 40, 2)
+        n0 = g.colors.count(0)
+        inside = sum(g.colors[u] == g.colors[v] == 0 for u, v in g.graph.edges)
+        h = with_lone(ColoredGraph(Graph(2, [(0, 1)]), (0, 0)), [0] * m)
+        assert count_colored_embeddings(h, g) == 2 * inside * math.perm(n0 - 2, m) > 0
+        assert count_colored_sub(h, g) == inside * math.comb(n0 - 2, m)
+
+    def test_lone_vertices_of_two_colours(self):
+        rng = random.Random(5)
+        g = random_colored(rng, 30, 3, 0.3)
+        edge = ColoredGraph(Graph(2, [(0, 1)]), (0, 1))
+        h = with_lone(edge, [0, 1, 1, 2, 0, 1])
+        n = [g.colors.count(c) for c in range(3)]
+        want = (count_colored_embeddings(edge, g)
+                * math.perm(n[0] - 1, 2) * math.perm(n[1] - 1, 3) * math.perm(n[2], 1))
+        assert count_colored_embeddings(h, g) == want > 0
+        # too few hosts of colour 2 for three lone vertices
+        assert count_colored_embeddings(with_lone(edge, [2] * (n[2] + 1)), g) == 0
+
+    def test_matches_brute_on_small_hosts(self):
+        rng = random.Random(239)
+        nonzero = 0
+        for _ in range(40):
+            core = random_colored(rng, rng.randint(0, 4), rng.randint(1, 2), 0.6)
+            h = with_lone(core, [rng.randrange(2) for _ in range(rng.randint(1, 3))])
+            order = list(range(h.n))
+            rng.shuffle(order)  # lone vertices anywhere, not only last
+            h = ColoredGraph(Graph(h.n, [(order[u], order[v]) for u, v in h.graph.edges]),
+                             [h.colors[order.index(v)] for v in range(h.n)])
+            g = random_colored(rng, rng.randint(4, 8), 2, 0.6)
+            want = brute_count("colored-emb", h, g)
+            nonzero += want > 0
+            assert count_colored_embeddings(h, g) == want
+            assert count_colored_sub(h, g) == want // automorphism_count(h)
+        assert nonzero >= 20
 
 
 def colored_pattern(h: Graph, rng: random.Random, ncolors: int) -> ColoredGraph:

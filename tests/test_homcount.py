@@ -10,7 +10,8 @@ from conftest import (clique, cycle, matching, path, random_colored, random_grap
 from motifcount import homcount
 from motifcount.decomp import DecompositionError, elimination_plan
 from motifcount.graphs import ColoredGraph, Graph, adjacency, tensor_product
-from motifcount.motif import MotifParameter, build_tree_count_parameter, change_basis, evaluate
+from motifcount.motif import (MotifParameter, build_tree_count_parameter, change_basis,
+                              count_pattern, evaluate)
 from motifcount.homcount import count_hom_dp, count_hom_mm
 from motifcount.oracle import brute_count
 from motifcount.partitions import CapacityError
@@ -337,3 +338,21 @@ class TestColoredHom:
         h = ColoredGraph(clique(2), (0, 1))
         g = ColoredGraph(clique(2), (0, 0))
         assert count_hom_dp(h, g) == 0
+
+    @pytest.mark.parametrize("direction", ["plain pattern", "colored pattern"])
+    def test_mixed_pairs_are_refused(self, direction):
+        # a Graph pattern with a ColoredGraph host, or the reverse, raises
+        # at every entry point instead of counting 0 or failing inside
+        k4 = clique(4)
+        cg = ColoredGraph(k4, [0, 0, 1, 1])
+        h, g = (path(2), cg) if direction == "plain pattern" else (
+            ColoredGraph(path(2), [0, 0, 0]), k4)
+        calls = [lambda: count_pattern("hom", h, g), lambda: count_hom_dp(h, g),
+                 lambda: count_hom_mm(h, g),
+                 lambda: homcount._hom_sum(homcount._program(((h, 1),)), g)]
+        if direction == "plain pattern":
+            calls.append(lambda: evaluate(MotifParameter("sub", {h: 1}), g))
+        for call in calls:
+            with pytest.raises(ValueError, match="both be Graphs or both ColoredGraphs"):
+                call()
+        assert count_pattern("hom", path(2), k4) == 36

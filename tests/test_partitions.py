@@ -89,7 +89,7 @@ class TestEnumeration:
 
     def test_one_pass_counts_before_canonicalising(self, monkeypatch):
         # the tally enumerates the partitions once, counting them as it
-        # goes: within limit it canonicalises each distinct labeled
+        # goes: within the budget it canonicalises each distinct labeled
         # quotient once, past it none (P5 has 15 independent partitions,
         # as the edgeless graph on 4 vertices has Bell(4))
         cases = []
@@ -104,14 +104,16 @@ class TestEnumeration:
         monkeypatch.setattr(partitions, "_rows_form",
                             lambda *a: built.append(a) or rows_form(*a))
         for h, limit, forms in cases:
+            monkeypatch.setattr(partitions, "PARTITION_BUDGET", limit)
             partitions._quotient_tally.cache_clear()
             built.clear()
-            tally = partitions._quotient_tally(canonical_form(h), limit)
-            assert len(built) == len(set(built)) == forms, (h, limit)
             if forms:
+                tally = partitions._quotient_tally(canonical_form(h))
                 assert sum(count for _, count, _ in tally) == 15
             else:
-                assert tally is None
+                with pytest.raises(CapacityError, match="capped at 14 partitions"):
+                    partitions._quotient_tally(canonical_form(h))
+            assert len(built) == len(set(built)) == forms, (h, limit)
 
     def test_independent_partitions_of_a_clique(self):
         # only the discrete partition has all blocks independent

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import cycle, path, random_colored, random_graph, star, twin_rich
 from motifcount import partitions
-from motifcount.graphs import ColoredGraph, Graph, canonical_form, quotient
+from motifcount.graphs import CapacityError, ColoredGraph, Graph, canonical_form, quotient
 from motifcount.partitions import independent_partitions
 
 
@@ -62,16 +62,21 @@ def patterns(seed: int) -> list:
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_quotient_tally_matches_the_partitions(seed):
+def test_quotient_tally_matches_the_partitions(seed, monkeypatch):
+    budget = partitions.PARTITION_BUDGET
     for h in patterns(200 + seed):
         hc = canonical_form(h)
         want = reference_quotient_tally(hc.graph)
         total = sum(count for _, count, _ in want)
-        for limit in (total, total + 1, partitions.PARTITION_BUDGET):
-            partitions._quotient_tally.cache_clear()
-            assert partitions._quotient_tally(hc, limit) == want, (h, limit)
+        monkeypatch.setattr(partitions, "PARTITION_BUDGET", total - 1)
         partitions._quotient_tally.cache_clear()
-        assert partitions._quotient_tally(hc, total - 1) is None, h
+        with pytest.raises(CapacityError):
+            partitions._quotient_tally(hc)
+        # the budget last, so that the next reference enumerates unhindered
+        for limit in (total, total + 1, budget):
+            monkeypatch.setattr(partitions, "PARTITION_BUDGET", limit)
+            partitions._quotient_tally.cache_clear()
+            assert partitions._quotient_tally(hc) == want, (h, limit)
 
 
 def test_named_quotient_tallies():
