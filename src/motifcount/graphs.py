@@ -10,7 +10,9 @@ most relabelings of one graph share, and the search runs once per miss of a
 cache keyed by that relabeling.  Refinement, search and cache work on
 adjacency rows (bit u of row v set for the edge uv) and colors, so the
 tallies of partitions canonicalise their labeled quotients and supergraphs
-as rows (_rows_form), building no Graph for them.  The CanonicalForm, built
+as rows (_rows_form), building no Graph for them; a cache keyed by the
+labeled rows and colors refines each labeled graph once, however many
+tallies meet it.  The CanonicalForm, built
 straight from the search's least key, keeps the automorphism count.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
@@ -337,10 +339,12 @@ def _searched_form(rows: tuple, colors) -> CanonicalForm:
     return _form(*_canonical_search(rows, colors or (0,) * len(rows)), colors is not None)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _rows_form(rows: tuple, colors) -> CanonicalForm:
     """The canonical form of the graph with these adjacency rows (and
-    colors, None for a plain graph), searched once per miss of the cache
-    keyed by its refined relabeling."""
+    colors, None for a plain graph).  Cached by the labeled rows, so a
+    labeled graph met again is not refined again; refined, it is searched
+    once per miss of the cache keyed by its refined relabeling."""
     return _searched_form(*_refined(rows, colors))
 
 

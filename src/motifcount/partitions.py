@@ -9,16 +9,25 @@ monochromatic independent blocks: colored_spasm reads its classes, and the
 colored counts its weights (colored embeddings as colored hom counts).  A
 plain pattern is the one-color case, and the plain entry points refuse a
 ColoredGraph.
+
+The quotient tally enumerates the partitions into independent blocks once
+and canonicalises each distinct labeled quotient; a pattern past
+PARTITION_BUDGET partitions is refused, and the refusal is cached like a
+tally.  The supergraph tally never lists the 2^m labeled supergraphs of a
+pattern with m non-edges: it walks their isomorphism classes one added
+edge per level, from one canonical copy per class, and each class's
+one-edge additions are cached, so patterns that share supergraph classes
+(C5's are all P5's) share that work.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator
 
 from .graphs import (
+    CACHE_SIZE,
     PRUNED_GUARD,
     CanonicalForm,
     CapacityError,
@@ -40,10 +49,16 @@ from .graphs import (
 # the budget's partitions, before any canonical form: P12 and the edgeless
 # 13-vertex graph in 0.2-0.5 s.
 PARTITION_BUDGET = 2**17
-# Ext rows canonicalise all 2^m supergraphs of a pattern with m non-edges,
-# at ~25-30 us each, with the canonical-form caches bounded: ~0.9 s at
-# m = 15 (P7), ~1.8 s at 16, 3.0-3.3 s at 17, 31-33 MiB peak RSS; sampled,
-# ~3-4 min at 21 (P8).  The value is kept, not re-derived.
+# Ext rows walk the supergraph classes of a pattern, so their cost follows
+# the classes visited, at most the classes of n-vertex graphs: every
+# pattern on SUPERGRAPH_ORDER vertices is admitted, the worst being the
+# edgeless one, whose walk visits all 12,346 classes in 8-9 s (64 MiB peak
+# RSS), and P8 (21 non-edges, 10,030 classes) takes 6 s.  Past 8 vertices
+# the walk is bounded by the non-edges instead: seeded patterns on 9-12
+# vertices took 0.9-6.7 s at 14-16 non-edges and 2.9-12.6 s (65-126 MiB)
+# at 17 (one process each, 2-vCPU VM).  A pattern past both is refused
+# before any canonical form.
+SUPERGRAPH_ORDER = 8
 SUPERGRAPH_GUARD = 16
 
 COEFFICIENT_KINDS = ("Surj", "SurjInv", "Ext", "ExtInv", "Iso", "IsoInv")
@@ -82,7 +97,6 @@ def independent_partitions(h) -> Iterator[list]:
         yield rho
 
 
-@lru_cache(maxsize=1024)
 def _quotient_tally(hc: CanonicalForm) -> tuple:
     """h = hc.graph's quotients, one (F, count, w) per isomorphism class F
     in order of key: count the partitions rho of V(h) into independent (of a
@@ -91,13 +105,26 @@ def _quotient_tally(hc: CanonicalForm) -> tuple:
     Surj(h, F) = Aut(F) count, SurjInv(h, F) = w / Aut(h), and
     Emb(h, G) = sum w Hom(F, G).  A class's quotients have one vertex
     count, so its weights share the sign (-1)^(|V(h)|-|V(F)|) and no w is
-    zero.
+    zero.  Past PARTITION_BUDGET partitions a CapacityError is raised
+    instead; the refusal is cached with the tallies, so a later call
+    raises again without enumerating."""
+    tally = _tally_or_refusal(hc, PARTITION_BUDGET)
+    if isinstance(tally, str):
+        raise CapacityError(tally)
+    return tally
+
+
+@lru_cache(maxsize=1024)
+def _tally_or_refusal(hc: CanonicalForm, budget: int):
+    """_quotient_tally's tuple, or past budget partitions the refusal's
+    message, cached per budget: a pattern refused under one budget is
+    tallied afresh under a larger one.
 
     One enumeration places vertices 0..n-1 in turn, each in a block that
     admits it or in a new one, keeping block rows and weights up to date,
     and tallies each leaf's labeled quotient (block rows, then colors).
-    Each distinct one is canonicalised after the count; past
-    PARTITION_BUDGET partitions a CapacityError is raised instead."""
+    Each distinct one is canonicalised after the count, and none once the
+    count passes the budget."""
     h = hc.graph
     colored = isinstance(h, ColoredGraph)
     rows = _rows(h.graph if colored else h)
@@ -112,14 +139,14 @@ def _quotient_tally(hc: CanonicalForm) -> tuple:
 
     def place(v: int, used: int, weight: int) -> bool:
         # v joins each block that admits it, then a new one; False as soon
-        # as more than PARTITION_BUDGET partitions are found
+        # as more than budget partitions are found
         nonlocal found
         if v == n:
             found += 1
             key = (*adj[:used], *shade[:used])
             count, w = labeled.get(key, (0, 0))
             labeled[key] = count + 1, w + weight
-            return found <= PARTITION_BUDGET
+            return found <= budget
         near = 0  # the blocks of v's placed neighbours
         for u in _members(rows[v] & ((1 << v) - 1)):
             near |= 1 << block_of[u]
@@ -147,8 +174,7 @@ def _quotient_tally(hc: CanonicalForm) -> tuple:
         return True
 
     if not place(0, 0, 1):
-        raise CapacityError(
-            f"pruned partition enumeration capped at {PARTITION_BUDGET} partitions")
+        return f"pruned partition enumeration capped at {budget} partitions"
     classes: dict = {}
     for key, (count, w) in labeled.items():
         k = len(key) // 2
@@ -157,6 +183,9 @@ def _quotient_tally(hc: CanonicalForm) -> tuple:
         classes[fc] = total + count, weight + w
     return tuple(sorted(((fc, count, w) for fc, (count, w) in classes.items()),
                         key=lambda t: t[0].key))
+
+
+_quotient_tally.cache_clear = _tally_or_refusal.cache_clear
 
 
 def spasm(h: Graph) -> list:
@@ -184,26 +213,49 @@ def _canon(x) -> CanonicalForm:
     return canonical_form(x) if g is x else x
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _augmentations(fc: CanonicalForm) -> tuple:
+    """(F, N) per class F of the graphs made by adding one non-edge of
+    fc.graph: N counts the non-edges of fc.graph whose addition gives F.
+    N is an isomorphism invariant of fc, so one copy per class serves."""
+    rows = _rows(fc.graph)
+    reached: dict = {}
+    for v, row in enumerate(rows):
+        for u in _members(~row & ((1 << v) - 1)):
+            rs = list(rows)
+            rs[u] |= 1 << v
+            rs[v] |= 1 << u
+            f = _rows_form(tuple(rs), None)
+            reached[f] = reached.get(f, 0) + 1
+    return tuple(reached.items())
+
+
 @lru_cache(maxsize=1024)
 def _supergraph_tallies(hc: CanonicalForm) -> dict:
     """Per class F of supergraphs of h on V(h): T(F), the number of edge
-    supersets of E(h) on V(h) that are isomorphic to F."""
+    supersets of E(h) on V(h) that are isomorphic to F.
+
+    The classes are walked level by level, one added edge per level.  Each
+    labeled supergraph with j added edges arises from j with j - 1, one per
+    added edge it drops, so j T(F) = sum_F' T(F') N(F' -> F) over the
+    classes F' of the level below, N(F' -> F) read off _augmentations(F').
+    Every non-edge of a supergraph is a non-edge of h, so the walk stays
+    among h's supergraphs."""
     h = hc.graph
-    missing = [e for e in itertools.combinations(range(h.n), 2) if e not in h.edges]
-    if len(missing) > SUPERGRAPH_GUARD:
+    missing = h.n * (h.n - 1) // 2 - len(h.edges)
+    if h.n > SUPERGRAPH_ORDER and missing > SUPERGRAPH_GUARD:
         raise CapacityError(
-            f"supergraph enumeration capped at {SUPERGRAPH_GUARD} non-edges, "
-            f"pattern has {len(missing)}"
+            f"supergraph enumeration capped at {SUPERGRAPH_ORDER} vertices or "
+            f"{SUPERGRAPH_GUARD} non-edges, pattern has {h.n} and {missing}"
         )
-    rows, tallies = _rows(h), {}
-    for r in range(len(missing) + 1):
-        for extra in itertools.combinations(missing, r):
-            rs = list(rows)
-            for u, v in extra:
-                rs[u] |= 1 << v
-                rs[v] |= 1 << u
-            f = _rows_form(tuple(rs), None)
-            tallies[f] = tallies.get(f, 0) + 1
+    level = tallies = {hc: 1}
+    for j in range(1, missing + 1):
+        reached: dict = {}
+        for fc, t in level.items():
+            for f, count in _augmentations(fc):
+                reached[f] = reached.get(f, 0) + t * count
+        level = {f: s // j for f, s in reached.items()}
+        tallies.update(level)
     return tallies
 
 

@@ -349,10 +349,10 @@ class TestErrors:
         assert err.strip().count("\n") == 0  # single-line diagnostic
 
     def test_supergraph_guard_exit_1(self, tmp_path, capsys):
-        # IndSub of the 8-vertex path: 21 non-edges, 2^21 supergraphs
-        p8 = encode_graph6(Graph(8, [(i, i + 1) for i in range(7)]))
+        # IndSub of the 9-vertex path: 9 vertices and 28 non-edges
+        p9 = encode_graph6(Graph(9, [(i, i + 1) for i in range(8)]))
         f = tmp_path / "p.motif"
-        f.write_text(f"basis indsub\n1 {p8}\n")
+        f.write_text(f"basis indsub\n1 {p9}\n")
         code, _, err = run(["basis", "--to", "hom", "--input", str(f)], capsys)
         assert code == 1
         assert "supergraph enumeration capped" in err

@@ -99,8 +99,8 @@ class TestEvaluationState:
         assert change_basis(MotifParameter("sub", p.terms), "hom") is hom
 
     def test_guards_raise_on_every_call(self):
-        # IndSub(P8) has 21 non-edges, past SUPERGRAPH_GUARD
-        p = MotifParameter("indsub", {path(7): 1})
+        # IndSub(P9): 9 vertices and 28 non-edges, past the supergraph guard
+        p = MotifParameter("indsub", {path(8): 1})
         for _ in range(2):
             with pytest.raises(CapacityError):
                 change_basis(p, "hom")

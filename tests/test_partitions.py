@@ -18,6 +18,7 @@ from motifcount.oracle import brute_count
 from motifcount.partitions import (
     PARTITION_BUDGET,
     SUPERGRAPH_GUARD,
+    SUPERGRAPH_ORDER,
     CapacityError,
     coefficient_row,
     colored_spasm,
@@ -86,6 +87,26 @@ class TestEnumeration:
         partitions._quotient_tally.cache_clear()
         assert len(spasm(path(4))) == 8
         assert built
+
+    def test_a_refusal_is_remembered(self, monkeypatch):
+        # a second call past the budget raises without enumerating again;
+        # the refusal is kept for the budget it was met under
+        placed = []
+        members = partitions._members
+        monkeypatch.setattr(partitions, "_members",
+                            lambda row: placed.append(row) or members(row))
+        monkeypatch.setattr(partitions, "PARTITION_BUDGET", 14)
+        p5 = canonical_form(path(4))  # 15 independent partitions
+        partitions._quotient_tally.cache_clear()
+        with pytest.raises(CapacityError, match="capped at 14 partitions"):
+            partitions._quotient_tally(p5)
+        assert placed
+        placed.clear()
+        with pytest.raises(CapacityError, match="capped at 14 partitions"):
+            partitions._quotient_tally(p5)
+        assert placed == []
+        monkeypatch.setattr(partitions, "PARTITION_BUDGET", 15)
+        assert sum(count for _, count, _ in partitions._quotient_tally(p5)) == 15
 
     def test_one_pass_counts_before_canonicalising(self, monkeypatch):
         # the tally enumerates the partitions once, counting them as it
@@ -239,17 +260,29 @@ class TestCoefficients:
             assert ext_row == expected
         assert pairs == 1299
 
-    def test_supergraph_guard_fails_fast(self):
-        p8 = path(7)  # 21 non-edges
+    def test_supergraph_guard_fails_fast(self, monkeypatch):
+        # past SUPERGRAPH_ORDER vertices and SUPERGRAPH_GUARD non-edges the
+        # walk is refused before any supergraph is canonicalised
+        built = []
+        rows_form = partitions._rows_form
+        monkeypatch.setattr(partitions, "_rows_form",
+                            lambda *a: built.append(a) or rows_form(*a))
+        p9 = canonical_form(path(8))  # 28 non-edges
+        with pytest.raises(CapacityError, match="capped at 8 vertices or 16 non-edges"):
+            coefficient_row("Ext", p9)
         with pytest.raises(CapacityError):
-            coefficient_row("Ext", p8)
-        with pytest.raises(CapacityError):
-            change_basis(MotifParameter("indsub", {p8: 1}), "hom")
-        # a 4-edge path plus two isolated vertices: one non-edge too many
-        just_above = Graph(7, path(4).edges)
-        assert 21 - 4 == SUPERGRAPH_GUARD + 1
+            change_basis(MotifParameter("indsub", {p9: 1}), "hom")
+        # K6 and a 4-edge path through three more vertices: one non-edge too many
+        just_above = canonical_form(
+            Graph(9, list(clique(6).edges) + [(5, 6), (6, 7), (7, 8), (0, 8)]))
+        assert (just_above.graph.n, 36 - 19) == (SUPERGRAPH_ORDER + 1, SUPERGRAPH_GUARD + 1)
         with pytest.raises(CapacityError):
             coefficient_row("ExtInv", just_above)
+        assert built == []
+        # at most SUPERGRAPH_ORDER vertices, any number of non-edges: a 4-edge
+        # path plus two isolated vertices has 17
+        tally = partitions._supergraph_tallies(canonical_form(Graph(7, path(4).edges)))
+        assert sum(tally.values()) == 2**17
 
     def test_iso_diagonal(self):
         k3 = canonical_form(clique(3))
@@ -258,10 +291,11 @@ class TestCoefficients:
 
     def test_each_class_graph_is_searched_once(self, monkeypatch):
         # the automorphism counts come with the canonical forms: from cold
-        # caches, a row refines each labeled graph it meets (the pattern,
-        # and one per distinct quotient or supergraph) and runs the symmetry
-        # search once per miss of the cache keyed by refined relabelings,
-        # which those graphs mostly share
+        # caches, a row refines each distinct labeled graph it meets (the
+        # pattern, and its labeled quotients, or the canonical graph of each
+        # supergraph class below the complete one with one non-edge added)
+        # and runs the symmetry search once per miss of the cache keyed by
+        # refined relabelings, which those graphs mostly share
         search = inspect.unwrap(graphs._canonical_search)
         refined = graphs._refined
         runs = labeled = 0
@@ -279,12 +313,13 @@ class TestCoefficients:
         monkeypatch.setattr(graphs, "_canonical_search", counted_search)
         monkeypatch.setattr(graphs, "_refined", counted_refined)
         for kind, h, searches, relabelings in (
-            ("Ext", path(4), 23, 65),  # P5's 18 supergraph classes
-            ("Ext", cycle(5), 10, 33),  # C5's 8
+            ("Ext", path(4), 21, 55),  # P5's 18 supergraph classes
+            ("Ext", cycle(5), 9, 19),  # C5's 8
             ("SurjInv", path(6), 36, 100),  # P7's 30 quotient classes
         ):
-            for cache in (canonical_form, graphs._searched_form, partitions._quotient_tally,
-                          partitions._supergraph_tallies):
+            for cache in (canonical_form, graphs._rows_form, graphs._searched_form,
+                          partitions._quotient_tally, partitions._supergraph_tallies,
+                          partitions._augmentations):
                 cache.cache_clear()
             runs = labeled = 0
             coefficient_row(kind, h)

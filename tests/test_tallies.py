@@ -3,11 +3,12 @@ definitions.
 
 partitions._quotient_tally and partitions._supergraph_tallies work on
 adjacency rows: one enumeration of the blocks tallies the labeled quotients,
-and supergraphs are rows with the missing edges set.  The references here
-take the long way, through Graph objects: every independent partition's
-quotient (graphs.quotient) and every edge superset, each canonicalised on
-its own.  The cases are seeded patterns on up to 8 vertices, plain and
-colored, twin-rich ones among them.
+and the supergraph classes are walked one added edge at a time, from one
+canonical copy per class.  The references here take the long way, through
+Graph objects: every independent partition's quotient (graphs.quotient) and
+every edge superset, each canonicalised on its own.  The cases are seeded
+patterns on up to 8 vertices, plain and colored, twin-rich ones among them,
+and every graph on up to 6 vertices.
 """
 
 import itertools
@@ -16,7 +17,8 @@ import random
 
 import pytest
 
-from conftest import cycle, path, random_colored, random_graph, star, twin_rich
+from conftest import (all_graphs_up_to, cycle, path, random_colored, random_graph, star,
+                      twin_rich)
 from motifcount import partitions
 from motifcount.graphs import CapacityError, ColoredGraph, Graph, canonical_form, quotient
 from motifcount.partitions import independent_partitions
@@ -102,3 +104,19 @@ def test_supergraph_tally_matches_the_supersets(seed):
         assert partitions._supergraph_tallies(hc) == reference_supergraph_tally(hc.graph), h
         checked += 1
     assert checked >= 10
+
+
+def test_supergraph_walk_on_every_small_graph():
+    # every class on up to 6 vertices, then seeded 7-vertex ones; the
+    # per-class steps of the walk stay cached from one pattern to the next,
+    # across vertex counts
+    rng = random.Random(310)
+    sevens = [g for g in (random_graph(rng, 7, 0.7) for _ in range(40))
+              if 21 - len(g.edges) <= 10][:8]
+    assert len(sevens) == 8
+    for h in [Graph(0)] + all_graphs_up_to(6) + sevens:
+        hc = canonical_form(h)
+        partitions._supergraph_tallies.cache_clear()
+        tally = partitions._supergraph_tallies(hc)
+        assert sum(tally.values()) == 2 ** (h.n * (h.n - 1) // 2 - len(h.edges)), h
+        assert tally == reference_supergraph_tally(hc.graph), h
