@@ -21,9 +21,9 @@ A-paths that are induced paths (no internal vertex in A, no chord):
 packings are disjoint families of them, and a cover is a least vertex set
 meeting all of them.
 
-The outer layer grows each node's guard assignments with the dict DP's row
-builder (homcount._RowBuilder), built on the coloured pattern and host so
-that every image keeps its colour, joining the plain children's tables as
+The outer layer grows each node's guard assignments as dict rows
+(homcount._RowBuilder), built on the coloured pattern and host so that
+every image keeps its colour, joining the plain children's tables as
 factors and keeping images distinct.  The inner layer places the free bag
 vertices of each surviving row from the same host tables: its state holds
 one count per similarity class, the number of the class's members placed

@@ -4,12 +4,23 @@ Both engines eliminate the pattern's vertices along the cached optimal
 order of decomp.elimination_plan, which also fixes each message's scope and
 the bucket it goes to: eliminating v multiplies the factors that mention v
 and sums v out, so a pattern of treewidth k costs n^(k+1).
-count_hom_dp keeps factors as dicts keyed by host-vertex tuples, built by
-_RowBuilder: rows of host images grown one pattern vertex at a time
-through neighbourhoods, restricted to the right colour when the graphs
-are ColoredGraphs, each message joined once its scope is placed (the
-colored ordered-embedding DP grows its guard rows with the same builder,
-and runs _eliminate over its guarded decomposition).
+count_hom_dp keeps factors as row tables: an R x s integer array of host
+images (the keys) and R counts.  A step seeds its rows from its largest
+message and grows them one pattern vertex at a time, each by one gather
+from the CSR neighbour list of a placed neighbour's image, kept where
+adjacent to the other placed neighbours' images (an n x n boolean matrix
+up to _MATRIX_ORDER host vertices, a search of the sorted edge codes
+above) and, for ColoredGraphs, of the vertex's colour.  Each other
+message joins once its scope is placed, by a search of its sorted key
+codes, and the rows are summed over the step's scope by sorting their
+codes (np.add.reduceat).  Counts are int64 while n D^(k-1) < 2^63, by
+the certificate below, and Python ints in object arrays past it.  Growth
+runs in chunks of _CHUNK_BYTES of rows, and a step whose table would
+pass a quarter of _ROW_BYTES_GUARD is refused.  Per host (_host_rows) it
+keeps the CSR arrays and the adjacency test, built from _host_facts' edge
+arrays, and never the frozenset adjacency of graphs.  The colored
+ordered-embedding DP grows its guard rows as dict rows (_RowBuilder) and
+runs _eliminate over its guarded decomposition.
 count_hom_mm keeps dense float64 arrays for treewidth <= 3: n x n
 matrices with one BLAS product per vertex while scopes hold at most two
 vertices, and n x n x n arrays for a three-vertex scope, each sum over x_v
@@ -42,7 +53,7 @@ DENSE_BYTES_GUARD before it builds the n x n adjacency matrix, and runs
 each node once over one value table, freeing each table after its last
 reader; no cache keeps any of them.
 _hom_sum is the one kernel route: it prices each term on the host and
-runs the cheap dense ones in the program, the rest on the dict DP.
+runs the cheap dense ones in the program, the rest on count_hom_dp.
 """
 
 from __future__ import annotations
@@ -62,17 +73,38 @@ from .graphs import CapacityError, ColoredGraph, Graph, adjacency, connected_com
 
 # the dense kernel refuses hosts whose tables it estimates above this (_run);
 # _hom_sum then runs the program's dense terms one at a time, and a term
-# refused alone on the dict DP
+# refused alone on count_hom_dp
 DENSE_BYTES_GUARD = 1 << 30
-# hosts whose edge arrays and degree count_hom_mm keeps between calls
+# count_hom_dp refuses a step whose table would pass a quarter of this
+# (_Table): the same 1 GiB, kept apart so that a lower dense guard still
+# leaves the terms it refuses to the row tables
+_ROW_BYTES_GUARD = 1 << 30
+# hosts whose edge arrays and degree count_hom_mm keeps between calls, and
+# (in a cache of its own) whose CSR arrays and adjacency test count_hom_dp
+# keeps
 HOST_CACHE_SIZE = 32
 # float64 holds every integer below this exactly
 _EXACT = 2**53
+# int64 holds every non-negative integer below this
+_INT64 = 2**63
+# the images of a pattern colour that no host vertex has
+_NO_HOSTS = np.empty(0, np.intp)
+_NO_HOSTS.flags.writeable = False
+# count_hom_dp tests adjacency on an n x n boolean matrix up to this host
+# order: one indexed read per test, for at most n^2 = 1 MiB per host, so
+# 32 MiB across HOST_CACHE_SIZE hosts.  Every bench host (at most 120
+# vertices) is below it.  Above it a test searches the 2m sorted edge
+# codes, O(log m) per test and no O(n^2) memory.
+_MATRIX_ORDER = 1024
+# bytes of rows that one chunk of count_hom_dp's growth makes, at 8 bytes
+# per key entry, count and index array: a chunk is the unit whose
+# temporaries are live at once, far below _ROW_BYTES_GUARD
+_CHUNK_BYTES = 1 << 25
 # rows per slice in a rank-3 step that multiplies three arrays
 _SLICE = 8
 # The kernel route (_hom_sum): a hom term of treewidth <= 3 runs dense when
-# _predicted_work puts the dense kernel's work within DENSE_WORK_RATIO of the
-# dict DP's rows.  _RANK3_WORK weighs the n^4 of a step over three later
+# _predicted_work puts the dense kernel's work within DENSE_WORK_RATIO of
+# count_hom_dp's rows.  _RANK3_WORK weighs the n^4 of a step over three later
 # vertices, which runs as slices of batched products and elementwise passes,
 # slower per n^4 than one BLAS product per n^3.  Both were set from timings
 # of both kernels on 107 (term, host) pairs, 50 of them of treewidth 3: K4,
@@ -83,7 +115,11 @@ _SLICE = 8
 # on the dict DP at 124,000 (C4 on G(4500, 13500)); treewidth-3 terms ran
 # faster dense up to 7,200 (1.02-104x) and faster on the dict DP from 2,000
 # (1.0-234x).  At 8,000, 7 of the 107 took the slower kernel, by at most
-# 1.48x (K4 on G(40, 117)).
+# 1.48x (K4 on G(40, 117)).  Those timings were of the dict DP's per-tuple
+# rows; count_hom_dp's row tables run the same rows 2.5-7.5x faster (C4 on
+# G(2000, 8000) and G(4500, 13500), C5 on G(500, 3000), K4 on G(40, 117)),
+# so the ratio now sends more terms dense than measured speed would.  It
+# is not re-fitted.
 DENSE_WORK_RATIO = 8000
 _RANK3_WORK = 3
 
@@ -120,39 +156,39 @@ def _projection(positions: list):
     return lambda key: ()
 
 
+def _growth_order(adj, rest, placed=()) -> list:
+    """`placed`, then `rest` with the vertex of most placed neighbours next
+    (ties: most neighbours still in rest, then first in rest), adj the
+    pattern's neighbour sets."""
+    order, rest = list(placed), list(rest)
+    while rest:
+        u = max(rest, key=lambda u: (len(adj[u].intersection(order)),
+                                     len(adj[u].intersection(rest))))
+        rest.remove(u)
+        order.append(u)
+    return order
+
+
 class _RowBuilder:
-    """Rows of host images, grown one pattern vertex at a time.
+    """Rows of host images for a ColoredGraph pattern and host, grown one
+    pattern vertex at a time, each image keeping its vertex's colour.
 
     A row is (key, count): key holds the images of a prefix of a placement
-    order.  A vertex's images are its candidate hosts (`hosts`) or, once
-    some pattern neighbour is placed, the common neighbours of their images
-    (`neighbours`).  Pattern and host are both Graphs, or both ColoredGraphs,
-    and then a vertex's images keep its colour."""
+    order.  A vertex's images are its colour class (`hosts`) or, once some
+    pattern neighbour is placed, the common neighbours of their images in
+    that class (`neighbours`)."""
 
-    def __init__(self, h, g):
-        if isinstance(h, ColoredGraph):
-            adj_g = adjacency(g.graph)
-            classes = {c: frozenset(x for x, cx in enumerate(g.colors) if cx == c)
-                       for c in set(h.colors)}
-            restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
-            self.hosts = [classes[c] for c in h.colors]
-            self.neighbours = [restricted[c] for c in h.colors]
-            h = h.graph
-        else:
-            self.hosts = [range(g.n)] * h.n
-            self.neighbours = [adjacency(g)] * h.n
-        self.adj = adjacency(h)
+    def __init__(self, h: ColoredGraph, g: ColoredGraph):
+        adj_g = adjacency(g.graph)
+        classes = {c: frozenset(x for x, cx in enumerate(g.colors) if cx == c)
+                   for c in set(h.colors)}
+        restricted = {c: tuple(a & cls for a in adj_g) for c, cls in classes.items()}
+        self.hosts = [classes[c] for c in h.colors]
+        self.neighbours = [restricted[c] for c in h.colors]
+        self.adj = adjacency(h.graph)
 
     def order(self, rest, placed=()) -> list:
-        """`placed`, then `rest` with the vertex of most placed neighbours
-        next (ties: most neighbours still in rest, then first in rest)."""
-        order, rest = list(placed), list(rest)
-        while rest:
-            u = max(rest, key=lambda u: (len(self.adj[u].intersection(order)),
-                                         len(self.adj[u].intersection(rest))))
-            rest.remove(u)
-            order.append(u)
-        return order
+        return _growth_order(self.adj, rest, placed)
 
     def grow(self, rows: list, order: list, start: int, factors: list,
              distinct: bool = False) -> list:
@@ -195,34 +231,254 @@ def _same_kind(h, g) -> None:
         raise ValueError("pattern and host must both be Graphs or both ColoredGraphs")
 
 
+@lru_cache(maxsize=HOST_CACHE_SIZE)
+def _host_rows(g: Graph) -> tuple:
+    """(indptr, indices, degree, adjacent) of the host: its neighbour lists
+    as read-only CSR arrays, each list sorted, its degrees, and
+    adjacent(a, b), whether a[i]b[i] is an edge, elementwise.  The test
+    reads an n x n boolean matrix up to _MATRIX_ORDER vertices, and
+    otherwise searches the sorted codes x*n + y of the 2m directed edges,
+    which the lists are read off, built from the edge arrays of
+    _host_facts.  O(m log m) per host."""
+    n = g.n
+    a, b = _host_facts(g)[0].astype(np.int64)
+    codes = np.concatenate((a * n + b, b * n + a))
+    codes.sort()
+    indptr = codes.searchsorted(np.arange(n + 1) * n)
+    degree = np.diff(indptr)
+    indices = codes - (np.arange(n) * n).repeat(degree)
+    if n <= _MATRIX_ORDER:
+        matrix = np.zeros((n, n), dtype=bool)
+        matrix.ravel()[codes] = True
+
+        def adjacent(a, b):
+            return matrix[a, b]
+    else:
+        def adjacent(a, b):
+            x = a * n + b
+            return codes.take(codes.searchsorted(x), mode="clip") == x
+    for x in (indptr, indices, degree, codes):
+        x.flags.writeable = False
+    return indptr, indices, degree, adjacent
+
+
+@lru_cache(maxsize=HOST_CACHE_SIZE)
+def _host_classes(colors: tuple) -> tuple:
+    """(hues, members) of a host colouring: the colours as a read-only
+    array, and {c: the hosts of colour c}."""
+    hues = np.array(colors, dtype=np.intp)
+    hues.flags.writeable = False
+    return hues, {c: np.flatnonzero(hues == c) for c in set(colors)}
+
+
+@lru_cache(maxsize=1024)
+def _row_plan(h: Graph, v: int, later: tuple, scopes: tuple, seed) -> tuple:
+    """(ops, project) of count_hom_dp's step at v: the growth order is the
+    scope of message `seed` (an index into `scopes`, the scopes of v's
+    messages in bucket order; None when v has none), then the rest of
+    (v,) + later by _growth_order.  ops, on rows holding images of a
+    prefix of that order: ("join", i, positions) joins message i once its
+    scope is placed, at those positions, and ("grow", u, nb) places u
+    through its placed neighbours, at positions nb in order.  project:
+    the positions of `later`."""
+    adj = adjacency(h)
+    placed = scopes[seed] if seed is not None else ()
+    order = _growth_order(adj, [u for u in (v,) + later if u not in placed], placed)
+    pos = {u: i for i, u in enumerate(order)}
+    # joins[i]: the messages joined once order[:i] is placed
+    joins: list = [[] for _ in range(len(order) + 1)]
+    for i, scope in enumerate(scopes):
+        if i != seed:
+            joins[max(len(placed), max(pos[u] + 1 for u in scope))].append(
+                ("join", i, tuple(pos[u] for u in scope)))
+    ops = []
+    for i in range(len(placed), len(order) + 1):
+        ops += joins[i]
+        if i < len(order):
+            u = order[i]
+            ops.append(("grow", u, tuple(sorted(pos[w] for w in adj[u] if pos.get(w, i) < i))))
+    return tuple(ops), tuple(pos[u] for u in later)
+
+
+def _encode(keys, cols, n: int):
+    """Per row of keys, its entries at cols as one integer in base n:
+    int64 while n^len(cols) is below 2^63, Python ints (an object array)
+    from there.  Codes order rows as their entries do."""
+    code = keys[:, cols[0]]
+    if n ** len(cols) >= _INT64:
+        code = code.astype(object)
+    for c in cols[1:]:
+        code = code * n + keys[:, c]
+    return code
+
+
+def _decode(codes, s: int, n: int):
+    """The R x s keys whose codes (_encode over all s columns) these are."""
+    keys = np.empty((len(codes), s), np.intp)
+    for j in range(s - 1, 0, -1):
+        keys[:, j] = codes % n
+        codes = codes // n
+    keys[:, 0] = codes
+    return keys
+
+
+def _reduce(codes, counts) -> tuple:
+    """(codes, counts) with each code once, in increasing order (which a
+    join searches), its counts summed."""
+    order = codes.argsort()
+    codes = codes[order]
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    return codes[first], np.add.reduceat(counts[order], first)
+
+
+class _Table:
+    """The table one step of count_hom_dp sends, summed from the rows of
+    its chunks: each chunk's rows encoded over the scope positions
+    `project` and reduced (for an empty scope, their counts summed).  The
+    pieces are merged once the keys and counts they would decode to pass
+    a quarter of _ROW_BYTES_GUARD, and a merged table past that quarter is
+    refused.  A merge holds the pieces' concatenation, its sort order and
+    the merged codes, about three times the pieces, whose codes and counts
+    take 16 bytes a row, at most the 8 (s + 1) of a decoded row."""
+
+    def __init__(self, project: tuple, n: int):
+        self.project, self.n = project, n
+        self.row = 8 * (len(project) + 1)
+        self.pieces, self.rows, self.total = [], 0, 0
+
+    def add(self, keys, counts) -> None:
+        if not self.project:
+            self.total += int(counts.sum())
+            return
+        self.pieces.append(_reduce(_encode(keys, self.project, self.n), counts))
+        self.rows += len(self.pieces[-1][1])
+        if self.row * self.rows > _ROW_BYTES_GUARD // 4:
+            self.pieces = [self._merged()]
+            self.rows = len(self.pieces[0][1])
+            if self.row * self.rows > _ROW_BYTES_GUARD // 4:
+                raise CapacityError(
+                    f"a row table needs ~{self.row * self.rows >> 20} MiB, capped at "
+                    f"a quarter of {_ROW_BYTES_GUARD >> 20} MiB"
+                )
+
+    def _merged(self) -> tuple:
+        pieces, self.pieces = self.pieces, []
+        if len(pieces) == 1:
+            return pieces[0]
+        if not pieces:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        codes = np.concatenate([c for c, _ in pieces])
+        counts = np.concatenate([c for _, c in pieces])
+        del pieces  # freed before the sort
+        return _reduce(codes, counts)
+
+    def table(self):
+        """The (keys, counts) table, or the count for an empty scope."""
+        if not self.project:
+            return self.total
+        codes, counts = self._merged()
+        return _decode(codes, len(self.project), self.n), counts
+
+
+def _grow(keys, counts, ops: tuple, start: int, joined: list, host: tuple, out: _Table) -> None:
+    """Run ops[start:] (_row_plan) on the rows (keys, counts) and add the
+    rows that survive to out: a join by _join with message joined[i], a
+    growth by _gather, its candidates the CSR list of a placed neighbour's
+    image, or every host of the vertex's colour with none placed.  A
+    growth that would make more than a chunk of rows runs on consecutive
+    slices of the rows, one after the other, each making at most a chunk
+    (or holding one row)."""
+    indptr, indices, degree, _, n, colors = host
+    for i in range(start, len(ops)):
+        if not len(counts):
+            return
+        kind, u, cols = ops[i]
+        if kind == "join":
+            keys, counts = _join(keys, counts, cols, joined[u], n)
+            continue
+        if cols:
+            src = keys[:, cols[0]]
+            base, starts, width = indices, indptr[src], degree[src]
+        else:
+            base = np.arange(n) if colors is None else colors[2].get(colors[0][u], _NO_HOSTS)
+            starts, width = 0, np.full(len(counts), len(base))
+        ends = width.cumsum()
+        chunk = _CHUNK_BYTES // (8 * (keys.shape[1] + 5))
+        if len(counts) > 1 and ends[-1] > chunk:
+            lo = 0
+            while lo < len(counts):
+                hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + chunk, "right")))
+                _grow(keys[lo:hi], counts[lo:hi], ops, i, joined, host, out)
+                lo = hi
+            return
+        keys, counts = _gather(keys, counts, base, starts - ends + width, width, u, cols, host)
+    out.add(keys, counts)
+
+
+def _join(keys, counts, cols: tuple, message: tuple, n: int) -> tuple:
+    """The rows whose images at cols are a key of the message (its codes,
+    sorted, and counts), each count multiplied by that key's."""
+    codes, table = message
+    if not len(codes):
+        return keys[:0], counts[:0]
+    x = _encode(keys, cols, n)
+    at = codes.searchsorted(x)
+    hit = codes.take(at, mode="clip") == x
+    return keys[hit], counts[hit] * table[at[hit]]
+
+
+def _gather(keys, counts, base, offset, width, u: int, cols: tuple, host: tuple) -> tuple:
+    """The rows grown by pattern vertex u: row r takes each image in
+    base[offset[r] + e] for e below width[r] (offset less the rows'
+    widths before r), keeping, for ColoredGraphs, those of u's colour, and
+    those adjacent to the row's images at cols[1:]."""
+    rep = np.arange(len(counts)).repeat(width)
+    new = base[offset.repeat(width) + np.arange(len(rep))]
+    adjacent, colors = host[3], host[5]
+    if cols and colors is not None:
+        keep = colors[1][new] == colors[0][u]
+        rep, new = rep[keep], new[keep]
+    for j in cols[1:]:
+        keep = adjacent(keys[rep, j], new)
+        rep, new = rep[keep], new[keep]
+    return np.concatenate((keys[rep], new[:, None]), axis=1), counts[rep]
+
+
 def count_hom_dp(h, g) -> int:
     """Number of homomorphisms from h to g, by elimination along h's plan
-    with dict factors: both Graphs, or both ColoredGraphs for
-    colour-preserving maps."""
+    with row tables: both Graphs, or both ColoredGraphs for
+    colour-preserving maps.  A step seeds its rows from its largest
+    message, grows them through the rest of its vertices (_row_plan),
+    joining each other message once its scope is placed (_grow), and sums
+    them over its scope (_Table).  Counts are int64 while n D^(k-1) < 2^63
+    and Python ints otherwise, by the certificate of _run: no row count or
+    partial sum exceeds D^(k-1), and no component's count n D^(k-1)."""
     _same_kind(h, g)
-    builder = _RowBuilder(h, g)
+    shape = _dense_shape(h)
+    colors = None
     if isinstance(h, ColoredGraph):
-        h = h.graph
+        colors = (h.colors, *_host_classes(g.colors))
+        h, g = h.graph, g.graph
+    n, rows = g.n, _host_rows(g)
+    dtype = np.int64 if n * int(rows[2].max(initial=0)) ** (shape.k - 1) < _INT64 else object
+    host = (*rows, n, colors)
 
     def step(v, later, factors):
-        # seed from the largest message, then grow through the others
-        if factors:
-            seed = max(factors, key=lambda f: len(f[1]))
-            placed, rows = seed[0], list(seed[1].items())
-            factors = [f for f in factors if f is not seed]
+        seed = max(range(len(factors)), key=lambda i: len(factors[i][1][1]), default=None)
+        ops, project = _row_plan(h, v, later, tuple(scope for scope, _ in factors), seed)
+        if seed is None:
+            keys, counts = np.zeros((1, 0), np.intp), np.ones(1, dtype)
         else:
-            placed, rows = (), [((), 1)]
-        order = builder.order([u for u in (v,) + later if u not in placed], placed)
-        rows = builder.grow(rows, order, len(placed), factors)
-        out: dict = {}
-        if rows:
-            project = _projection([order.index(u) for u in later])
-            for key, cnt in rows:
-                short = project(key)
-                out[short] = out.get(short, 0) + cnt
-        return out if later else out.get((), 0)
+            keys, counts = factors[seed][1]
+        joined = [(_encode(k, range(len(s)), n), c) for s, (k, c) in factors]
+        out = _Table(project, n)
+        _grow(keys, counts, ops, 0, joined, host, out)
+        return out.table()
 
-    return _eliminate(elimination_plan(h)[1:], step)
+    return _eliminate(shape.forest, step)
 
 
 @lru_cache(maxsize=256)
@@ -541,11 +797,11 @@ def _hom_sum(program: _Program, g) -> int:
     """The sum of c * Hom(f, g) over the (f, c) terms of a compiled program
     (_program), c integers.  f and g are both Graphs, or both ColoredGraphs
     for colour-preserving maps.  A term of treewidth <= 3 whose work
-    _predicted_work puts within DENSE_WORK_RATIO of the dict DP's rows runs
-    in the program (_run), and every other term on the dict DP.  A program
-    whose tables would pass DENSE_BYTES_GUARD runs its dense terms one at a
-    time, each over its own nodes of the same program, and a term refused
-    alone goes to the dict DP too."""
+    _predicted_work puts within DENSE_WORK_RATIO of count_hom_dp's rows
+    runs in the program (_run), and every other term on count_hom_dp.  A
+    program whose tables would pass DENSE_BYTES_GUARD runs its dense terms
+    one at a time, each over its own nodes of the same program, and a term
+    refused alone goes to count_hom_dp too."""
     for term in program.terms:
         _same_kind(term.f, g)
     dense = tuple(t for t, (term, (work, rows))
@@ -553,7 +809,7 @@ def _hom_sum(program: _Program, g) -> int:
                   if term.shape.width <= 3 and work <= DENSE_WORK_RATIO * rows)
     try:
         counts = _run(program, dense, g)
-    except CapacityError:  # refused before allocating: the dict factors need no n x n
+    except CapacityError:  # refused before allocating: the row tables need no n x n
         counts = {}
         for t in dense:
             with suppress(CapacityError):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import motifcount
 from motifcount import homcount
+from motifcount.decomp import elimination_plan
 from motifcount.graphs import ColoredGraph, Graph, adjacency, canonical_form
 
 CLI_MAIN = "import sys; from motifcount.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -188,3 +189,70 @@ def brute_attachment(g: Graph, v: int, a: frozenset) -> int:
 
     rec(0, 0, frozenset())
     return best
+
+
+def reference_hom_dp(h, g) -> int:
+    """Hom(h, g) by elimination along h's plan with dict factors keyed by
+    host-vertex tuples: h and g both Graphs, or both ColoredGraphs.  This
+    is the dict DP that count_hom_dp ran before its row tables, kept as
+    their reference: each step seeds its rows from its largest message,
+    grows them one pattern vertex at a time through host neighbourhoods
+    (each image of its vertex's colour), joins each other message once
+    its scope is placed, and sums the rows over its scope."""
+    if isinstance(h, ColoredGraph):
+        classes = {c: frozenset(x for x, cx in enumerate(g.colors) if cx == c)
+                   for c in set(h.colors)}
+        restricted = {c: tuple(a & cls for a in adjacency(g.graph)) for c, cls in classes.items()}
+        hosts = [classes[c] for c in h.colors]
+        neighbours = [restricted[c] for c in h.colors]
+        h = h.graph
+    else:
+        hosts, neighbours = [range(g.n)] * h.n, [adjacency(g)] * h.n
+    adj = adjacency(h)
+
+    def growth_order(rest, placed):
+        order, rest = list(placed), list(rest)
+        while rest:
+            u = max(rest, key=lambda u: (len(adj[u].intersection(order)),
+                                         len(adj[u].intersection(rest))))
+            rest.remove(u)
+            order.append(u)
+        return order
+
+    def grow(rows, order, start, factors):
+        pos = {u: i for i, u in enumerate(order)}
+        joins = [[] for _ in range(len(order) + 1)]
+        for scope, table in factors:
+            at = max(start, max(pos[u] + 1 for u in scope))
+            joins[at].append(([pos[u] for u in scope], table))
+        for i in range(start, len(order) + 1):
+            for at, table in joins[i]:
+                rows = [(key, cnt * c) for key, cnt in rows
+                        if (c := table.get(tuple(key[j] for j in at))) is not None]
+            if i == len(order) or not rows:
+                return rows
+            u = order[i]
+            nb = [pos[w] for w in adj[u] if pos.get(w, i) < i]
+            grown = []
+            for key, cnt in rows:
+                allowed = neighbours[u][key[nb[0]]] if nb else hosts[u]
+                for j in nb[1:]:
+                    allowed = allowed & neighbours[u][key[j]]
+                grown.extend((key + (x,), cnt) for x in allowed)
+            rows = grown
+
+    def step(v, later, factors):
+        if factors:
+            seed = max(factors, key=lambda f: len(f[1]))
+            placed, rows = seed[0], list(seed[1].items())
+            factors = [f for f in factors if f is not seed]
+        else:
+            placed, rows = (), [((), 1)]
+        order = growth_order([u for u in (v,) + later if u not in placed], placed)
+        out = {}
+        for key, cnt in grow(rows, order, len(placed), factors):
+            short = tuple(key[order.index(u)] for u in later)
+            out[short] = out.get(short, 0) + cnt
+        return out if later else out.get((), 0)
+
+    return homcount._eliminate(elimination_plan(h)[1:], step)
